@@ -1,17 +1,25 @@
 """Command line interface.
 
-Exit codes: 0 for success and true verdicts, 1 for false verdicts,
-2 for usage, parse and type errors.
+Exit codes:
+  0  success, and true verdicts;
+  1  false verdicts (`equal` on unequal arrows, `collapse` on equal ones);
+  2  usage, parse and type errors, and every other error of this library;
+  3  an unexpected internal failure, such as a RecursionError on deeply
+     nested input, reported as one line on stderr.
+
+`normalize` reads the normal form back from the term's graph; with
+`--trace` it rewrites step by step instead, printing each step.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from .collapse import CollapseWitness, collapse_witness, verify_witness
-from .decide import equal_in_cart, equal_via_normal_forms, synth_from_graph
+from .decide import equal_in_cart, equal_via_normal_forms, normal_form, synth_from_graph
 from .errors import AlreadyEqual, FreecartError, InternalError
 from .graphs import Graph, graph_of, graph_to_json_dict
 from .rewrite import ReductionTrace, normalize
@@ -70,7 +78,9 @@ def witness_to_json_dict(w: CollapseWitness) -> dict:
     }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built on the first call and then reused; it holds no per-call state."""
     parser = argparse.ArgumentParser(
         prog="freecart",
         description="Typecheck, normalize and compare arrows of the free cartesian category.",
@@ -130,6 +140,11 @@ def run_cli(argv) -> int:
     except FreecartError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # Never exit 1 here: for `equal` that would read as "not equal".
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 3
 
 
 def _dispatch(args, mode: Mode) -> int:
@@ -153,10 +168,12 @@ def _dispatch(args, mode: Mode) -> int:
 
     if args.command == "normalize":
         term = _load_arrow(args.term_file, mode)
+        if not args.trace:
+            print(print_arrow(normal_form(term, mode)))
+            return 0
         trace = normalize(term, mode)
-        if args.trace:
-            for line in _render_trace(trace):
-                print(line)
+        for line in _render_trace(trace):
+            print(line)
         print(print_arrow(trace.result))
         return 0
 
@@ -178,7 +195,7 @@ def _dispatch(args, mode: Mode) -> int:
         lhs = _load_arrow(args.lhs_file, mode)
         rhs = _load_arrow(args.rhs_file, mode)
         witness = collapse_witness(lhs, rhs, mode)
-        if not verify_witness(witness):
+        if not verify_witness(witness, mode):
             raise InternalError("freshly built witness failed verification")
         _emit_json(
             witness_to_json_dict(witness),

@@ -5,6 +5,13 @@ so the decision procedure is a graph comparison.  The alternative route
 normalizes both sides and compares syntax.  Synthesis goes the other
 way: given a letter-compatible graph it produces the unique normal form
 with that graph.
+
+Synthesis after graph_of is normalization by evaluation: normal_form
+reads a term's normal form back from its graph, with no rewriting.
+That read-back route serves `normalize` without `--trace` and the
+normal forms stored in collapse witnesses.  The rewriting system in
+rewrite.py stays the certifying route, for `normalize --trace`,
+`equal --method normalize|both` and verify_witness.
 """
 
 from __future__ import annotations
@@ -71,34 +78,71 @@ def synth_from_graph(
     return _synth(dom, cod, g, mode)
 
 
+def normal_form(t: ArrowTerm, mode: Mode = Mode.CARTESIAN) -> ArrowTerm:
+    """The normal form of t, read back from its type and its graph.
+
+    An arrow is determined by its type and its graph, so this is the
+    term that normalize(t, mode) reaches, found without rewriting.
+    """
+    arrow_type = typecheck(t, mode)
+    return synth_from_graph(arrow_type.domain, arrow_type.codomain, graph_of(t), mode)
+
+
+def _left_letter_counts(a: ObjectExpr) -> dict[int, int]:
+    """The letter count of the left factor of every product node, by node id."""
+    counts: dict[int, int] = {}
+
+    def count(node: ObjectExpr) -> int:
+        match node:
+            case LetterObj(_):
+                return 1
+            case Terminal():
+                return 0
+            case Product(left, right):
+                nl = count(left)
+                counts[id(node)] = nl
+                return nl + count(right)
+        raise TypeError(f"not an object: {node!r}")
+
+    count(a)
+    return counts
+
+
 def _synth(dom: ObjectExpr, cod: ObjectExpr, g: Graph, mode: Mode) -> ArrowTerm:
-    match cod:
-        case Terminal():
-            if mode is Mode.BINARY_PRODUCTS:
-                raise Unrealizable(
-                    "terminal codomain cannot be realized in binary-products mode"
-                )
-            return Bang(dom)
-        case Product(left, right):
-            nl = letter_length(left)
-            g_left = Graph(g.source_letters, nl, g.map[:nl])
-            g_right = Graph(g.source_letters, g.target_letters - nl, g.map[nl:])
-            return Pair(
-                _synth(dom, left, g_left, mode), _synth(dom, right, g_right, mode)
-            )
-        case LetterObj(_):
-            if isinstance(dom, LetterObj):
-                return Identity(dom)
-            return _projection_chain(dom, g.map[0])
-    raise TypeError(f"not an object: {cod!r}")
+    # The letters of cod are met in leaf order, so they take the entries
+    # of g.map in turn, and dom is measured once: the work is linear in
+    # the size of the result.
+    left_letters = _left_letter_counts(dom)
+    sources = iter(g.map)
+
+    def build(node: ObjectExpr) -> ArrowTerm:
+        match node:
+            case Terminal():
+                if mode is Mode.BINARY_PRODUCTS:
+                    raise Unrealizable(
+                        "terminal codomain cannot be realized in binary-products mode"
+                    )
+                return Bang(dom)
+            case Product(left, right):
+                return Pair(build(left), build(right))
+            case LetterObj(_):
+                position = next(sources)
+                if isinstance(dom, LetterObj):
+                    return Identity(dom)
+                return _projection_chain(dom, position, left_letters)
+        raise TypeError(f"not an object: {node!r}")
+
+    return build(cod)
 
 
-def _projection_chain(dom: ObjectExpr, position: int) -> ArrowTerm:
+def _projection_chain(
+    dom: ObjectExpr, position: int, left_letters: dict[int, int]
+) -> ArrowTerm:
     factors: list[ArrowTerm] = []
     node = dom
     j = position
     while isinstance(node, Product):
-        nl = letter_length(node.left)
+        nl = left_letters[id(node)]
         if j <= nl:
             factors.append(Proj1(node.left, node.right))
             node = node.left

@@ -23,8 +23,8 @@ from .terms import (
     Pair,
     Proj1,
     Proj2,
-    letter_at,
     letter_length,
+    letters_of,
 )
 
 
@@ -104,18 +104,17 @@ def graph_equal(a: Graph, b: Graph) -> bool:
 
 def letter_compatible(g: Graph, dom: ObjectExpr, cod: ObjectExpr) -> bool:
     """Whether g only connects equal letters of dom and cod."""
-    if g.source_letters != letter_length(dom):
+    sources = letters_of(dom)
+    targets = letters_of(cod)
+    if g.source_letters != len(sources):
         raise ArityMismatch(
-            f"graph has {g.source_letters} source letters, domain has {letter_length(dom)}"
+            f"graph has {g.source_letters} source letters, domain has {len(sources)}"
         )
-    if g.target_letters != letter_length(cod):
+    if g.target_letters != len(targets):
         raise ArityMismatch(
-            f"graph has {g.target_letters} target letters, codomain has {letter_length(cod)}"
+            f"graph has {g.target_letters} target letters, codomain has {len(targets)}"
         )
-    return all(
-        letter_at(dom, g.map[i - 1]) == letter_at(cod, i)
-        for i in range(1, g.target_letters + 1)
-    )
+    return all(sources[j - 1] == letter for j, letter in zip(g.map, targets))
 
 
 def graph_to_json_dict(g: Graph) -> dict:

@@ -11,6 +11,13 @@ lexicographically; every permitted step strictly decreases it.  The
 atomizing-to-product step is only permitted on pairing-free subterms
 that are not composition factors, and only while no pairing occurs
 anywhere under a composition, which is what makes the measure work.
+
+Rewriting is the certifying route: every step is recorded and checked
+to decrease the degree.  It serves `normalize --trace`,
+`equal --method normalize|both` and verify_witness.  Where no trace is
+wanted (`normalize` without `--trace`, the normal forms stored in
+collapse witnesses), decide.normal_form reads the same normal form back
+from the term's graph instead.
 """
 
 from __future__ import annotations

@@ -1,6 +1,8 @@
 import json
+import random
 
-from freecart import run_cli
+from freecart import Mode, print_arrow, run_cli
+from termgen import random_arrow
 
 
 def write(tmp_path, name, text):
@@ -131,3 +133,30 @@ def test_parse_error_has_location(tmp_path, capsys):
     assert run_cli(["check", f]) == 2
     err = capsys.readouterr().err
     assert "f.term" in err and "error" in err
+
+
+def test_normalize_matches_last_line_of_trace(tmp_path, capsys):
+    rng = random.Random(303)
+    chain = " . ".join(["id{p*q}"] * 60)
+    for mode in Mode:
+        texts = [print_arrow(random_arrow(rng, mode=mode, depth=4)) for _ in range(40)]
+        for text in texts + [chain]:
+            f = write(tmp_path, "f.term", text + "\n")
+            assert run_cli(["--mode", mode.value, "normalize", f]) == 0
+            plain = capsys.readouterr().out
+            assert run_cli(["--mode", mode.value, "normalize", "--trace", f]) == 0
+            traced = capsys.readouterr().out
+            assert plain == traced.splitlines()[-1] + "\n", text
+
+
+def test_unexpected_exception_exits_3(tmp_path, capsys):
+    depth = 3000
+    text = "<" * depth + "id{p}" + ", id{p}>" * depth + "\n"
+    f = write(tmp_path, "f.term", text)
+    g = write(tmp_path, "g.term", text)
+    assert run_cli(["equal", f, g]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("internal error: RecursionError")
+    assert "Traceback" not in captured.err

@@ -23,6 +23,7 @@ from freecart import (
     graph_equal,
     graph_of,
     iter_subterms,
+    parse_arrow,
     substitute_all_letters,
     synth_from_graph,
     verify_witness,
@@ -123,6 +124,22 @@ def test_witnesses_in_binary_products_mode(rng):
     f = synth_from_graph(dom, cod, g1, mode)
     g = synth_from_graph(dom, cod, g2, mode)
     w = collapse_witness(f, g, mode)
-    assert verify_witness(w)
+    assert verify_witness(w, mode)
     for term in (w.f_subst, w.g_subst, w.h, w.j):
         assert all(not isinstance(sub, Bang) for _, sub in iter_subterms(term))
+
+
+def test_verification_uses_the_witness_mode():
+    mode = Mode.BINARY_PRODUCTS
+    w = collapse_witness(Proj1(p, p), Proj2(p, p), mode)
+    assert verify_witness(w, mode)
+    # A cartesian arrow p -> p that leaves the binary-products fragment.
+    bad = dataclasses.replace(w, j=parse_arrow("p1{p,T} . <id{p}, bang{p}>"))
+    assert verify_witness(bad)
+    assert not verify_witness(bad, mode)
+
+
+def test_verification_does_not_hide_bugs():
+    w = collapse_witness(Proj1(p, p), Proj2(p, p))
+    with pytest.raises(TypeError):
+        verify_witness(dataclasses.replace(w, h="not a term"))

@@ -11,6 +11,7 @@ from freecart import (
     Letter,
     LetterObj,
     Mode,
+    ModeViolation,
     Pair,
     Product,
     Proj1,
@@ -27,6 +28,8 @@ from freecart import (
     graph_equal,
     graph_of,
     is_normal_form,
+    normal_form,
+    normalize,
     synth_from_graph,
     typecheck,
 )
@@ -162,3 +165,20 @@ def test_terminal_arrow_uniqueness(rng):
     f = random_arrow_to_terminal(rng, dom, 2)
     assert equal_in_cart(f, Bang(dom))
     assert equal_via_normal_forms(f, Bang(dom))
+
+
+@given(st.randoms(use_true_random=False), st.sampled_from(list(Mode)))
+@settings(max_examples=150, deadline=None)
+def test_normal_form_by_read_back_matches_rewriting(rng, mode):
+    t = random_arrow(rng, mode=mode, depth=4)
+    if rng.random() < 0.5:
+        t = mutate_preserving(rng, t, rounds=2, mode=mode)
+    assert normal_form(t, mode) == normalize(t, mode).result
+
+
+def test_normal_form_typechecks_its_input():
+    with pytest.raises(TypeMismatch):
+        normal_form(Compose((Proj1(p, q), Proj1(p, q))))
+    with pytest.raises(ModeViolation):
+        normal_form(Bang(p), Mode.BINARY_PRODUCTS)
+    assert normal_form(Identity(Product(p, T))) == Pair(Proj1(p, T), Bang(Product(p, T)))

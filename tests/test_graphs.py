@@ -107,6 +107,15 @@ def test_letter_compatible():
         letter_compatible(Graph(3, 1, (1,)), Product(p, q), q)
 
 
+def test_letter_compatible_rejects_joining_distinct_letters():
+    dom = Product(Product(p, q), p)
+    cod = Product(p, Product(q, q))
+    assert letter_compatible(Graph(3, 3, (3, 2, 2)), dom, cod)
+    # The last q of cod drawn from the first p of dom.
+    assert not letter_compatible(Graph(3, 3, (3, 2, 1)), dom, cod)
+    assert not letter_compatible(Graph(1, 1, (1,)), p, q)
+
+
 def test_graph_json_round_trip():
     g = Graph(3, 2, (3, 1))
     d = graph_to_json_dict(g)
