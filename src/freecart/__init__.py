@@ -15,14 +15,12 @@ from .errors import (
     InternalError,
     InvalidRedex,
     ModeViolation,
-    PositionOutOfRange,
     TypeMismatch,
     Unrealizable,
 )
 from .graphs import (
     Graph,
     graph_compose,
-    graph_equal,
     graph_from_json_dict,
     graph_identity,
     graph_of,
@@ -48,7 +46,6 @@ from .rewrite import (
 from .syntax import (
     Diagnostic,
     ParseError,
-    SourceTerm,
     parse_arrow,
     parse_object,
     print_arrow,
@@ -78,7 +75,6 @@ from .terms import (
     domain,
     dup,
     iter_subterms,
-    letter_at,
     letter_length,
     letters_of,
     product_of_arrows,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .decide import synth_from_graph
 from .errors import AlreadyEqual, FreecartError, InternalError
-from .graphs import Graph, graph_equal, graph_of
+from .graphs import Graph, graph_of
 from .rewrite import normalize
 from .terms import (
     ArrowTerm,
@@ -25,12 +25,19 @@ from .terms import (
     Proj1,
     Proj2,
     codomain,
+    common_type,
     compose,
     domain,
     letters_of,
     substitute_all_letters,
     typecheck,
 )
+
+
+# The graphs of the two composites h . f_subst . j and h . g_subst . j:
+# the first and the second projection of p * p onto p.
+LHS_GRAPH = Graph(2, 1, (1,))
+RHS_GRAPH = Graph(2, 1, (2,))
 
 
 @dataclass(frozen=True)
@@ -49,15 +56,10 @@ def collapse_witness(
     f: ArrowTerm, g: ArrowTerm, mode: Mode = Mode.CARTESIAN
 ) -> CollapseWitness:
     """Construct the collapse data for a non-equal pair of arrows."""
-    ft = typecheck(f, mode)
-    gt = typecheck(g, mode)
-    if ft != gt:
-        from .errors import TypeMismatch
-
-        raise TypeMismatch(f"arrows have different types: {ft} vs {gt}")
+    ft = common_type(f, g, mode)
     gf = graph_of(f)
     gg = graph_of(g)
-    if graph_equal(gf, gg):
+    if gf == gg:
         raise AlreadyEqual("the arrows are equal; no collapse witness exists")
 
     position = next(
@@ -84,9 +86,7 @@ def collapse_witness(
 
     lhs_graph = graph_of(compose(h, f_subst, j))
     rhs_graph = graph_of(compose(h, g_subst, j))
-    if not graph_equal(lhs_graph, Graph(2, 1, (1,))) or not graph_equal(
-        rhs_graph, Graph(2, 1, (2,))
-    ):
+    if lhs_graph != LHS_GRAPH or rhs_graph != RHS_GRAPH:
         raise InternalError("collapse composites have unexpected graphs")
     # Both composites have type pp -> letter; read their normal forms back
     # from the graphs just checked.
@@ -110,8 +110,8 @@ def verify_witness(w: CollapseWitness, mode: Mode = Mode.CARTESIAN) -> bool:
         typecheck(lhs, mode)
         typecheck(rhs, mode)
         return (
-            graph_equal(graph_of(lhs), Graph(2, 1, (1,)))
-            and graph_equal(graph_of(rhs), Graph(2, 1, (2,)))
+            graph_of(lhs) == LHS_GRAPH
+            and graph_of(rhs) == RHS_GRAPH
             and normalize(lhs, mode).result == Proj1(p, p)
             and normalize(rhs, mode).result == Proj2(p, p)
             and w.lhs_normal == Proj1(p, p)

@@ -16,8 +16,8 @@ rewrite.py stays the certifying route, for `normalize --trace`,
 
 from __future__ import annotations
 
-from .errors import IncompatibleGraph, TypeMismatch, Unrealizable
-from .graphs import Graph, graph_equal, graph_of, letter_compatible
+from .errors import IncompatibleGraph, Unrealizable
+from .graphs import Graph, graph_of, letter_compatible
 from .rewrite import normalize
 from .terms import (
     ArrowTerm,
@@ -32,29 +32,23 @@ from .terms import (
     Proj2,
     Terminal,
     Bang,
+    common_type,
     letter_length,
     typecheck,
 )
 
 
-def _require_same_type(f: ArrowTerm, g: ArrowTerm, mode: Mode) -> None:
-    ft = typecheck(f, mode)
-    gt = typecheck(g, mode)
-    if ft != gt:
-        raise TypeMismatch(f"arrows have different types: {ft} vs {gt}")
-
-
 def equal_in_cart(f: ArrowTerm, g: ArrowTerm, mode: Mode = Mode.CARTESIAN) -> bool:
     """Decide commutation by comparing graphs."""
-    _require_same_type(f, g, mode)
-    return graph_equal(graph_of(f), graph_of(g))
+    common_type(f, g, mode)
+    return graph_of(f) == graph_of(g)
 
 
 def equal_via_normal_forms(
     f: ArrowTerm, g: ArrowTerm, mode: Mode = Mode.CARTESIAN
 ) -> bool:
     """Decide commutation by normalizing both sides."""
-    _require_same_type(f, g, mode)
+    common_type(f, g, mode)
     return normalize(f, mode).result == normalize(g, mode).result
 
 

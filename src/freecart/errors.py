@@ -24,10 +24,6 @@ class ModeViolation(FreecartError):
         self.path = tuple(path)
 
 
-class PositionOutOfRange(FreecartError):
-    """A 1-based letter position falls outside an object's letter count."""
-
-
 class ArityMismatch(FreecartError):
     """Graph operands do not have matching letter counts."""
 

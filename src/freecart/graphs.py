@@ -18,7 +18,6 @@ from .terms import (
     Bang,
     Compose,
     Identity,
-    LetterObj,
     ObjectExpr,
     Pair,
     Proj1,
@@ -95,11 +94,6 @@ def graph_of(t: ArrowTerm) -> Graph:
         case Compose(factors):
             return reduce(graph_compose, (graph_of(f) for f in factors))
     raise TypeError(f"not an arrow term: {t!r}")
-
-
-def graph_equal(a: Graph, b: Graph) -> bool:
-    """Pointwise equality of graphs."""
-    return a == b
 
 
 def letter_compatible(g: Graph, dom: ObjectExpr, cod: ObjectExpr) -> bool:

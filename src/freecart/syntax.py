@@ -29,6 +29,7 @@ from .terms import (
     ArrowTerm,
     Bang,
     Compose,
+    DERIVED,
     Identity,
     Letter,
     LetterObj,
@@ -64,13 +65,10 @@ class ParseError(FreecartError):
         self.origin = origin
 
 
-@dataclass(frozen=True)
-class SourceTerm:
-    text: str
-    origin: str = "<inline>"
-
-
 _SYMBOLS = {"{", "}", "(", ")", "<", ">", ",", ".", "*"}
+
+# The primitive arrows by name: their class and how many objects they take.
+_PRIMITIVES = {"id": (Identity, 1), "p1": (Proj1, 2), "p2": (Proj2, 2), "bang": (Bang, 1)}
 
 
 @dataclass(frozen=True)
@@ -200,20 +198,11 @@ class _Parser:
         if tok.kind == "ident":
             self.advance()
             name = tok.text
-            if name == "id":
-                return Identity(self.braced_objects(1)[0])
-            if name == "p1":
-                return Proj1(*self.braced_objects(2))
-            if name == "p2":
-                return Proj2(*self.braced_objects(2))
-            if name == "bang":
-                return Bang(self.braced_objects(1)[0])
-            if name in ("assoc_r", "assoc_l"):
-                return derived_arrow(name, *self.braced_objects(3))
-            if name == "swap":
-                return derived_arrow(name, *self.braced_objects(2))
-            if name in ("dup", "sigma", "delta"):
-                return derived_arrow(name, *self.braced_objects(1))
+            if name in _PRIMITIVES:
+                cls, arity = _PRIMITIVES[name]
+                return cls(*self.braced_objects(arity))
+            if name in DERIVED:
+                return derived_arrow(name, *self.braced_objects(DERIVED[name][1]))
             if name == "prod":
                 self.expect("(")
                 first = self.arrow()
@@ -244,13 +233,10 @@ def parse_object(text: str) -> ObjectExpr:
 def parse_arrow(text: str, mode: Mode = Mode.CARTESIAN) -> ArrowTerm:
     parser = _Parser(text)
     try:
-        term = parser.arrow()
-    except (TypeMismatch, ModeViolation) as exc:
         # Macro expansion (sigma/delta, prod) typechecks eagerly.
-        raise ParseError(Diagnostic("error", (0, len(text)), str(exc))) from exc
-    if parser.peek().kind != "eof":
-        parser.fail("unexpected trailing input")
-    try:
+        term = parser.arrow()
+        if parser.peek().kind != "eof":
+            parser.fail("unexpected trailing input")
         typecheck(term, mode)
     except (TypeMismatch, ModeViolation) as exc:
         raise ParseError(Diagnostic("error", (0, len(text)), str(exc))) from exc

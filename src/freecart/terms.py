@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
-from .errors import ModeViolation, PositionOutOfRange, TypeMismatch
+from .errors import ModeViolation, TypeMismatch
 
 # Address of a subterm: child indices from the root (Pair components are
 # 0 and 1, Compose factors are indexed in application order).
@@ -137,17 +137,11 @@ def compose(*factors: ArrowTerm) -> ArrowTerm:
     A single factor is returned unchanged; composition with one operand
     is identified with that operand.
     """
-    flat: list[ArrowTerm] = []
-    for f in factors:
-        if isinstance(f, Compose):
-            flat.extend(f.factors)
-        else:
-            flat.append(f)
-    if not flat:
+    if not factors:
         raise ValueError("composition needs at least one factor")
-    if len(flat) == 1:
-        return flat[0]
-    return Compose(tuple(flat))
+    if len(factors) == 1:
+        return factors[0]
+    return Compose(factors)
 
 
 @dataclass(frozen=True)
@@ -198,22 +192,6 @@ def letters_of(a: ObjectExpr) -> tuple[Letter, ...]:
     raise TypeError(f"not an object: {a!r}")
 
 
-def letter_at(a: ObjectExpr, i: int) -> Letter:
-    """The i-th letter of an object, 1-based, counting from the left."""
-    if i < 1 or i > letter_length(a):
-        raise PositionOutOfRange(f"letter position {i} not in 1..{letter_length(a)}")
-    node = a
-    while isinstance(node, Product):
-        nl = letter_length(node.left)
-        if i <= nl:
-            node = node.left
-        else:
-            i -= nl
-            node = node.right
-    assert isinstance(node, LetterObj)
-    return node.letter
-
-
 # ---------------------------------------------------------------------------
 # Typing
 
@@ -236,6 +214,15 @@ def _check_object(a: ObjectExpr, mode: Mode, path: Path) -> None:
 def typecheck(t: ArrowTerm, mode: Mode = Mode.CARTESIAN) -> ArrowType:
     """Compute the unique type of a term, rejecting ill-typed ones."""
     return _typecheck(t, mode, ())
+
+
+def common_type(f: ArrowTerm, g: ArrowTerm, mode: Mode = Mode.CARTESIAN) -> ArrowType:
+    """The type shared by f and g, rejecting arrows of different types."""
+    ft = typecheck(f, mode)
+    gt = typecheck(g, mode)
+    if ft != gt:
+        raise TypeMismatch(f"arrows have different types: {ft} vs {gt}")
+    return ft
 
 
 def _typecheck(t: ArrowTerm, mode: Mode, path: Path) -> ArrowType:
@@ -440,7 +427,8 @@ def delta(a: ObjectExpr, mode: Mode = Mode.CARTESIAN) -> ArrowTerm:
     return Pair(Identity(a), Bang(a))
 
 
-_DERIVED = {
+# The derived arrows by name: the function that builds each and how many objects it takes.
+DERIVED = {
     "assoc_r": (assoc_r, 3),
     "assoc_l": (assoc_l, 3),
     "swap": (swap, 2),
@@ -452,9 +440,9 @@ _DERIVED = {
 
 def derived_arrow(kind: str, *objects: ObjectExpr, mode: Mode = Mode.CARTESIAN) -> ArrowTerm:
     """Build one of the structural arrows by name."""
-    if kind not in _DERIVED:
+    if kind not in DERIVED:
         raise ValueError(f"unknown derived arrow: {kind!r}")
-    builder, arity = _DERIVED[kind]
+    builder, arity = DERIVED[kind]
     if len(objects) != arity:
         raise ValueError(f"{kind} takes {arity} object(s), got {len(objects)}")
     if kind in ("sigma", "delta"):

@@ -28,7 +28,6 @@ from freecart import (
     compose,
     domain,
     iter_subterms,
-    letter_at,
     letter_length,
     letters_of,
     replace_subterm,
@@ -289,10 +288,7 @@ def random_codomain_and_graph(
         return LetterObj(rng.choice(available))
 
     cod = build(max_depth)
-    mapping = tuple(
-        rng.choice(positions[letter_at(cod, i)])
-        for i in range(1, letter_length(cod) + 1)
-    )
+    mapping = tuple(rng.choice(positions[letter]) for letter in letters_of(cod))
     return cod, Graph(letter_length(dom), letter_length(cod), mapping)
 
 

@@ -27,7 +27,6 @@ from freecart import (
     equal_in_cart,
     equal_via_normal_forms,
     collapse_witness,
-    graph_equal,
     graph_of,
     is_normal_form,
     normalize,
@@ -69,24 +68,22 @@ def test_criterion_1_generator_soundness():
             g = random_arrow_from(rng, dom, 2, Mode.CARTESIAN)
             a, b = codomain(f), codomain(g)
             # beta1 and beta2
-            assert graph_equal(graph_of(compose(Pair(f, g), Proj1(a, b))), graph_of(f))
-            assert graph_equal(graph_of(compose(Pair(f, g), Proj2(a, b))), graph_of(g))
+            assert graph_of(compose(Pair(f, g), Proj1(a, b))) == graph_of(f)
+            assert graph_of(compose(Pair(f, g), Proj2(a, b))) == graph_of(g)
             # distr
             h = random_arrow_from(rng, random_object(rng), 2, Mode.CARTESIAN)
             f2 = random_arrow_from(rng, codomain(h), 2, Mode.CARTESIAN)
             g2 = random_arrow_from(rng, codomain(h), 2, Mode.CARTESIAN)
             lhs = compose(h, Pair(f2, g2))
             rhs = Pair(compose(h, f2), compose(h, g2))
-            assert graph_equal(graph_of(lhs), graph_of(rhs))
+            assert graph_of(lhs) == graph_of(rhs)
             # eta
             x, y = random_object(rng), random_object(rng)
-            assert graph_equal(
-                graph_of(Pair(Proj1(x, y), Proj2(x, y))),
-                graph_of(Identity(Product(x, y))),
-            )
+            eta = Pair(Proj1(x, y), Proj2(x, y))
+            assert graph_of(eta) == graph_of(Identity(Product(x, y)))
             # terminal uniqueness
             k = random_arrow_to_terminal(rng, dom, 2)
-            assert graph_equal(graph_of(k), graph_of(Bang(dom)))
+            assert graph_of(k) == graph_of(Bang(dom))
         assert time.perf_counter() - started < 10.0
 
 
@@ -98,11 +95,11 @@ def test_criterion_2_reduction_soundness_and_termination():
             t = random_arrow(rng, obj_depth=2, depth=7)
             ty = typecheck(t)
             g = graph_of(t)
-            trace = normalize(t)  # raises if the fuse blows or degree stalls
+            trace = normalize(t)  # raises if a step does not decrease the degree
             for s in trace.steps:
                 assert s.degree_after < s.degree_before
                 assert typecheck(s.after) == ty
-                assert graph_equal(graph_of(s.after), g)
+                assert graph_of(s.after) == g
             assert is_normal_form(trace.result)
         assert time.perf_counter() - started < 30.0
 
@@ -114,7 +111,7 @@ def test_criterion_3_unique_normal_form():
             f = random_arrow(rng, depth=3)
             g = mutate_preserving(rng, f, rounds=3)
             assert typecheck(g) == typecheck(f)
-            assert graph_equal(graph_of(f), graph_of(g))
+            assert graph_of(f) == graph_of(g)
             assert normalize(f).result == normalize(g).result
 
 
@@ -184,7 +181,7 @@ def test_criterion_6_maximality_witnesses():
         for mode in (Mode.CARTESIAN, Mode.BINARY_PRODUCTS):
             for f, g in _distinct_graph_pairs(rng, mode, 300):
                 w = collapse_witness(f, g, mode)
-                assert verify_witness(w)
+                assert verify_witness(w, mode)
                 pp = LetterObj(w.letter)
                 assert normalize(compose(w.h, w.f_subst, w.j), mode).result == Proj1(pp, pp)
                 assert normalize(compose(w.h, w.g_subst, w.j), mode).result == Proj2(pp, pp)

@@ -16,11 +16,11 @@ from freecart import (
     Proj1,
     Proj2,
     Bang,
+    TypeMismatch,
     collapse_witness,
     compose,
     domain,
     dup,
-    graph_equal,
     graph_of,
     iter_subterms,
     parse_arrow,
@@ -48,6 +48,11 @@ def test_minimal_counterexample():
 def test_already_equal_identity():
     with pytest.raises(AlreadyEqual):
         collapse_witness(Identity(p), Identity(p))
+
+
+def test_witness_requires_same_type():
+    with pytest.raises(TypeMismatch):
+        collapse_witness(Proj1(p, q), Proj2(q, p))
 
 
 def test_already_equal_after_dup():
@@ -83,7 +88,7 @@ def test_mixed_letter_pair():
 
 def test_substitution_neutrality():
     f = compose(Pair(Proj2(p, q), Proj1(p, q)), Proj2(q, p))
-    assert graph_equal(graph_of(substitute_all_letters(f, Letter("z"))), graph_of(f))
+    assert graph_of(substitute_all_letters(f, Letter("z"))) == graph_of(f)
 
 
 @given(st.randoms(use_true_random=False))

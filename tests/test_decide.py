@@ -25,7 +25,6 @@ from freecart import (
     dup,
     equal_in_cart,
     equal_via_normal_forms,
-    graph_equal,
     graph_of,
     is_normal_form,
     normal_form,

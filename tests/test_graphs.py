@@ -20,7 +20,6 @@ from freecart import (
     domain,
     dup,
     graph_compose,
-    graph_equal,
     graph_from_json_dict,
     graph_identity,
     graph_of,
@@ -88,15 +87,13 @@ def test_graph_validation():
 
 
 def test_graph_equal_eta_instance():
-    assert graph_equal(
-        graph_of(Identity(Product(p, q))), graph_of(Pair(Proj1(p, q), Proj2(p, q)))
-    )
+    assert graph_of(Identity(Product(p, q))) == graph_of(Pair(Proj1(p, q), Proj2(p, q)))
 
 
 def test_graph_equal_distinguishes_projections():
-    assert not graph_equal(graph_of(Proj1(p, p)), graph_of(Proj2(p, p)))
+    assert graph_of(Proj1(p, p)) != graph_of(Proj2(p, p))
     g = graph_of(Proj1(p, p))
-    assert graph_equal(g, g)
+    assert g == g
 
 
 def test_letter_compatible():
@@ -135,8 +132,8 @@ def test_beta_laws_at_graph_level(rng):
     a, b = codomain(f), codomain(g)
     lhs1 = compose(Pair(f, g), Proj1(a, b))
     lhs2 = compose(Pair(f, g), Proj2(a, b))
-    assert graph_equal(graph_of(lhs1), graph_of(f))
-    assert graph_equal(graph_of(lhs2), graph_of(g))
+    assert graph_of(lhs1) == graph_of(f)
+    assert graph_of(lhs2) == graph_of(g)
 
 
 @given(st.randoms(use_true_random=False))
@@ -149,7 +146,7 @@ def test_distr_law_at_graph_level(rng):
     g = random_arrow_from(rng, mid, 2, Mode.CARTESIAN)
     lhs = compose(h, Pair(f, g))
     rhs = Pair(compose(h, f), compose(h, g))
-    assert graph_equal(graph_of(lhs), graph_of(rhs))
+    assert graph_of(lhs) == graph_of(rhs)
 
 
 @given(st.randoms(use_true_random=False))
@@ -157,11 +154,9 @@ def test_distr_law_at_graph_level(rng):
 def test_eta_and_terminal_laws_at_graph_level(rng):
     a = random_object(rng)
     b = random_object(rng)
-    assert graph_equal(
-        graph_of(Pair(Proj1(a, b), Proj2(a, b))), graph_of(Identity(Product(a, b)))
-    )
+    assert graph_of(Pair(Proj1(a, b), Proj2(a, b))) == graph_of(Identity(Product(a, b)))
     f = random_arrow_to_terminal(rng, a, 2)
-    assert graph_equal(graph_of(f), graph_of(Bang(a)))
+    assert graph_of(f) == graph_of(Bang(a))
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import freecart.rewrite
 from freecart import (
     Bang,
     Compose,
     Degree,
     Identity,
+    InternalError,
     InvalidRedex,
     Letter,
     LetterObj,
@@ -27,7 +29,6 @@ from freecart import (
     dup,
     find_redex,
     gamma_measure,
-    graph_equal,
     graph_of,
     is_atomized_k_composition,
     is_normal_form,
@@ -158,6 +159,13 @@ def test_normalize_eta_after_dup():
     assert trace.result == dup(p)
 
 
+def test_normalize_stops_when_a_step_does_not_decrease_the_degree(monkeypatch):
+    # The per-step degree check is the only guard against a rewriting loop.
+    monkeypatch.setattr(freecart.rewrite, "degree", lambda t: Degree(0, 0, 0))
+    with pytest.raises(InternalError, match="degree did not decrease"):
+        normalize(compose(Identity(p), Identity(p)))
+
+
 def test_normalize_bang_on_terminal_is_already_normal():
     trace = normalize(Bang(T))
     assert trace.steps == ()
@@ -173,7 +181,7 @@ def test_reduction_preserves_type_and_graph(rng):
     trace = normalize(t)
     for s in trace.steps:
         assert typecheck(s.after) == ty
-        assert graph_equal(graph_of(s.after), g)
+        assert graph_of(s.after) == g
         assert s.degree_after < s.degree_before
     assert is_normal_form(trace.result)
 
@@ -205,7 +213,7 @@ def test_unique_normal_form_under_equational_mutation(rng):
     f = random_arrow(rng, depth=3)
     g = mutate_preserving(rng, f, rounds=3)
     assert typecheck(g) == typecheck(f)
-    assert graph_equal(graph_of(g), graph_of(f))
+    assert graph_of(g) == graph_of(f)
     assert normalize(f).result == normalize(g).result
 
 

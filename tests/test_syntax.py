@@ -16,6 +16,7 @@ from freecart import (
     Proj2,
     Terminal,
     compose,
+    derived_arrow,
     dup,
     letter_length,
     parse_arrow,
@@ -67,6 +68,27 @@ def test_parse_arrow_macros():
     assert parse_arrow("prod(id{p}, id{q})") == Pair(
         compose(Proj1(p, q), Identity(p)), compose(Proj2(p, q), Identity(q))
     )
+
+
+# Every derived arrow, with objects of its arity written out.
+MACRO_OBJECTS = {
+    "assoc_r": ("p", "q*r", "T"),
+    "assoc_l": ("p*q", "T", "r"),
+    "swap": ("p", "q*T"),
+    "dup": ("p*q",),
+    "sigma": ("q",),
+    "delta": ("p*T",),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MACRO_OBJECTS))
+def test_parse_every_macro_at_its_arity(name):
+    objects = MACRO_OBJECTS[name]
+    expected = derived_arrow(name, *(parse_object(o) for o in objects))
+    assert parse_arrow(f"{name}{{{','.join(objects)}}}") == expected
+    for wrong in (objects + ("p",), objects[:-1]):
+        with pytest.raises(ParseError):
+            parse_arrow(f"{name}{{{','.join(wrong)}}}")
 
 
 def test_parse_arrow_type_diagnostic():

@@ -17,7 +17,6 @@ from freecart import (
     Terminal,
     TypeMismatch,
     ModeViolation,
-    PositionOutOfRange,
     assoc_l,
     assoc_r,
     compose,
@@ -27,7 +26,6 @@ from freecart import (
     dup,
     delta,
     iter_subterms,
-    letter_at,
     letter_length,
     letters_of,
     product_of_arrows,
@@ -95,14 +93,6 @@ def test_symbol_length():
     assert symbol_length(p) == 1
     assert symbol_length(T) == 1
     assert symbol_length(BIG) == 9
-
-
-def test_letter_at():
-    assert letter_at(BIG, 2) == Letter("q")
-    assert letter_at(p, 1) == Letter("p")
-    assert letter_at(BIG, 4) == Letter("p")
-    with pytest.raises(PositionOutOfRange):
-        letter_at(Product(p, q), 3)
 
 
 def test_substitute_examples():
