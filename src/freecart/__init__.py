@@ -68,11 +68,9 @@ from .terms import (
     Terminal,
     assoc_l,
     assoc_r,
-    codomain,
     compose,
     delta,
     derived_arrow,
-    domain,
     dup,
     iter_subterms,
     letter_length,

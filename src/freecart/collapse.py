@@ -24,10 +24,8 @@ from .terms import (
     Product,
     Proj1,
     Proj2,
-    codomain,
     common_type,
     compose,
-    domain,
     letters_of,
     substitute_all_letters,
     typecheck,
@@ -70,8 +68,6 @@ def collapse_witness(
 
     f_subst = substitute_all_letters(f, letter)
     g_subst = substitute_all_letters(g, letter)
-    dom_subst = domain(f_subst)
-    cod_subst = codomain(f_subst)
     pp = Product(LetterObj(letter), LetterObj(letter))
 
     # Send the two distinguished domain positions to the two components
@@ -79,9 +75,9 @@ def collapse_witness(
     spread = [1] * gf.source_letters
     spread[gf.map[position - 1] - 1] = 1
     spread[gg.map[position - 1] - 1] = 2
-    h = synth_from_graph(pp, dom_subst, Graph(2, gf.source_letters, tuple(spread)), mode)
+    h = synth_from_graph(pp, f_subst.domain, Graph(2, gf.source_letters, tuple(spread)), mode)
     j = synth_from_graph(
-        cod_subst, LetterObj(letter), Graph(gf.target_letters, 1, (position,)), mode
+        f_subst.codomain, LetterObj(letter), Graph(gf.target_letters, 1, (position,)), mode
     )
 
     lhs_graph = graph_of(compose(h, f_subst, j))

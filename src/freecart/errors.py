@@ -6,9 +6,11 @@ class FreecartError(Exception):
 
 
 class TypeMismatch(FreecartError):
-    """An arrow term fails to typecheck.
+    """The parts of a Pair or Compose being built do not fit, or two
+    arrows that must share a type do not.
 
-    Carries the path (child-index tuple) of the offending subterm.
+    The path (child-index tuple) of the offending part is relative to the
+    node being built: a factor index, or () for a pairing.
     """
 
     def __init__(self, message, path=()):
@@ -17,7 +19,10 @@ class TypeMismatch(FreecartError):
 
 
 class ModeViolation(FreecartError):
-    """The terminal object or its arrow is used in binary-products mode."""
+    """The terminal object or its arrow is used in binary-products mode.
+
+    The path of the offending subterm starts at the root of the term.
+    """
 
     def __init__(self, message, path=()):
         super().__init__(message)

@@ -39,9 +39,7 @@ from .terms import (
     Proj1,
     Proj2,
     Terminal,
-    codomain,
     compose,
-    domain,
     replace_subterm,
     subterm_at,
     symbol_length,
@@ -72,7 +70,6 @@ class RedexKind(Enum):
 class ReductionStep:
     kind: RedexKind
     path: Path
-    before: ArrowTerm
     after: ArrowTerm
     degree_before: Degree
     degree_after: Degree
@@ -91,11 +88,11 @@ def is_atomized_k_composition(t: ArrowTerm) -> bool:
     """A nonempty composition of projections whose codomain is a letter."""
     match t:
         case Proj1(_, _) | Proj2(_, _):
-            return isinstance(codomain(t), LetterObj)
+            return isinstance(t.codomain, LetterObj)
         case Compose(factors):
             return all(
                 isinstance(f, (Proj1, Proj2)) for f in factors
-            ) and isinstance(codomain(factors[-1]), LetterObj)
+            ) and isinstance(t.codomain, LetterObj)
     return False
 
 
@@ -183,7 +180,7 @@ def product_eliminative_occurrences(t: ArrowTerm) -> list[Path]:
 def beta_measure(t: ArrowTerm) -> int:
     """Total symbol length of the targets of product-eliminative occurrences."""
     return sum(
-        symbol_length(codomain(subterm_at(t, path)))
+        symbol_length(subterm_at(t, path).codomain)
         for path in product_eliminative_occurrences(t)
     )
 
@@ -225,7 +222,7 @@ def _find_identity_or_pairing(t: ArrowTerm, path: Path) -> tuple[Path, RedexKind
 
 
 def _find_terminal_redex(t: ArrowTerm, path: Path) -> tuple[Path, RedexKind] | None:
-    if not isinstance(t, Bang) and isinstance(codomain(t), Terminal):
+    if not isinstance(t, Bang) and isinstance(t.codomain, Terminal):
         return path, RedexKind.ATOMIZE_TERMINAL
     match t:
         case Pair(first, second):
@@ -256,7 +253,7 @@ def find_redex(t: ArrowTerm, mode: Mode = Mode.CARTESIAN) -> tuple[Path, RedexKi
         return found
     if alpha_measure(t) == 0:
         for path in product_eliminative_occurrences(t):
-            if isinstance(codomain(subterm_at(t, path)), Product):
+            if isinstance(subterm_at(t, path).codomain, Product):
                 return path, RedexKind.ATOMIZE_PRODUCT
     return None
 
@@ -315,7 +312,7 @@ def step(t: ArrowTerm, path: Path, kind: RedexKind) -> ArrowTerm:
 
     if kind is RedexKind.ATOMIZE_PRODUCT:
         sub = subterm_at(t, path)
-        cod = codomain(sub)
+        cod = sub.codomain
         if (
             _parent_is_compose(t, path)
             or _contains_pair(sub)
@@ -331,9 +328,9 @@ def step(t: ArrowTerm, path: Path, kind: RedexKind) -> ArrowTerm:
 
     if kind is RedexKind.ATOMIZE_TERMINAL:
         sub = subterm_at(t, path)
-        if isinstance(sub, Bang) or not isinstance(codomain(sub), Terminal):
+        if isinstance(sub, Bang) or not isinstance(sub.codomain, Terminal):
             raise InvalidRedex(f"no terminal atomization at {path}")
-        return replace_subterm(t, path, Bang(domain(sub)))
+        return replace_subterm(t, path, Bang(sub.domain))
 
     raise InvalidRedex(f"unknown redex kind: {kind!r}")
 
@@ -358,9 +355,7 @@ def normalize(t: ArrowTerm, mode: Mode = Mode.CARTESIAN) -> ReductionTrace:
                 f"degree did not decrease at step {len(steps) + 1}: "
                 f"{current_degree} -> {next_degree} ({kind.value} at {path})"
             )
-        steps.append(
-            ReductionStep(kind, path, current, nxt, current_degree, next_degree)
-        )
+        steps.append(ReductionStep(kind, path, nxt, current_degree, next_degree))
         current = nxt
         current_degree = next_degree
     return ReductionTrace(tuple(steps), current)

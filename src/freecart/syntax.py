@@ -17,7 +17,12 @@ sign accepted as a synonym for "*".  Arrows::
 
 "f . g" denotes the composite applying g first; since composition is
 stored flat, the grouping of chained dots is immaterial.  "#" starts a
-line comment.  Parsed arrows are typechecked before being returned.
+line comment.
+
+Parsed arrows are typed as they are built: a pairing or composition
+whose parts do not fit is reported as soon as it is read, before any
+later syntax error and before the check of the mode, which runs on the
+whole arrow once it has been read.
 """
 
 from __future__ import annotations
@@ -233,7 +238,6 @@ def parse_object(text: str) -> ObjectExpr:
 def parse_arrow(text: str, mode: Mode = Mode.CARTESIAN) -> ArrowTerm:
     parser = _Parser(text)
     try:
-        # Macro expansion (sigma/delta, prod) typechecks eagerly.
         term = parser.arrow()
         if parser.peek().kind != "eof":
             parser.fail("unexpected trailing input")

@@ -5,6 +5,12 @@ products.  Arrows are typed terms: identities, the two projections, the
 unique arrow into the terminal object, pairing, and composition.
 Composition is kept flat (a factor list in application order), so every
 term is a canonical representative of its associativity class.
+
+Types are intrinsic: every arrow node sets its `domain` and `codomain`
+once, when it is built, and a Pair or Compose whose parts do not fit
+raises TypeMismatch, so an ill-typed term cannot be built.  The typing
+rules therefore live in the constructors; typecheck reads the type off
+the term and adds only the check of the binary-products fragment.
 """
 
 from __future__ import annotations
@@ -63,14 +69,35 @@ class Terminal(ObjectExpr):
     pass
 
 
+def _objects(*objs: ObjectExpr) -> None:
+    for a in objs:
+        if not isinstance(a, ObjectExpr):
+            raise TypeError(f"not an object: {a!r}")
+
+
 @dataclass(frozen=True)
 class Product(ObjectExpr):
     left: ObjectExpr
     right: ObjectExpr
 
+    def __post_init__(self):
+        _objects(self.left, self.right)
+
 
 class ArrowTerm:
-    """Base class of arrow terms."""
+    """Base class of arrow terms.
+
+    Every node carries `domain` and `codomain`, set once by its
+    constructor.  They are plain attributes, not dataclass fields, so
+    equality, hashing, repr and match patterns see only the fields.
+    """
+
+    domain: ObjectExpr
+    codomain: ObjectExpr
+
+    def _typed(self, domain: ObjectExpr, codomain: ObjectExpr) -> None:
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "codomain", codomain)
 
     def __str__(self):
         from .syntax import print_arrow
@@ -78,9 +105,19 @@ class ArrowTerm:
         return print_arrow(self)
 
 
+def _arrows(*ts: ArrowTerm) -> None:
+    for t in ts:
+        if not isinstance(t, ArrowTerm):
+            raise TypeError(f"not an arrow term: {t!r}")
+
+
 @dataclass(frozen=True)
 class Identity(ArrowTerm):
     obj: ObjectExpr
+
+    def __post_init__(self):
+        _objects(self.obj)
+        self._typed(self.obj, self.obj)
 
 
 @dataclass(frozen=True)
@@ -88,11 +125,17 @@ class Proj1(ArrowTerm):
     left: ObjectExpr
     right: ObjectExpr
 
+    def __post_init__(self):
+        self._typed(Product(self.left, self.right), self.left)
+
 
 @dataclass(frozen=True)
 class Proj2(ArrowTerm):
     left: ObjectExpr
     right: ObjectExpr
+
+    def __post_init__(self):
+        self._typed(Product(self.left, self.right), self.right)
 
 
 @dataclass(frozen=True)
@@ -101,11 +144,24 @@ class Bang(ArrowTerm):
 
     obj: ObjectExpr
 
+    def __post_init__(self):
+        _objects(self.obj)
+        self._typed(self.obj, Terminal())
+
 
 @dataclass(frozen=True)
 class Pair(ArrowTerm):
     first: ArrowTerm
     second: ArrowTerm
+
+    def __post_init__(self):
+        _arrows(self.first, self.second)
+        dom = self.first.domain
+        if dom != self.second.domain:
+            raise TypeMismatch(
+                f"pair components must share a domain: {dom} vs {self.second.domain}"
+            )
+        self._typed(dom, Product(self.first.codomain, self.second.codomain))
 
 
 @dataclass(frozen=True)
@@ -114,7 +170,9 @@ class Compose(ArrowTerm):
 
     Nested factors are spliced in at construction and a factor list of
     fewer than two entries is rejected, so a Compose node never contains
-    another Compose and never degenerates to a single arrow.
+    another Compose and never degenerates to a single arrow.  Each
+    factor's domain must be its predecessor's codomain; the path of the
+    TypeMismatch raised otherwise is the index of the factor.
     """
 
     factors: tuple[ArrowTerm, ...]
@@ -125,10 +183,19 @@ class Compose(ArrowTerm):
             if isinstance(f, Compose):
                 flat.extend(f.factors)
             else:
+                _arrows(f)
                 flat.append(f)
         if len(flat) < 2:
             raise ValueError("composition needs at least two factors")
+        for i in range(1, len(flat)):
+            if flat[i - 1].codomain != flat[i].domain:
+                raise TypeMismatch(
+                    f"composition factor {i} expects domain "
+                    f"{flat[i - 1].codomain} but has {flat[i].domain}",
+                    (i,),
+                )
         object.__setattr__(self, "factors", tuple(flat))
+        self._typed(flat[0].domain, flat[-1].codomain)
 
 
 def compose(*factors: ArrowTerm) -> ArrowTerm:
@@ -195,25 +262,35 @@ def letters_of(a: ObjectExpr) -> tuple[Letter, ...]:
 # ---------------------------------------------------------------------------
 # Typing
 
-def _check_object(a: ObjectExpr, mode: Mode, path: Path) -> None:
+def _has_terminal(a: ObjectExpr) -> bool:
     match a:
-        case LetterObj(_):
-            return
         case Terminal():
-            if mode is Mode.BINARY_PRODUCTS:
-                raise ModeViolation(
-                    "terminal object not available in binary-products mode", path
-                )
+            return True
         case Product(left, right):
-            _check_object(left, mode, path)
-            _check_object(right, mode, path)
-        case _:
-            raise TypeError(f"not an object: {a!r}")
+            return _has_terminal(left) or _has_terminal(right)
+    return False
 
 
 def typecheck(t: ArrowTerm, mode: Mode = Mode.CARTESIAN) -> ArrowType:
-    """Compute the unique type of a term, rejecting ill-typed ones."""
-    return _typecheck(t, mode, ())
+    """The type that a term carries, checked against the mode.
+
+    Terms are typed when they are built, so only the mode is left to
+    check: in binary-products mode the first terminal arrow or terminal
+    object raises ModeViolation, with the path of its subterm from the root.
+    """
+    _arrows(t)
+    if mode is Mode.BINARY_PRODUCTS:
+        for path, sub in iter_subterms(t):
+            if isinstance(sub, Bang):
+                raise ModeViolation(
+                    "terminal arrow not available in binary-products mode", path
+                )
+            # The objects of an identity or a projection make up its domain.
+            if not isinstance(sub, (Pair, Compose)) and _has_terminal(sub.domain):
+                raise ModeViolation(
+                    "terminal object not available in binary-products mode", path
+                )
+    return ArrowType(t.domain, t.codomain)
 
 
 def common_type(f: ArrowTerm, g: ArrowTerm, mode: Mode = Mode.CARTESIAN) -> ArrowType:
@@ -223,83 +300,6 @@ def common_type(f: ArrowTerm, g: ArrowTerm, mode: Mode = Mode.CARTESIAN) -> Arro
     if ft != gt:
         raise TypeMismatch(f"arrows have different types: {ft} vs {gt}")
     return ft
-
-
-def _typecheck(t: ArrowTerm, mode: Mode, path: Path) -> ArrowType:
-    match t:
-        case Identity(obj):
-            _check_object(obj, mode, path)
-            return ArrowType(obj, obj)
-        case Proj1(left, right):
-            _check_object(left, mode, path)
-            _check_object(right, mode, path)
-            return ArrowType(Product(left, right), left)
-        case Proj2(left, right):
-            _check_object(left, mode, path)
-            _check_object(right, mode, path)
-            return ArrowType(Product(left, right), right)
-        case Bang(obj):
-            if mode is Mode.BINARY_PRODUCTS:
-                raise ModeViolation(
-                    "terminal arrow not available in binary-products mode", path
-                )
-            _check_object(obj, mode, path)
-            return ArrowType(obj, Terminal())
-        case Pair(first, second):
-            ft = _typecheck(first, mode, path + (0,))
-            st = _typecheck(second, mode, path + (1,))
-            if ft.domain != st.domain:
-                raise TypeMismatch(
-                    f"pair components must share a domain: "
-                    f"{ft.domain} vs {st.domain}",
-                    path,
-                )
-            return ArrowType(ft.domain, Product(ft.codomain, st.codomain))
-        case Compose(factors):
-            types = [
-                _typecheck(f, mode, path + (i,)) for i, f in enumerate(factors)
-            ]
-            for i in range(len(types) - 1):
-                if types[i].codomain != types[i + 1].domain:
-                    raise TypeMismatch(
-                        f"composition factor {i + 1} expects domain "
-                        f"{types[i].codomain} but has {types[i + 1].domain}",
-                        path + (i + 1,),
-                    )
-            return ArrowType(types[0].domain, types[-1].codomain)
-    raise TypeError(f"not an arrow term: {t!r}")
-
-
-def domain(t: ArrowTerm) -> ObjectExpr:
-    """Domain of a well-typed term, computed without a full typecheck."""
-    match t:
-        case Identity(obj) | Bang(obj):
-            return obj
-        case Proj1(left, right) | Proj2(left, right):
-            return Product(left, right)
-        case Pair(first, _):
-            return domain(first)
-        case Compose(factors):
-            return domain(factors[0])
-    raise TypeError(f"not an arrow term: {t!r}")
-
-
-def codomain(t: ArrowTerm) -> ObjectExpr:
-    """Codomain of a well-typed term, computed without a full typecheck."""
-    match t:
-        case Identity(obj):
-            return obj
-        case Bang(_):
-            return Terminal()
-        case Proj1(left, _):
-            return left
-        case Proj2(_, right):
-            return right
-        case Pair(first, second):
-            return Product(codomain(first), codomain(second))
-        case Compose(factors):
-            return codomain(factors[-1])
-    raise TypeError(f"not an arrow term: {t!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +334,8 @@ def replace_subterm(t: ArrowTerm, path: Path, new: ArrowTerm) -> ArrowTerm:
     """Rebuild a term with the subterm at `path` replaced.
 
     If the replacement lands in a factor position the surrounding
-    composition is re-flattened.
+    composition is re-flattened.  A replacement of another type raises
+    TypeMismatch when the enclosing node is rebuilt.
     """
     if not path:
         return new
@@ -413,17 +414,13 @@ def dup(a: ObjectExpr) -> ArrowTerm:
     return Pair(Identity(a), Identity(a))
 
 
-def sigma(a: ObjectExpr, mode: Mode = Mode.CARTESIAN) -> ArrowTerm:
+def sigma(a: ObjectExpr) -> ArrowTerm:
     """Pad with the terminal object on the left: A -> T x A."""
-    if mode is Mode.BINARY_PRODUCTS:
-        raise ModeViolation("sigma needs the terminal object")
     return Pair(Bang(a), Identity(a))
 
 
-def delta(a: ObjectExpr, mode: Mode = Mode.CARTESIAN) -> ArrowTerm:
+def delta(a: ObjectExpr) -> ArrowTerm:
     """Pad with the terminal object on the right: A -> A x T."""
-    if mode is Mode.BINARY_PRODUCTS:
-        raise ModeViolation("delta needs the terminal object")
     return Pair(Identity(a), Bang(a))
 
 
@@ -439,28 +436,21 @@ DERIVED = {
 
 
 def derived_arrow(kind: str, *objects: ObjectExpr, mode: Mode = Mode.CARTESIAN) -> ArrowTerm:
-    """Build one of the structural arrows by name."""
+    """Build one of the structural arrows by name, checked against the mode."""
     if kind not in DERIVED:
         raise ValueError(f"unknown derived arrow: {kind!r}")
     builder, arity = DERIVED[kind]
     if len(objects) != arity:
         raise ValueError(f"{kind} takes {arity} object(s), got {len(objects)}")
-    if kind in ("sigma", "delta"):
-        return builder(*objects, mode=mode)
     arrow = builder(*objects)
-    if mode is Mode.BINARY_PRODUCTS:
-        for obj in objects:
-            _check_object(obj, mode, ())
+    typecheck(arrow, mode)
     return arrow
 
 
-def product_of_arrows(
-    f: ArrowTerm, g: ArrowTerm, mode: Mode = Mode.CARTESIAN
-) -> ArrowTerm:
+def product_of_arrows(f: ArrowTerm, g: ArrowTerm) -> ArrowTerm:
     """Product of arrows: for f: A -> B and g: C -> D, A x C -> B x D."""
-    ft = typecheck(f, mode)
-    gt = typecheck(g, mode)
+    _arrows(f, g)
     return Pair(
-        compose(Proj1(ft.domain, gt.domain), f),
-        compose(Proj2(ft.domain, gt.domain), g),
+        compose(Proj1(f.domain, g.domain), f),
+        compose(Proj2(f.domain, g.domain), g),
     )

@@ -24,9 +24,7 @@ from freecart import (
     Proj1,
     Proj2,
     Terminal,
-    codomain,
     compose,
-    domain,
     iter_subterms,
     letter_length,
     letters_of,
@@ -81,7 +79,7 @@ def random_arrow_from(
             random_arrow_from(rng, dom, depth - 1, mode),
         )
     first = random_arrow_from(rng, dom, depth - 1, mode)
-    rest = random_arrow_from(rng, codomain(first), depth - 1, mode)
+    rest = random_arrow_from(rng, first.codomain, depth - 1, mode)
     return compose(first, rest)
 
 
@@ -105,7 +103,7 @@ def random_arrow_to_terminal(
     if rng.random() < 0.3:
         return Bang(dom)
     prefix = random_arrow_from(rng, dom, depth, Mode.CARTESIAN)
-    cod = codomain(prefix)
+    cod = prefix.codomain
     if isinstance(cod, Terminal):
         return prefix
     return compose(prefix, Bang(cod))
@@ -118,9 +116,9 @@ def _mut_insert_identity(rng, t, mode):
     paths = list(iter_subterms(t))
     path, sub = rng.choice(paths)
     if rng.random() < 0.5:
-        new = compose(Identity(domain(sub)), sub)
+        new = compose(Identity(sub.domain), sub)
     else:
-        new = compose(sub, Identity(codomain(sub)))
+        new = compose(sub, Identity(sub.codomain))
     return replace_subterm(t, path, new)
 
 
@@ -166,11 +164,11 @@ def _mut_eta(rng, t, mode):
 def _mut_beta_expand(rng, t, mode):
     paths = list(iter_subterms(t))
     path, sub = rng.choice(paths)
-    other = random_arrow_from(rng, domain(sub), 1, mode)
+    other = random_arrow_from(rng, sub.domain, 1, mode)
     if rng.random() < 0.5:
-        new = compose(Pair(sub, other), Proj1(codomain(sub), codomain(other)))
+        new = compose(Pair(sub, other), Proj1(sub.codomain, other.codomain))
     else:
-        new = compose(Pair(other, sub), Proj2(codomain(other), codomain(sub)))
+        new = compose(Pair(other, sub), Proj2(other.codomain, sub.codomain))
     return replace_subterm(t, path, new)
 
 
@@ -232,13 +230,13 @@ def _mut_bang(rng, t, mode):
     for path, sub in iter_subterms(t):
         if isinstance(sub, Bang):
             moves.append(("expand", path, sub))
-        elif isinstance(codomain(sub), Terminal):
+        elif isinstance(sub.codomain, Terminal):
             moves.append(("contract", path, sub))
     if not moves:
         return None
     direction, path, sub = rng.choice(moves)
     if direction == "contract":
-        return replace_subterm(t, path, Bang(domain(sub)))
+        return replace_subterm(t, path, Bang(sub.domain))
     return replace_subterm(t, path, compose(Bang(sub.obj), Bang(Terminal())))
 
 

@@ -21,9 +21,7 @@ from freecart import (
     Proj2,
     LetterObj,
     Product,
-    codomain,
     compose,
-    domain,
     equal_in_cart,
     equal_via_normal_forms,
     collapse_witness,
@@ -66,14 +64,14 @@ def test_criterion_1_generator_soundness():
             dom = random_object(rng)
             f = random_arrow_from(rng, dom, 2, Mode.CARTESIAN)
             g = random_arrow_from(rng, dom, 2, Mode.CARTESIAN)
-            a, b = codomain(f), codomain(g)
+            a, b = f.codomain, g.codomain
             # beta1 and beta2
             assert graph_of(compose(Pair(f, g), Proj1(a, b))) == graph_of(f)
             assert graph_of(compose(Pair(f, g), Proj2(a, b))) == graph_of(g)
             # distr
             h = random_arrow_from(rng, random_object(rng), 2, Mode.CARTESIAN)
-            f2 = random_arrow_from(rng, codomain(h), 2, Mode.CARTESIAN)
-            g2 = random_arrow_from(rng, codomain(h), 2, Mode.CARTESIAN)
+            f2 = random_arrow_from(rng, h.codomain, 2, Mode.CARTESIAN)
+            g2 = random_arrow_from(rng, h.codomain, 2, Mode.CARTESIAN)
             lhs = compose(h, Pair(f2, g2))
             rhs = Pair(compose(h, f2), compose(h, g2))
             assert graph_of(lhs) == graph_of(rhs)
@@ -127,7 +125,7 @@ def test_criterion_4_coherence_round_trips():
         for _ in range(500):
             dom = random_object(rng)
             t = random_normal_form(rng, dom)
-            assert synth_from_graph(dom, codomain(t), graph_of(t)) == t
+            assert synth_from_graph(dom, t.codomain, graph_of(t)) == t
 
 
 def test_criterion_5_decision_procedure_agreement():
@@ -140,7 +138,7 @@ def test_criterion_5_decision_procedure_agreement():
             if engineered_equal:
                 g = mutate_preserving(rng, f, rounds=2)
             else:
-                dom, cod = domain(f), codomain(f)
+                dom, cod = f.domain, f.codomain
                 cod2, cand = random_codomain_and_graph(rng, dom)
                 if cod2 != cod:
                     continue

@@ -116,6 +116,21 @@ def test_mode_flag_rejects_terminal_material(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_type_mismatch_is_named_before_later_errors(tmp_path, capsys):
+    # Terms are typed as they are read, so a mismatch comes before a mode
+    # violation and before a syntax error further on.
+    f = write(tmp_path, "f.term", "id{T} . id{p}\n")
+    assert run_cli(["--mode", "binary-products", "check", f]) == 2
+    err = capsys.readouterr().err
+    assert "composition factor 1 expects domain p but has T" in err
+    assert "binary-products" not in err
+    g = write(tmp_path, "g.term", "<id{p}, id{q}> foo\n")
+    assert run_cli(["check", g]) == 2
+    err = capsys.readouterr().err
+    assert "pair components must share a domain: p vs q" in err
+    assert "trailing" not in err
+
+
 def test_usage_errors_exit_2(capsys):
     assert run_cli([]) == 2
     capsys.readouterr()

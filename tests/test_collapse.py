@@ -19,7 +19,6 @@ from freecart import (
     TypeMismatch,
     collapse_witness,
     compose,
-    domain,
     dup,
     graph_of,
     iter_subterms,
@@ -72,7 +71,7 @@ def test_tampered_witness_fails_verification():
 
 
 def test_mixed_letter_pair():
-    from freecart import codomain, letters_of
+    from freecart import letters_of
 
     dom = Product(Product(p, q), p)
     f = compose(Proj1(Product(p, q), p), Proj1(p, q))
@@ -82,7 +81,7 @@ def test_mixed_letter_pair():
     assert verify_witness(w)
     assert w.letter == Letter("p")
     assert w.position == 1
-    occurring = letters_of(domain(w.f_subst)) + letters_of(codomain(w.f_subst))
+    occurring = letters_of(w.f_subst.domain) + letters_of(w.f_subst.codomain)
     assert all(l == Letter("p") for l in occurring)
 
 

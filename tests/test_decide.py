@@ -19,9 +19,7 @@ from freecart import (
     Terminal,
     TypeMismatch,
     Unrealizable,
-    codomain,
     compose,
-    domain,
     dup,
     equal_in_cart,
     equal_via_normal_forms,
@@ -122,7 +120,7 @@ def test_synth_round_trip_from_graph(rng):
 def test_synth_round_trip_from_normal_form(rng):
     dom = random_object(rng)
     t = random_normal_form(rng, dom)
-    assert synth_from_graph(dom, codomain(t), graph_of(t)) == t
+    assert synth_from_graph(dom, t.codomain, graph_of(t)) == t
 
 
 @given(st.randoms(use_true_random=False))
@@ -132,11 +130,11 @@ def test_decision_procedures_agree(rng):
     if rng.random() < 0.5:
         g = mutate_preserving(rng, f, rounds=2)
     else:
-        cod, h = random_codomain_and_graph(rng, domain(f))
+        cod, h = random_codomain_and_graph(rng, f.domain)
         g = (
             mutate_preserving(rng, f, rounds=1)
-            if codomain(f) != cod
-            else synth_from_graph(domain(f), cod, h)
+            if f.codomain != cod
+            else synth_from_graph(f.domain, cod, h)
         )
         if typecheck(g) != typecheck(f):
             g = mutate_preserving(rng, f, rounds=1)
@@ -149,11 +147,11 @@ def test_equality_is_a_congruence(rng):
     dom = random_object(rng, max_depth=1)
     f = random_arrow(rng, depth=2)
     f2 = mutate_preserving(rng, f, rounds=2)
-    g = mutate_preserving(rng, random_normal_form(rng, domain(f)), rounds=2)
+    g = mutate_preserving(rng, random_normal_form(rng, f.domain), rounds=2)
     g2 = mutate_preserving(rng, g, rounds=2)
     assert equal_in_cart(f, f2) and equal_in_cart(g, g2)
     assert equal_in_cart(Pair(f, g), Pair(f2, g2))
-    after = random_normal_form(rng, codomain(f))
+    after = random_normal_form(rng, f.codomain)
     assert equal_in_cart(compose(f, after), compose(f2, after))
 
 

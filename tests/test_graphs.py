@@ -15,9 +15,7 @@ from freecart import (
     Proj1,
     Proj2,
     Terminal,
-    codomain,
     compose,
-    domain,
     dup,
     graph_compose,
     graph_from_json_dict,
@@ -129,7 +127,7 @@ def test_beta_laws_at_graph_level(rng):
     dom = random_object(rng)
     f = random_arrow_from(rng, dom, 2, Mode.CARTESIAN)
     g = random_arrow_from(rng, dom, 2, Mode.CARTESIAN)
-    a, b = codomain(f), codomain(g)
+    a, b = f.codomain, g.codomain
     lhs1 = compose(Pair(f, g), Proj1(a, b))
     lhs2 = compose(Pair(f, g), Proj2(a, b))
     assert graph_of(lhs1) == graph_of(f)
@@ -141,7 +139,7 @@ def test_beta_laws_at_graph_level(rng):
 def test_distr_law_at_graph_level(rng):
     dom = random_object(rng)
     h = random_arrow_from(rng, dom, 2, Mode.CARTESIAN)
-    mid = codomain(h)
+    mid = h.codomain
     f = random_arrow_from(rng, mid, 2, Mode.CARTESIAN)
     g = random_arrow_from(rng, mid, 2, Mode.CARTESIAN)
     lhs = compose(h, Pair(f, g))
@@ -167,7 +165,7 @@ def test_eta_and_terminal_laws_at_graph_level(rng):
 def test_graph_of_compose_is_graph_composition(rng):
     dom = random_object(rng)
     f = random_arrow_from(rng, dom, 2, Mode.CARTESIAN)
-    g = random_arrow_from(rng, codomain(f), 2, Mode.CARTESIAN)
+    g = random_arrow_from(rng, f.codomain, 2, Mode.CARTESIAN)
     assert graph_of(compose(f, g)) == graph_compose(graph_of(f), graph_of(g))
 
 
@@ -197,4 +195,4 @@ def test_graph_of_product_is_block_sum(rng):
 @settings(max_examples=80, deadline=None)
 def test_graphs_connect_equal_letters(rng):
     t = random_arrow(rng)
-    assert letter_compatible(graph_of(t), domain(t), codomain(t))
+    assert letter_compatible(graph_of(t), t.domain, t.codomain)

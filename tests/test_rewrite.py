@@ -22,10 +22,8 @@ from freecart import (
     alpha_measure,
     assoc_r,
     beta_measure,
-    codomain,
     compose,
     degree,
-    domain,
     dup,
     find_redex,
     gamma_measure,
@@ -78,7 +76,7 @@ def test_alpha_measure():
 def test_product_eliminative_occurrences():
     assert product_eliminative_occurrences(Proj1(p, q)) == [()]
     chain = Compose((Proj1(Product(p, q), p), Proj1(p, q)))
-    t = Pair(Proj1(p, q), chain)
+    t = Pair(Proj1(Product(p, q), p), chain)
     # Both pairing components qualify; nothing inside them does.
     assert product_eliminative_occurrences(t) == [(0,), (1,)]
     t = compose(Pair(Proj1(p, q), Proj2(p, q)), Proj1(p, q))

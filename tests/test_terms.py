@@ -20,22 +20,21 @@ from freecart import (
     assoc_l,
     assoc_r,
     compose,
-    codomain,
     derived_arrow,
-    domain,
     dup,
     delta,
     iter_subterms,
     letter_length,
     letters_of,
     product_of_arrows,
+    replace_subterm,
     sigma,
     substitute_all_letters,
     swap,
     symbol_length,
     typecheck,
 )
-from termgen import random_arrow, random_object
+from termgen import mutate_preserving, random_arrow, random_object
 
 p = LetterObj(Letter("p"))
 q = LetterObj(Letter("q"))
@@ -64,15 +63,60 @@ def test_typecheck_pair_of_identities():
 
 
 def test_typecheck_pair_domain_mismatch():
-    with pytest.raises(TypeMismatch):
+    with pytest.raises(TypeMismatch) as exc:
         typecheck(Pair(Identity(p), Identity(q)))
+    assert exc.value.path == ()
 
 
 def test_typecheck_compose_adjacency():
-    bad = Compose((Identity(p), Proj1(p, q)))
     with pytest.raises(TypeMismatch) as exc:
-        typecheck(bad)
+        Compose((Identity(p), Proj1(p, q)))
     assert exc.value.path == (1,)
+    # The path is the factor's index in the flattened composite.
+    with pytest.raises(TypeMismatch) as exc:
+        compose(compose(Proj1(p, q), Identity(p)), Identity(q))
+    assert exc.value.path == (2,)
+
+
+def test_construction_rejects_ill_fitting_parts():
+    t = Pair(compose(Proj1(p, q), Identity(p)), Proj2(p, q))
+    with pytest.raises(TypeMismatch):
+        replace_subterm(t, (0, 1), Identity(q))
+    with pytest.raises(TypeError):
+        Compose((Identity(p), "not a term"))
+    with pytest.raises(TypeError):
+        Identity("p")
+
+
+def _type_from_scratch(t):
+    """(domain, codomain) recomputed from the typing rules, checking them."""
+    match t:
+        case Identity(obj):
+            return obj, obj
+        case Proj1(left, right):
+            return Product(left, right), left
+        case Proj2(left, right):
+            return Product(left, right), right
+        case Bang(obj):
+            return obj, T
+        case Pair(first, second):
+            (d1, c1), (d2, c2) = _type_from_scratch(first), _type_from_scratch(second)
+            assert d1 == d2
+            return d1, Product(c1, c2)
+        case Compose(factors):
+            types = [_type_from_scratch(f) for f in factors]
+            assert all(a[1] == b[0] for a, b in zip(types, types[1:]))
+            return types[0][0], types[-1][1]
+    raise AssertionError(f"not an arrow term: {t!r}")
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_stored_types_match_the_typing_rules(mode, rng):
+    t = mutate_preserving(rng, random_arrow(rng, mode=mode), mode=mode)
+    for _, sub in iter_subterms(t):
+        assert (sub.domain, sub.codomain) == _type_from_scratch(sub)
 
 
 def test_typecheck_mode_violations():
@@ -81,6 +125,10 @@ def test_typecheck_mode_violations():
     with pytest.raises(ModeViolation):
         typecheck(Identity(Product(p, T)), Mode.BINARY_PRODUCTS)
     assert typecheck(Bang(p)) == ArrowType(p, T)
+    # A mode violation's path starts at the root.
+    with pytest.raises(ModeViolation) as exc:
+        typecheck(Pair(Identity(p), compose(Bang(p), Bang(T))), Mode.BINARY_PRODUCTS)
+    assert exc.value.path == (1, 0)
 
 
 def test_letter_length():
@@ -115,7 +163,7 @@ def test_substitute_preserves_shape_and_typing(rng):
     s = substitute_all_letters(t, Letter("z"))
     assert _shape(s) == _shape(t)
     ty = typecheck(s)
-    assert ty.domain == domain(s) and ty.codomain == codomain(s)
+    assert ty.domain == s.domain and ty.codomain == s.codomain
     assert all(letter == Letter("z") for letter in letters_of(ty.domain))
 
 
@@ -133,7 +181,7 @@ def test_dup_and_padding():
 
 def test_sigma_delta_mode_violation():
     with pytest.raises(ModeViolation):
-        sigma(p, Mode.BINARY_PRODUCTS)
+        derived_arrow("sigma", p, mode=Mode.BINARY_PRODUCTS)
     with pytest.raises(ModeViolation):
         derived_arrow("delta", p, mode=Mode.BINARY_PRODUCTS)
 
