@@ -32,15 +32,11 @@ from .rewrite import (
     RedexKind,
     ReductionStep,
     ReductionTrace,
-    alpha_measure,
-    beta_measure,
     degree,
     find_redex,
-    gamma_measure,
     is_atomized_k_composition,
     is_normal_form,
     normalize,
-    product_eliminative_occurrences,
     step,
 )
 from .syntax import (

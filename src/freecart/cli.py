@@ -32,7 +32,7 @@ def _load_arrow(path: str, mode: Mode):
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FreecartError(f"cannot read {path}: {exc}") from exc
     try:
         return parse_arrow(text, mode)
@@ -203,8 +203,9 @@ def _dispatch(args, mode: Mode) -> int:
             positions = json.loads(args.map)
         except json.JSONDecodeError as exc:
             raise FreecartError(f"map is not valid JSON: {exc}") from exc
+        # A JSON boolean loads as a bool, which is an int to Python.
         if not isinstance(positions, list) or not all(
-            isinstance(v, int) for v in positions
+            isinstance(v, int) and not isinstance(v, bool) for v in positions
         ):
             raise FreecartError("map must be a JSON list of integers")
         try:

@@ -7,10 +7,15 @@ compositions against pairings, and finally atomizes terms whose
 codomain is still a product or the terminal object.
 
 Termination is measured by a triple (alpha, beta, gamma) compared
-lexicographically; every permitted step strictly decreases it.  The
-atomizing-to-product step is only permitted on pairing-free subterms
-that are not composition factors, and only while no pairing occurs
-anywhere under a composition, which is what makes the measure work.
+lexicographically; every permitted step strictly decreases it, and one
+post-order walk computes it.  The atomizing-to-product step is only
+permitted on the product-eliminative occurrences (pairing-free subterms
+that are not composition factors), and only while no pairing occurs
+anywhere under a composition (alpha is 0), which is what makes the
+measure work.  While alpha is 0, those occurrences are the leaves of the
+root's pairings: the non-pairing nodes reached through pairings only.
+find_redex and step share one test for the redexes in a window of
+composition factors.
 
 Rewriting is the certifying route: every step is recorded and checked
 to decrease the degree.  It serves `normalize --trace`,
@@ -24,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, Iterator
 
 from .errors import InternalError, InvalidRedex
 from .terms import (
@@ -112,227 +118,167 @@ def is_normal_form(t: ArrowTerm, mode: Mode = Mode.CARTESIAN) -> bool:
 # ---------------------------------------------------------------------------
 # The termination measure
 
-def gamma_measure(t: ArrowTerm) -> int:
-    match t:
-        case Bang(_):
-            return 2
-        case Identity(_) | Proj1(_, _) | Proj2(_, _):
-            return 3
-        case Pair(first, second):
-            return gamma_measure(first) + gamma_measure(second) + 1
-        case Compose(factors):
-            out = 1
-            for f in factors:
-                out *= gamma_measure(f)
-            return out
-    raise TypeError(f"not an arrow term: {t!r}")
+def _measure(t: ArrowTerm, factor: bool = False) -> tuple[int, bool, bool, int]:
+    """(gamma, pairing occurs, pairing occurs under a composition, beta) of t.
 
-
-def _contains_pair(t: ArrowTerm) -> bool:
-    match t:
-        case Pair(_, _):
-            return True
-        case Compose(factors):
-            return any(_contains_pair(f) for f in factors)
-    return False
-
-
-def _pair_under_composition(t: ArrowTerm) -> bool:
-    match t:
-        case Compose(factors):
-            return any(_contains_pair(f) for f in factors)
-        case Pair(first, second):
-            return _pair_under_composition(first) or _pair_under_composition(second)
-    return False
-
-
-def alpha_measure(t: ArrowTerm) -> int:
-    """gamma if any pairing occurs inside a composition factor, else 0."""
-    return gamma_measure(t) if _pair_under_composition(t) else 0
-
-
-def product_eliminative_occurrences(t: ArrowTerm) -> list[Path]:
-    """Addresses of pairing-free occurrences that are not composition factors.
-
-    Occurrences of the flattened tree are the root, pairing components
-    and composition factors; only the first two kinds qualify, and
-    nothing inside a pairing-free occurrence can qualify again.
+    All four are synthesized, but beta also needs `factor`: a pairing-free
+    node counts its target length unless it is a composition factor, and
+    nothing inside it counts again.
     """
-    out: list[Path] = []
-
-    def walk(node: ArrowTerm, path: Path, factor_position: bool) -> None:
-        if not _contains_pair(node):
-            if not factor_position:
-                out.append(path)
-            return
-        match node:
-            case Pair(first, second):
-                walk(first, path + (0,), False)
-                walk(second, path + (1,), False)
-            case Compose(factors):
-                for i, f in enumerate(factors):
-                    walk(f, path + (i,), True)
-
-    walk(t, (), False)
-    return out
-
-
-def beta_measure(t: ArrowTerm) -> int:
-    """Total symbol length of the targets of product-eliminative occurrences."""
-    return sum(
-        symbol_length(subterm_at(t, path).codomain)
-        for path in product_eliminative_occurrences(t)
-    )
+    match t:
+        case Pair(first, second):
+            g1, _, u1, b1 = _measure(first)
+            g2, _, u2, b2 = _measure(second)
+            return g1 + g2 + 1, True, u1 or u2, b1 + b2
+        case Compose(factors):
+            gamma, pair, beta = 1, False, 0
+            for f in factors:
+                g, p, _, b = _measure(f, True)
+                gamma, pair, beta = gamma * g, pair or p, beta + b
+            if pair:
+                # A pairing in a factor is a pairing under this composition.
+                return gamma, True, True, beta
+        case Bang(_):
+            gamma = 2
+        case Identity(_) | Proj1(_, _) | Proj2(_, _):
+            gamma = 3
+        case _:
+            raise TypeError(f"not an arrow term: {t!r}")
+    return gamma, False, False, 0 if factor else symbol_length(t.codomain)
 
 
 def degree(t: ArrowTerm) -> Degree:
-    return Degree(alpha_measure(t), beta_measure(t), gamma_measure(t))
+    """alpha is gamma if a pairing occurs under a composition, else 0."""
+    gamma, _, pair_under_composition, beta = _measure(t)
+    return Degree(gamma if pair_under_composition else 0, beta, gamma)
 
 
 # ---------------------------------------------------------------------------
-# Redex search
+# Redexes
 
-def _find_identity_or_pairing(t: ArrowTerm, path: Path) -> tuple[Path, RedexKind] | None:
-    match t:
-        case Compose(factors):
-            n = len(factors)
-            for i, f in enumerate(factors):
-                if isinstance(f, Identity):
-                    kind = (
-                        RedexKind.IDENTITY_LEFT if i == n - 1 else RedexKind.IDENTITY_RIGHT
-                    )
-                    return path + (i,), kind
-                if isinstance(f, Pair):
-                    if i + 1 < n and isinstance(factors[i + 1], Proj1):
-                        return path + (i,), RedexKind.PAIRING_BETA1
-                    if i + 1 < n and isinstance(factors[i + 1], Proj2):
-                        return path + (i,), RedexKind.PAIRING_BETA2
-                    if i > 0:
-                        return path + (i,), RedexKind.DISTR
-            for i, f in enumerate(factors):
-                found = _find_identity_or_pairing(f, path + (i,))
-                if found:
-                    return found
-        case Pair(first, second):
-            found = _find_identity_or_pairing(first, path + (0,))
-            if found:
-                return found
-            return _find_identity_or_pairing(second, path + (1,))
+def _window_kinds(factors: tuple[ArrowTerm, ...], i: int) -> tuple[RedexKind, ...]:
+    """The redex kinds at factor i of a composition, the strategy's choice first."""
+    f = factors[i]
+    after = factors[i + 1] if i + 1 < len(factors) else None
+    if isinstance(f, Identity):
+        if after is None:
+            return RedexKind.IDENTITY_LEFT, RedexKind.IDENTITY_RIGHT
+        return RedexKind.IDENTITY_RIGHT, RedexKind.IDENTITY_LEFT
+    if not isinstance(f, Pair):
+        return ()
+    kinds: tuple[RedexKind, ...] = ()
+    if isinstance(after, Proj1):
+        kinds = (RedexKind.PAIRING_BETA1,)
+    elif isinstance(after, Proj2):
+        kinds = (RedexKind.PAIRING_BETA2,)
+    return kinds + (RedexKind.DISTR,) if i > 0 else kinds
+
+
+Redex = tuple[Path, RedexKind]
+
+
+def _window_redex(t: ArrowTerm, path: Path) -> Redex | None:
+    """The strategy's first identity or pairing redex among t's factors."""
+    if isinstance(t, Compose):
+        for i in range(len(t.factors)):
+            if kinds := _window_kinds(t.factors, i):
+                return path + (i,), kinds[0]
     return None
 
 
-def _find_terminal_redex(t: ArrowTerm, path: Path) -> tuple[Path, RedexKind] | None:
+def _terminal_redex(t: ArrowTerm, path: Path) -> Redex | None:
+    """Atomization to the terminal object, unless t is a terminal arrow already."""
     if not isinstance(t, Bang) and isinstance(t.codomain, Terminal):
         return path, RedexKind.ATOMIZE_TERMINAL
-    match t:
-        case Pair(first, second):
-            found = _find_terminal_redex(first, path + (0,))
-            if found:
-                return found
-            return _find_terminal_redex(second, path + (1,))
-        case Compose(factors):
-            for i, f in enumerate(factors):
-                found = _find_terminal_redex(f, path + (i,))
-                if found:
-                    return found
     return None
 
 
-def find_redex(t: ArrowTerm, mode: Mode = Mode.CARTESIAN) -> tuple[Path, RedexKind] | None:
+def _first(
+    t: ArrowTerm, redex_at: Callable[[ArrowTerm, Path], Redex | None], path: Path = ()
+) -> Redex | None:
+    """The first redex that redex_at finds at a node of t, in preorder."""
+    found = redex_at(t, path)
+    if found is None and isinstance(t, (Pair, Compose)):
+        children = (t.first, t.second) if isinstance(t, Pair) else t.factors
+        for i, child in enumerate(children):
+            if (found := _first(child, redex_at, path + (i,))) is not None:
+                break
+    return found
+
+
+def _pairing_leaves(t: ArrowTerm, path: Path = ()) -> Iterator[tuple[Path, ArrowTerm]]:
+    """The non-pairing nodes reached from t through pairings only, in preorder.
+
+    While no pairing occurs under a composition (alpha is 0), these are
+    exactly the product-eliminative occurrences.
+    """
+    if isinstance(t, Pair):
+        yield from _pairing_leaves(t.first, path + (0,))
+        yield from _pairing_leaves(t.second, path + (1,))
+    else:
+        yield path, t
+
+
+def find_redex(t: ArrowTerm, mode: Mode = Mode.CARTESIAN) -> Redex | None:
     """The next redex under the fixed strategy, or None on normal forms.
 
     Identity and pairing redexes are contracted first, then terminal
     atomizations, and only when no pairing remains under a composition
     (which the earlier phases guarantee) product atomizations.
     """
-    found = _find_identity_or_pairing(t, ())
-    if found:
-        return found
-    found = _find_terminal_redex(t, ())
-    if found:
-        return found
-    if alpha_measure(t) == 0:
-        for path in product_eliminative_occurrences(t):
-            if isinstance(subterm_at(t, path).codomain, Product):
+    found = _first(t, _window_redex) or _first(t, _terminal_redex)
+    if found is None and not _measure(t)[2]:
+        for path, sub in _pairing_leaves(t):
+            if isinstance(sub.codomain, Product):
                 return path, RedexKind.ATOMIZE_PRODUCT
-    return None
-
-
-# ---------------------------------------------------------------------------
-# Contraction
-
-def _parent_is_compose(t: ArrowTerm, path: Path) -> bool:
-    return bool(path) and isinstance(subterm_at(t, path[:-1]), Compose)
+    return found
 
 
 def step(t: ArrowTerm, path: Path, kind: RedexKind) -> ArrowTerm:
-    """Replace the redex at `path` by its contractum, re-flattening."""
-    if kind in (RedexKind.IDENTITY_LEFT, RedexKind.IDENTITY_RIGHT):
-        if not _parent_is_compose(t, path):
-            raise InvalidRedex(f"no identity redex at {path}")
-        parent = subterm_at(t, path[:-1])
-        i = path[-1]
-        assert isinstance(parent, Compose)
-        if not isinstance(parent.factors[i], Identity):
-            raise InvalidRedex(f"no identity redex at {path}")
-        remaining = parent.factors[:i] + parent.factors[i + 1 :]
-        return replace_subterm(t, path[:-1], compose(*remaining))
+    """Replace the redex at `path` by its contractum, re-flattening.
 
-    if kind in (RedexKind.PAIRING_BETA1, RedexKind.PAIRING_BETA2):
-        if not _parent_is_compose(t, path):
-            raise InvalidRedex(f"no pairing redex at {path}")
-        parent = subterm_at(t, path[:-1])
-        i = path[-1]
-        assert isinstance(parent, Compose)
-        pair = parent.factors[i]
-        proj_cls = Proj1 if kind is RedexKind.PAIRING_BETA1 else Proj2
-        if (
-            not isinstance(pair, Pair)
-            or i + 1 >= len(parent.factors)
-            or not isinstance(parent.factors[i + 1], proj_cls)
-        ):
-            raise InvalidRedex(f"no pairing redex at {path}")
-        component = pair.first if kind is RedexKind.PAIRING_BETA1 else pair.second
-        remaining = parent.factors[:i] + (component,) + parent.factors[i + 2 :]
-        return replace_subterm(t, path[:-1], compose(*remaining))
+    Raises IndexError if `path` addresses no subterm, and InvalidRedex
+    if `kind` is not a redex kind at that subterm.
+    """
+    sub = subterm_at(t, path)
+    parent = subterm_at(t, path[:-1]) if path else None
+    kinds: tuple[RedexKind, ...] = ()
+    if isinstance(parent, Compose):
+        factors, i = parent.factors, path[-1]
+        kinds = _window_kinds(factors, i)
+    elif (
+        isinstance(sub.codomain, Product)
+        and not _measure(t)[2]
+        and path in (p for p, _ in _pairing_leaves(t))
+    ):
+        kinds = (RedexKind.ATOMIZE_PRODUCT,)
+    if _terminal_redex(sub, path):
+        kinds += (RedexKind.ATOMIZE_TERMINAL,)
+    if kind not in kinds:
+        name = kind.value if isinstance(kind, RedexKind) else repr(kind)
+        raise InvalidRedex(f"no {name} redex at {path}")
 
-    if kind is RedexKind.DISTR:
-        if not _parent_is_compose(t, path):
-            raise InvalidRedex(f"no distribution redex at {path}")
-        parent = subterm_at(t, path[:-1])
-        i = path[-1]
-        assert isinstance(parent, Compose)
-        pair = parent.factors[i]
-        if not isinstance(pair, Pair) or i == 0:
-            raise InvalidRedex(f"no distribution redex at {path}")
-        h = parent.factors[i - 1]
-        pushed = Pair(compose(h, pair.first), compose(h, pair.second))
-        remaining = parent.factors[: i - 1] + (pushed,) + parent.factors[i + 1 :]
-        return replace_subterm(t, path[:-1], compose(*remaining))
-
-    if kind is RedexKind.ATOMIZE_PRODUCT:
-        sub = subterm_at(t, path)
-        cod = sub.codomain
-        if (
-            _parent_is_compose(t, path)
-            or _contains_pair(sub)
-            or not isinstance(cod, Product)
-            or alpha_measure(t) != 0
-        ):
-            raise InvalidRedex(f"no product atomization at {path}")
-        expanded = Pair(
-            compose(sub, Proj1(cod.left, cod.right)),
-            compose(sub, Proj2(cod.left, cod.right)),
-        )
-        return replace_subterm(t, path, expanded)
-
-    if kind is RedexKind.ATOMIZE_TERMINAL:
-        sub = subterm_at(t, path)
-        if isinstance(sub, Bang) or not isinstance(sub.codomain, Terminal):
-            raise InvalidRedex(f"no terminal atomization at {path}")
-        return replace_subterm(t, path, Bang(sub.domain))
-
-    raise InvalidRedex(f"unknown redex kind: {kind!r}")
+    match kind:
+        case RedexKind.ATOMIZE_TERMINAL:
+            return replace_subterm(t, path, Bang(sub.domain))
+        case RedexKind.ATOMIZE_PRODUCT:
+            left, right = sub.codomain.left, sub.codomain.right
+            expanded = Pair(
+                compose(sub, Proj1(left, right)), compose(sub, Proj2(left, right))
+            )
+            return replace_subterm(t, path, expanded)
+        # The rest contract the window factors[lo:hi] of the parent.
+        case RedexKind.IDENTITY_LEFT | RedexKind.IDENTITY_RIGHT:
+            lo, hi, window = i, i + 1, ()
+        case RedexKind.PAIRING_BETA1:
+            lo, hi, window = i, i + 2, (sub.first,)
+        case RedexKind.PAIRING_BETA2:
+            lo, hi, window = i, i + 2, (sub.second,)
+        case RedexKind.DISTR:
+            h = factors[i - 1]
+            pushed = Pair(compose(h, sub.first), compose(h, sub.second))
+            lo, hi, window = i - 1, i + 1, (pushed,)
+    return replace_subterm(t, path[:-1], compose(*factors[:lo], *window, *factors[hi:]))
 
 
 def normalize(t: ArrowTerm, mode: Mode = Mode.CARTESIAN) -> ReductionTrace:

@@ -320,6 +320,9 @@ def iter_subterms(t: ArrowTerm, path: Path = ()) -> Iterator[tuple[Path, ArrowTe
 def subterm_at(t: ArrowTerm, path: Path) -> ArrowTerm:
     node = t
     for i in path:
+        # A negative index would count from the end: not an address.
+        if i < 0:
+            raise IndexError(f"no subterm at {path}")
         match node:
             case Pair(first, second):
                 node = (first, second)[i]

@@ -102,6 +102,8 @@ def test_synth_rejects_bad_graphs(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli(["synth", "p*q", "p", "not json"]) == 2
     capsys.readouterr()
+    assert run_cli(["synth", "p", "p", "[true]"]) == 2
+    assert "map must be a JSON list of integers" in capsys.readouterr().err
 
 
 def test_mode_flag_rejects_terminal_material(tmp_path, capsys):
@@ -141,6 +143,11 @@ def test_usage_errors_exit_2(capsys):
 def test_missing_file(tmp_path, capsys):
     assert run_cli(["check", str(tmp_path / "absent.term")]) == 2
     assert "cannot read" in capsys.readouterr().err
+    # A file that is not UTF-8 cannot be read either.
+    path = tmp_path / "latin1.term"
+    path.write_bytes(b"\xff\n")
+    assert run_cli(["check", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
 
 
 def test_parse_error_has_location(tmp_path, capsys):

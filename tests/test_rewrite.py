@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,19 +21,16 @@ from freecart import (
     Proj2,
     RedexKind,
     Terminal,
-    alpha_measure,
     assoc_r,
-    beta_measure,
     compose,
     degree,
     dup,
     find_redex,
-    gamma_measure,
     graph_of,
     is_atomized_k_composition,
     is_normal_form,
+    iter_subterms,
     normalize,
-    product_eliminative_occurrences,
     step,
     typecheck,
 )
@@ -61,32 +60,35 @@ def test_normal_form_clauses():
 
 
 def test_gamma_measure():
-    assert gamma_measure(Bang(p)) == 2
+    assert degree(Bang(p)).gamma == 2
     eta = Pair(Proj1(p, q), Proj2(p, q))
-    assert gamma_measure(eta) == 7
-    assert gamma_measure(compose(eta, Proj1(p, q))) == 21
+    assert degree(eta).gamma == 7
+    assert degree(compose(eta, Proj1(p, q))).gamma == 21
 
 
 def test_alpha_measure():
-    assert alpha_measure(Pair(Identity(p), Identity(p))) == 0
-    assert alpha_measure(compose(dup(p), Proj1(p, p))) == 21
-    assert alpha_measure(Proj1(p, q)) == 0
+    assert degree(Pair(Identity(p), Identity(p))).alpha == 0
+    assert degree(compose(dup(p), Proj1(p, p))).alpha == 21
+    assert degree(Proj1(p, q)).alpha == 0
 
 
 def test_product_eliminative_occurrences():
-    assert product_eliminative_occurrences(Proj1(p, q)) == [()]
+    # The root is the only occurrence: target p.
+    assert degree(Proj1(p, q)).beta == 1
     chain = Compose((Proj1(Product(p, q), p), Proj1(p, q)))
     t = Pair(Proj1(Product(p, q), p), chain)
-    # Both pairing components qualify; nothing inside them does.
-    assert product_eliminative_occurrences(t) == [(0,), (1,)]
+    # Both pairing components qualify, targets p*q and p; nothing inside them does.
+    assert degree(t).beta == 3 + 1
     t = compose(Pair(Proj1(p, q), Proj2(p, q)), Proj1(p, q))
-    assert product_eliminative_occurrences(t) == [(0, 0), (0, 1)]
+    # The pairing's components qualify, targets p and q; the factor
+    # Proj1(p, q) does not, nor does the composition, which holds a pairing.
+    assert degree(t).beta == 1 + 1
 
 
 def test_beta_measure():
-    assert beta_measure(Identity(Product(p, q))) == 3
-    assert beta_measure(Pair(Proj1(p, q), Proj2(p, q))) == 2
-    assert beta_measure(Bang(p)) == 1
+    assert degree(Identity(Product(p, q))).beta == 3
+    assert degree(Pair(Proj1(p, q), Proj2(p, q))).beta == 2
+    assert degree(Bang(p)).beta == 1
 
 
 def test_degree_examples():
@@ -111,7 +113,7 @@ def test_find_redex_pair_headed_terminal_chain():
     # No identity or pairing redex exists here, but pairing still occurs
     # under the composition, so only terminal atomization can fire.
     t = compose(dup(p), Bang(Product(p, p)))
-    assert alpha_measure(t) > 0
+    assert degree(t).alpha > 0
     assert find_redex(t) == ((), RedexKind.ATOMIZE_TERMINAL)
     trace = normalize(t)
     assert trace.result == Bang(p)
@@ -138,8 +140,18 @@ def test_step_rejects_invalid_redexes():
         step(dup(p), (0,), RedexKind.PAIRING_BETA1)
     with pytest.raises(InvalidRedex):
         step(Bang(p), (), RedexKind.ATOMIZE_TERMINAL)
-    with pytest.raises(InvalidRedex):
+    with pytest.raises(InvalidRedex, match=r"no atomize-product redex at \(\)"):
         step(Identity(p), (), RedexKind.ATOMIZE_PRODUCT)
+    # The value of a kind is not a kind, even where that redex exists.
+    t = compose(Identity(p), Identity(p))
+    with pytest.raises(InvalidRedex, match="no 'identity-right' redex"):
+        step(t, (0,), "identity-right")
+    with pytest.raises(IndexError):
+        step(dup(p), (2,), RedexKind.DISTR)
+    # Counted from the end, this would remove the last identity and splice
+    # the whole composition back in: three identities instead of one.
+    with pytest.raises(IndexError):
+        step(t, (-1,), RedexKind.IDENTITY_LEFT)
 
 
 def test_normalize_identity_on_product():
@@ -184,6 +196,78 @@ def test_reduction_preserves_type_and_graph(rng):
     assert is_normal_form(trace.result)
 
 
+def _term_and_first_steps(rng, mode):
+    """A random term and the first terms on its way to normal form."""
+    t = random_arrow(rng, mode=mode, depth=4)
+    return [t] + [s.after for s in normalize(t, mode).steps[:3]]
+
+
+@given(st.randoms(use_true_random=False), st.sampled_from(list(Mode)))
+@settings(max_examples=100, deadline=None)
+def test_every_accepted_step_keeps_type_and_graph_and_lowers_degree(rng, mode):
+    # Not only the strategy's choice: every (path, kind) that step accepts.
+    for t in _term_and_first_steps(rng, mode):
+        ty, g, d = typecheck(t, mode), graph_of(t), degree(t)
+        for path, _ in iter_subterms(t):
+            for kind in RedexKind:
+                try:
+                    after = step(t, path, kind)
+                except InvalidRedex:
+                    continue
+                assert typecheck(after, mode) == ty
+                assert graph_of(after) == g
+                assert degree(after) < d, (kind, path)
+
+
+def _symbols(a):
+    match a:
+        case Product(left, right):
+            return 1 + _symbols(left) + _symbols(right)
+    return 1
+
+
+def _gamma(t):
+    match t:
+        case Bang(_):
+            return 2
+        case Pair(first, second):
+            return _gamma(first) + _gamma(second) + 1
+        case Compose(factors):
+            return math.prod(_gamma(f) for f in factors)
+    return 3
+
+
+def _reference_degree(t):
+    """alpha, beta and gamma from their definitions, one walk each."""
+    at = dict(iter_subterms(t))
+
+    def pairing_free(u):
+        return not any(isinstance(s, Pair) for _, s in iter_subterms(u))
+
+    def factor(path):
+        return bool(path) and isinstance(at[path[:-1]], Compose)
+
+    # alpha: gamma, if some composition factor contains a pairing.
+    alpha = _gamma(t) if any(factor(x) and not pairing_free(u) for x, u in at.items()) else 0
+    # Product-eliminative: pairing-free, not a composition factor, and not
+    # inside another pairing-free occurrence.
+    eliminative = [
+        u
+        for x, u in at.items()
+        if pairing_free(u)
+        and not factor(x)
+        and not any(pairing_free(at[x[:k]]) for k in range(len(x)))
+    ]
+    return Degree(alpha, sum(_symbols(u.codomain) for u in eliminative), _gamma(t))
+
+
+@given(st.randoms(use_true_random=False), st.sampled_from(list(Mode)))
+@settings(max_examples=100, deadline=None)
+def test_degree_matches_its_definition(rng, mode):
+    for t in _term_and_first_steps(rng, mode):
+        assert degree(t) == _reference_degree(t)
+
+
 @given(st.randoms(use_true_random=False))
 @settings(max_examples=100, deadline=None)
 def test_normal_form_iff_no_redex(rng):
@@ -221,7 +305,5 @@ def test_binary_products_mode_reduction(rng):
     t = random_arrow(rng, mode=Mode.BINARY_PRODUCTS, depth=4)
     trace = normalize(t, Mode.BINARY_PRODUCTS)
     assert is_normal_form(trace.result, Mode.BINARY_PRODUCTS)
-    from freecart import iter_subterms
-
     for _, sub in iter_subterms(trace.result):
         assert not isinstance(sub, Bang)
