@@ -75,8 +75,9 @@ def graph_of(t: ArrowTerm) -> Graph:
         case Identity(obj):
             return graph_identity(letter_length(obj))
         case Proj1(left, right):
-            n = letter_length(left) + letter_length(right)
-            return Graph(n, letter_length(left), tuple(range(1, letter_length(left) + 1)))
+            nl = letter_length(left)
+            nr = letter_length(right)
+            return Graph(nl + nr, nl, tuple(range(1, nl + 1)))
         case Proj2(left, right):
             nl = letter_length(left)
             nr = letter_length(right)

@@ -23,10 +23,18 @@ Parsed arrows are typed as they are built: a pairing or composition
 whose parts do not fit is reported as soon as it is read, before any
 later syntax error and before the check of the mode, which runs on the
 whole arrow once it has been read.
+
+A text is scanned once, by one regular expression, into plain
+(kind, text, start, end) tuples; an unexpected character is reported
+before any syntax error.  Objects are shared within a parse: each letter
+name is built once, and each product once per pair of parts, so the
+equal objects of one term are one object and an equality test between
+them stops at the first shared part.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import FreecartError, ModeViolation, TypeMismatch
@@ -70,64 +78,52 @@ class ParseError(FreecartError):
         self.origin = origin
 
 
-_SYMBOLS = {"{", "}", "(", ")", "<", ">", ",", ".", "*"}
-
 # The primitive arrows by name: their class and how many objects they take.
 _PRIMITIVES = {"id": (Identity, 1), "p1": (Proj1, 2), "p2": (Proj2, 2), "bang": (Bang, 1)}
 
+# One scan: an identifier, a symbol, skipped space or a comment, or one
+# unexpected character.  Every character starts a match, so the matches
+# tile the text and their offsets are running sums of their lengths.
+# \s is exactly str.isspace() on str patterns.
+_SCAN = re.compile(r"[a-z][a-z0-9_]*|[{}()<>,.*×T]|\s+|#[^\n]*|.", re.DOTALL)
+_SYMBOLS = {c: (c, c) for c in "{}()<>,.*"} | {"×": ("*", "*"), "T": ("terminal", "T")}
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "ident", "terminal", a symbol, or "eof"
-    text: str
-    start: int
-    end: int
+# A token is (kind, text, start, end); kind is "ident", "terminal", a
+# symbol, or "eof".
+_Token = tuple[str, str, int, int]
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
+    append = tokens.append
     i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c.isspace():
-            i += 1
-            continue
-        if c == "×":
-            tokens.append(_Token("*", "*", i, i + 1))
-            i += 1
-            continue
-        if c in _SYMBOLS:
-            tokens.append(_Token(c, c, i, i + 1))
-            i += 1
-            continue
-        if c == "T":
-            tokens.append(_Token("terminal", "T", i, i + 1))
-            i += 1
-            continue
-        if "a" <= c <= "z":
-            j = i + 1
-            while j < n and ("a" <= text[j] <= "z" or "0" <= text[j] <= "9" or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], i, j))
-            i = j
-            continue
-        raise ParseError(
-            Diagnostic("error", (i, i + 1), f"unexpected character {c!r}")
-        )
-    tokens.append(_Token("eof", "", n, n))
+    for s in _SCAN.findall(text):
+        j = i + len(s)
+        if s in _SYMBOLS:
+            kind, sym = _SYMBOLS[s]
+            append((kind, sym, i, j))
+        elif "a" <= s[0] <= "z":
+            append(("ident", s, i, j))
+        elif not (s.isspace() or s[0] == "#"):
+            raise ParseError(Diagnostic("error", (i, j), f"unexpected character {s!r}"))
+        i = j
+    append(("eof", "", i, i))
     return tokens
 
 
 class _Parser:
+    """Recursive descent over the tokens of one text, sharing its objects.
+
+    Products are keyed by the ids of their parts, which the stored
+    products keep alive for the whole parse.
+    """
+
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.letters: dict[str, LetterObj] = {}
+        self.products: dict[tuple[int, int], Product] = {}
+        self.terminal = Terminal()
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -139,40 +135,45 @@ class _Parser:
 
     def expect(self, kind: str) -> _Token:
         tok = self.peek()
-        if tok.kind != kind:
-            self.fail(f"expected {kind!r}, found {tok.text!r}" if tok.kind != "eof" else f"expected {kind!r}, found end of input", tok)
+        if tok[0] != kind:
+            self.fail(f"expected {kind!r}, found {tok[1]!r}" if tok[0] != "eof" else f"expected {kind!r}, found end of input", tok)
         return self.advance()
 
     def fail(self, message: str, tok: _Token | None = None):
-        tok = tok or self.peek()
-        span = (tok.start, tok.end) if tok.end > tok.start else (tok.start, tok.start)
-        raise ParseError(Diagnostic("error", span, message))
+        _, _, start, end = tok or self.peek()
+        raise ParseError(Diagnostic("error", (start, end), message))
 
     # -- objects ----------------------------------------------------------
 
+    def product(self, left: ObjectExpr, right: ObjectExpr) -> Product:
+        key = (id(left), id(right))
+        obj = self.products.get(key)
+        if obj is None:
+            obj = self.products[key] = Product(left, right)
+        return obj
+
     def object_atom(self) -> ObjectExpr:
-        tok = self.peek()
-        if tok.kind == "ident":
-            self.advance()
-            return LetterObj(Letter(tok.text))
-        if tok.kind == "terminal":
-            self.advance()
-            return Terminal()
-        if tok.kind == "(":
-            self.advance()
+        kind, name, _, _ = tok = self.advance()
+        if kind == "ident":
+            obj = self.letters.get(name)
+            if obj is None:
+                obj = self.letters[name] = LetterObj(Letter(name))
+            return obj
+        if kind == "terminal":
+            return self.terminal
+        if kind == "(":
             left = self.object_atom()
             self.expect("*")
             right = self.object_atom()
             self.expect(")")
-            return Product(left, right)
-        self.fail("expected an object")
+            return self.product(left, right)
+        self.fail("expected an object", tok)
 
     def object_top(self) -> ObjectExpr:
         left = self.object_atom()
-        if self.peek().kind == "*":
+        if self.peek()[0] == "*":
             self.advance()
-            right = self.object_atom()
-            return Product(left, right)
+            return self.product(left, self.object_atom())
         return left
 
     # -- arrows -----------------------------------------------------------
@@ -187,22 +188,18 @@ class _Parser:
         return objs
 
     def arrow_item(self) -> ArrowTerm:
-        tok = self.peek()
-        if tok.kind == "(":
-            self.advance()
+        kind, name, _, _ = tok = self.advance()
+        if kind == "(":
             inner = self.arrow()
             self.expect(")")
             return inner
-        if tok.kind == "<":
-            self.advance()
+        if kind == "<":
             first = self.arrow()
             self.expect(",")
             second = self.arrow()
             self.expect(">")
             return Pair(first, second)
-        if tok.kind == "ident":
-            self.advance()
-            name = tok.text
+        if kind == "ident":
             if name in _PRIMITIVES:
                 cls, arity = _PRIMITIVES[name]
                 return cls(*self.braced_objects(arity))
@@ -216,12 +213,12 @@ class _Parser:
                 self.expect(")")
                 return product_of_arrows(first, second)
             self.fail(f"unknown arrow form {name!r}", tok)
-        self.fail("expected an arrow")
+        self.fail("expected an arrow", tok)
 
     def arrow(self) -> ArrowTerm:
         # Written order is display order: the rightmost item applies first.
         items = [self.arrow_item()]
-        while self.peek().kind == ".":
+        while self.peek()[0] == ".":
             self.advance()
             items.append(self.arrow_item())
         return compose(*reversed(items))
@@ -230,7 +227,7 @@ class _Parser:
 def parse_object(text: str) -> ObjectExpr:
     parser = _Parser(text)
     obj = parser.object_top()
-    if parser.peek().kind != "eof":
+    if parser.peek()[0] != "eof":
         parser.fail("unexpected trailing input")
     return obj
 
@@ -239,7 +236,7 @@ def parse_arrow(text: str, mode: Mode = Mode.CARTESIAN) -> ArrowTerm:
     parser = _Parser(text)
     try:
         term = parser.arrow()
-        if parser.peek().kind != "eof":
+        if parser.peek()[0] != "eof":
             parser.fail("unexpected trailing input")
         typecheck(term, mode)
     except (TypeMismatch, ModeViolation) as exc:

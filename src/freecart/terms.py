@@ -343,12 +343,14 @@ def replace_subterm(t: ArrowTerm, path: Path, new: ArrowTerm) -> ArrowTerm:
     if not path:
         return new
     i, rest = path[0], path[1:]
+    # The addresses are those of subterm_at: no negative index, 0 or 1
+    # under a pairing, a factor's index under a composition.
     match t:
-        case Pair(first, second):
-            if i == 0:
-                return Pair(replace_subterm(first, rest, new), second)
+        case Pair(first, second) if i == 0:
+            return Pair(replace_subterm(first, rest, new), second)
+        case Pair(first, second) if i == 1:
             return Pair(first, replace_subterm(second, rest, new))
-        case Compose(factors):
+        case Compose(factors) if 0 <= i < len(factors):
             updated = list(factors)
             updated[i] = replace_subterm(factors[i], rest, new)
             return compose(*updated)

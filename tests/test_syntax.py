@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from freecart import (
     Bang,
     Compose,
+    Diagnostic,
     Identity,
     Letter,
     LetterObj,
@@ -19,6 +20,8 @@ from freecart import (
     derived_arrow,
     dup,
     letter_length,
+    normal_form,
+    normalize,
     parse_arrow,
     parse_object,
     print_arrow,
@@ -26,6 +29,7 @@ from freecart import (
     swap,
     typecheck,
 )
+from freecart import syntax
 from termgen import random_arrow
 
 p = LetterObj(Letter("p"))
@@ -152,3 +156,115 @@ def test_object_round_trip(rng):
     obj = random_object(rng, max_depth=3)
     assert parse_object(print_object(obj)) == obj
     assert parse_object(print_object(obj, spaced=True)) == obj
+
+
+# ---------------------------------------------------------------------------
+# The one-regex scanner against a character-by-character reference
+
+
+def _reference_tokens(text):
+    """Tokens as (kind, text, start, end), read one character at a time."""
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+        elif c.isspace():
+            i += 1
+        elif c == "×":
+            tokens.append(("*", "*", i, i + 1))
+            i += 1
+        elif c in "{}()<>,.*":
+            tokens.append((c, c, i, i + 1))
+            i += 1
+        elif c == "T":
+            tokens.append(("terminal", "T", i, i + 1))
+            i += 1
+        elif "a" <= c <= "z":
+            j = i + 1
+            while j < n and ("a" <= text[j] <= "z" or "0" <= text[j] <= "9" or text[j] == "_"):
+                j += 1
+            tokens.append(("ident", text[i:j], i, j))
+            i = j
+        else:
+            return Diagnostic("error", (i, i + 1), f"unexpected character {c!r}")
+    tokens.append(("eof", "", n, n))
+    return tokens
+
+
+def _scanned(text):
+    try:
+        return syntax._tokenize(text)
+    except ParseError as exc:
+        return exc.diagnostic
+
+
+# Unicode spaces (vertical tab, file separator, ideographic space and
+# no-break space), the product sign, comments and newlines, the
+# terminal, and characters that may not start or cannot occur in a name.
+SCAN_ALPHABET = "\x0b\x1c\u3000\xa0 ×#\nT0123456789_ABXZ!abpqz{}()<>,.*"
+
+# Over that alphabet most strings hit a bad character within a few
+# tokens, so texts are also made of whole names and characters that are
+# never bad, to reach long runs of tokens.
+_NEVER_BAD = "\x0b\x1c\u3000\xa0 ×#\nTabpqz{}()<>,.*"
+_scan_texts = st.one_of(
+    st.text(alphabet=SCAN_ALPHABET, max_size=40),
+    st.lists(
+        st.one_of(
+            st.sampled_from(_NEVER_BAD),
+            st.from_regex(r"[a-z][a-z0-9_]{0,3}", fullmatch=True),
+        ),
+        max_size=30,
+    ).map("".join),
+)
+
+
+@given(_scan_texts)
+@settings(max_examples=400, deadline=None)
+def test_scanner_matches_character_by_character_reference(text):
+    assert _scanned(text) == _reference_tokens(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "  # only a comment", "# x\nid{p}\u3000# y\n", "p × q\x1c", "abc_9 T!", "<A"],
+)
+def test_scanner_matches_reference_on_edge_cases(text):
+    assert _scanned(text) == _reference_tokens(text)
+
+
+# ---------------------------------------------------------------------------
+# Objects shared within a parse
+
+# Terms whose objects repeat a subobject, so that the parser hands the
+# same object to several places of one term.
+SHARED_OBJECT_TERMS = [
+    "swap{p*q,p*q}",
+    "p2{p*q,p*q} . dup{p*q}",
+    "p2{((p*q)*(p*q))*((p*q)*(p*q)),(p*q)*(p*q)}"
+    " . <id{((p*q)*(p*q))*((p*q)*(p*q))}, p1{(p*q)*(p*q),(p*q)*(p*q)}> . dup{(p*q)*(p*q)}",
+    "prod(swap{p,p}, id{p*p})",
+    "prod(dup{p*q}, p1{p*q,p*q})",
+    "assoc_r{p*q,p*q,p*q}",
+    "assoc_l{p*q,p*q,p*q}",
+    "assoc_l{p*q,p*q,p*q} . assoc_r{p*q,p*q,p*q}",
+    "assoc_r{p,p,p} . assoc_l{p,p,p} . prod(id{p*p}, id{p})",
+]
+
+
+def test_parsed_objects_are_shared():
+    t = parse_arrow("swap{p*q,p*q}")
+    assert t.first.left is t.first.right
+    u = parse_arrow("p2{(p*q)*p,p*q}")
+    assert u.left.left is u.right and u.left.right is u.right.left
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("text", SHARED_OBJECT_TERMS)
+def test_shared_objects_normalize_and_round_trip(text, mode):
+    t = parse_arrow(text, mode)
+    assert normal_form(t, mode) == normalize(t, mode).result
+    assert parse_arrow(print_arrow(t), mode) == t

@@ -30,6 +30,7 @@ from freecart import (
     replace_subterm,
     sigma,
     substitute_all_letters,
+    subterm_at,
     swap,
     symbol_length,
     typecheck,
@@ -86,6 +87,28 @@ def test_construction_rejects_ill_fitting_parts():
         Compose((Identity(p), "not a term"))
     with pytest.raises(TypeError):
         Identity("p")
+
+
+@pytest.mark.parametrize(
+    "t, path",
+    [
+        # a negative index, under a composition and under a pairing
+        (Compose((Proj1(p, q), Identity(p))), (-1,)),
+        (Pair(Identity(p), Identity(p)), (-1,)),
+        # an index other than 0 or 1 under a pairing
+        (Pair(Identity(p), Identity(p)), (5,)),
+        (Pair(Identity(p), Identity(p)), (2,)),
+        # an index past the last factor of a composition
+        (Compose((Proj1(p, q), Identity(p))), (2,)),
+        # and below a leaf
+        (Pair(Identity(p), Identity(p)), (0, 0)),
+    ],
+)
+def test_replace_subterm_rejects_what_subterm_at_rejects(t, path):
+    with pytest.raises(IndexError):
+        subterm_at(t, path)
+    with pytest.raises(IndexError):
+        replace_subterm(t, path, Bang(p))
 
 
 def _type_from_scratch(t):
