@@ -80,6 +80,16 @@ from .terms import (
     symbol_length,
     typecheck,
 )
-from .cli import run_cli
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # run_cli is imported on first use (PEP 562): importing .cli here
+    # would load it before `python -m freecart.cli` runs it as __main__,
+    # and runpy warns about that on every command.
+    if name == "run_cli":
+        from .cli import run_cli
+
+        return run_cli
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

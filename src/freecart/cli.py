@@ -22,10 +22,10 @@ import sys
 from .collapse import LHS_GRAPH, RHS_GRAPH, CollapseWitness, collapse_witness, verify_witness
 from .decide import equal_in_cart, equal_via_normal_forms, normal_form, synth_from_graph
 from .errors import AlreadyEqual, FreecartError, InternalError
-from .graphs import Graph, graph_of, graph_to_json_dict
+from .graphs import graph_from_json_dict, graph_of, graph_to_json_dict
 from .rewrite import ReductionTrace, normalize
 from .syntax import ParseError, parse_arrow, parse_object, print_arrow
-from .terms import Mode, letter_length, typecheck
+from .terms import Mode, typecheck
 
 
 def _load_arrow(path: str, mode: Mode):
@@ -203,13 +203,9 @@ def _dispatch(args, mode: Mode) -> int:
             positions = json.loads(args.map)
         except json.JSONDecodeError as exc:
             raise FreecartError(f"map is not valid JSON: {exc}") from exc
-        # A JSON boolean loads as a bool, which is an int to Python.
-        if not isinstance(positions, list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in positions
-        ):
-            raise FreecartError("map must be a JSON list of integers")
+        shape = {"source_letters": dom.letters, "target_letters": cod.letters}
         try:
-            g = Graph(letter_length(dom), letter_length(cod), tuple(positions))
+            g = graph_from_json_dict({**shape, "map": positions})
         except ValueError as exc:
             raise FreecartError(str(exc)) from exc
         term = synth_from_graph(dom, cod, g, mode)

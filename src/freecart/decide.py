@@ -82,31 +82,10 @@ def normal_form(t: ArrowTerm, mode: Mode = Mode.CARTESIAN) -> ArrowTerm:
     return synth_from_graph(arrow_type.domain, arrow_type.codomain, graph_of(t), mode)
 
 
-def _left_letter_counts(a: ObjectExpr) -> dict[int, int]:
-    """The letter count of the left factor of every product node, by node id."""
-    counts: dict[int, int] = {}
-
-    def count(node: ObjectExpr) -> int:
-        match node:
-            case LetterObj(_):
-                return 1
-            case Terminal():
-                return 0
-            case Product(left, right):
-                nl = count(left)
-                counts[id(node)] = nl
-                return nl + count(right)
-        raise TypeError(f"not an object: {node!r}")
-
-    count(a)
-    return counts
-
-
 def _synth(dom: ObjectExpr, cod: ObjectExpr, g: Graph, mode: Mode) -> ArrowTerm:
     # The letters of cod are met in leaf order, so they take the entries
-    # of g.map in turn, and dom is measured once: the work is linear in
-    # the size of the result.
-    left_letters = _left_letter_counts(dom)
+    # of g.map in turn, and every object carries its letter count: the
+    # work is linear in the size of the result.
     sources = iter(g.map)
 
     def build(node: ObjectExpr) -> ArrowTerm:
@@ -123,20 +102,18 @@ def _synth(dom: ObjectExpr, cod: ObjectExpr, g: Graph, mode: Mode) -> ArrowTerm:
                 position = next(sources)
                 if isinstance(dom, LetterObj):
                     return Identity(dom)
-                return _projection_chain(dom, position, left_letters)
+                return _projection_chain(dom, position)
         raise TypeError(f"not an object: {node!r}")
 
     return build(cod)
 
 
-def _projection_chain(
-    dom: ObjectExpr, position: int, left_letters: dict[int, int]
-) -> ArrowTerm:
+def _projection_chain(dom: ObjectExpr, position: int) -> ArrowTerm:
     factors: list[ArrowTerm] = []
     node = dom
     j = position
     while isinstance(node, Product):
-        nl = left_letters[id(node)]
+        nl = node.left.letters
         if j <= nl:
             factors.append(Proj1(node.left, node.right))
             node = node.left

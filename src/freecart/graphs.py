@@ -22,7 +22,6 @@ from .terms import (
     Pair,
     Proj1,
     Proj2,
-    letter_length,
     letters_of,
 )
 
@@ -70,20 +69,33 @@ def graph_compose(first: Graph, second: Graph) -> Graph:
 
 
 def graph_of(t: ArrowTerm) -> Graph:
-    """Graph of a well-typed arrow term."""
+    """Graph of a well-typed arrow term.
+
+    The graph is cached in the node's `__dict__` on first use.  Nodes are
+    immutable, so a cached graph never goes stale; a term rebuilt by a
+    rewriting step, or composed into a larger term, keeps the graphs of
+    the subterms it shares with the old one.
+    """
+    g = getattr(t, "__dict__", {}).get("_graph")
+    if g is None:
+        g = t.__dict__["_graph"] = _graph_node(t)
+    return g
+
+
+def _graph_node(t: ArrowTerm) -> Graph:
+    """graph_of t, from the graphs of its children."""
     match t:
         case Identity(obj):
-            return graph_identity(letter_length(obj))
+            return graph_identity(obj.letters)
         case Proj1(left, right):
-            nl = letter_length(left)
-            nr = letter_length(right)
-            return Graph(nl + nr, nl, tuple(range(1, nl + 1)))
+            nl = left.letters
+            return Graph(nl + right.letters, nl, tuple(range(1, nl + 1)))
         case Proj2(left, right):
-            nl = letter_length(left)
-            nr = letter_length(right)
+            nl = left.letters
+            nr = right.letters
             return Graph(nl + nr, nr, tuple(range(nl + 1, nl + nr + 1)))
         case Bang(obj):
-            return Graph(letter_length(obj), 0, ())
+            return Graph(obj.letters, 0, ())
         case Pair(first, second):
             gf = graph_of(first)
             gs = graph_of(second)
@@ -121,5 +133,20 @@ def graph_to_json_dict(g: Graph) -> dict:
     }
 
 
+def _integer(v) -> bool:
+    # A JSON boolean loads as a bool, which is an int to Python.
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def graph_from_json_dict(d: dict) -> Graph:
-    return Graph(int(d["source_letters"]), int(d["target_letters"]), tuple(d["map"]))
+    """A graph from its JSON shape, checked as it comes in.
+
+    The letter counts and the map's entries must be integers, and not
+    booleans; the Graph constructor then checks the map against the counts.
+    """
+    counts = (d["source_letters"], d["target_letters"])
+    if not all(map(_integer, counts)):
+        raise ValueError("letter counts must be integers")
+    if not isinstance(d["map"], list) or not all(map(_integer, d["map"])):
+        raise ValueError("map must be a JSON list of integers")
+    return Graph(*counts, tuple(d["map"]))

@@ -48,7 +48,6 @@ from .terms import (
     compose,
     replace_subterm,
     subterm_at,
-    symbol_length,
     typecheck,
 )
 
@@ -118,13 +117,31 @@ def is_normal_form(t: ArrowTerm, mode: Mode = Mode.CARTESIAN) -> bool:
 # ---------------------------------------------------------------------------
 # The termination measure
 
+# The keys under which _measure caches its tuples in a node's __dict__.
+_MEASURE_KEY = {False: "_measure", True: "_measure_as_factor"}
+
+
 def _measure(t: ArrowTerm, factor: bool = False) -> tuple[int, bool, bool, int]:
     """(gamma, pairing occurs, pairing occurs under a composition, beta) of t.
 
     All four are synthesized, but beta also needs `factor`: a pairing-free
     node counts its target length unless it is a composition factor, and
     nothing inside it counts again.
+
+    The tuple is cached in the node's `__dict__`, one per value of
+    `factor`.  Nodes are immutable, so a cached tuple never goes stale;
+    and replace_subterm rebuilds only the spine above a rewritten
+    subterm, so measuring the term after a step walks only that spine.
     """
+    key = _MEASURE_KEY[factor]
+    measure = getattr(t, "__dict__", {}).get(key)
+    if measure is None:
+        measure = t.__dict__[key] = _measure_node(t, factor)
+    return measure
+
+
+def _measure_node(t: ArrowTerm, factor: bool) -> tuple[int, bool, bool, int]:
+    """_measure of t, from the measures of its children."""
     match t:
         case Pair(first, second):
             g1, _, u1, b1 = _measure(first)
@@ -144,7 +161,7 @@ def _measure(t: ArrowTerm, factor: bool = False) -> tuple[int, bool, bool, int]:
             gamma = 3
         case _:
             raise TypeError(f"not an arrow term: {t!r}")
-    return gamma, False, False, 0 if factor else symbol_length(t.codomain)
+    return gamma, False, False, 0 if factor else t.codomain.symbols
 
 
 def degree(t: ArrowTerm) -> Degree:

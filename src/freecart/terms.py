@@ -11,6 +11,17 @@ once, when it is built, and a Pair or Compose whose parts do not fit
 raises TypeMismatch, so an ill-typed term cannot be built.  The typing
 rules therefore live in the constructors; typecheck reads the type off
 the term and adds only the check of the binary-products fragment.
+
+Beside its type, every node carries synthesized attributes, computed
+from its children's when it is built (Knuth, "Semantics of context-free
+languages", 1968).  An object knows its letter count `letters`, its
+symbol count `symbols` and whether it contains the terminal object
+(`has_terminal`); an arrow knows whether it is `terminal_free`: no
+terminal arrow, and no terminal object in the object of an identity or
+a projection.  Like the type, they are plain attributes, not dataclass
+fields, and nodes are immutable, so they never go stale.  The graph and
+the termination measure are cached the same way, on first use, by
+graphs.graph_of and rewrite._measure.
 """
 
 from __future__ import annotations
@@ -51,7 +62,15 @@ class Letter:
 
 
 class ObjectExpr:
-    """Base class of object formulas."""
+    """Base class of object formulas.
+
+    `letters`, `symbols` and `has_terminal` are synthesized attributes:
+    constants on the leaf classes, set once by the Product constructor.
+    """
+
+    letters: int
+    symbols: int
+    has_terminal: bool
 
     def __str__(self):
         from .syntax import print_object
@@ -63,10 +82,12 @@ class ObjectExpr:
 class LetterObj(ObjectExpr):
     letter: Letter
 
+    letters, symbols, has_terminal = 1, 1, False
+
 
 @dataclass(frozen=True)
 class Terminal(ObjectExpr):
-    pass
+    letters, symbols, has_terminal = 0, 1, True
 
 
 def _objects(*objs: ObjectExpr) -> None:
@@ -81,23 +102,32 @@ class Product(ObjectExpr):
     right: ObjectExpr
 
     def __post_init__(self):
-        _objects(self.left, self.right)
+        left, right = self.left, self.right
+        if not (isinstance(left, ObjectExpr) and isinstance(right, ObjectExpr)):
+            _objects(left, right)
+        attributes = self.__dict__
+        attributes["letters"] = left.letters + right.letters
+        attributes["symbols"] = 1 + left.symbols + right.symbols
+        attributes["has_terminal"] = left.has_terminal or right.has_terminal
 
 
 class ArrowTerm:
     """Base class of arrow terms.
 
-    Every node carries `domain` and `codomain`, set once by its
-    constructor.  They are plain attributes, not dataclass fields, so
-    equality, hashing, repr and match patterns see only the fields.
+    Every node carries `domain`, `codomain` and `terminal_free`, set once
+    by its constructor.  They are plain attributes, not dataclass fields,
+    so equality, hashing, repr and match patterns see only the fields.
     """
 
     domain: ObjectExpr
     codomain: ObjectExpr
+    terminal_free: bool
 
-    def _typed(self, domain: ObjectExpr, codomain: ObjectExpr) -> None:
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "codomain", codomain)
+    def _typed(self, domain: ObjectExpr, codomain: ObjectExpr, terminal_free: bool) -> None:
+        attributes = self.__dict__
+        attributes["domain"] = domain
+        attributes["codomain"] = codomain
+        attributes["terminal_free"] = terminal_free
 
     def __str__(self):
         from .syntax import print_arrow
@@ -117,7 +147,7 @@ class Identity(ArrowTerm):
 
     def __post_init__(self):
         _objects(self.obj)
-        self._typed(self.obj, self.obj)
+        self._typed(self.obj, self.obj, not self.obj.has_terminal)
 
 
 @dataclass(frozen=True)
@@ -126,7 +156,8 @@ class Proj1(ArrowTerm):
     right: ObjectExpr
 
     def __post_init__(self):
-        self._typed(Product(self.left, self.right), self.left)
+        dom = Product(self.left, self.right)
+        self._typed(dom, self.left, not dom.has_terminal)
 
 
 @dataclass(frozen=True)
@@ -135,7 +166,8 @@ class Proj2(ArrowTerm):
     right: ObjectExpr
 
     def __post_init__(self):
-        self._typed(Product(self.left, self.right), self.right)
+        dom = Product(self.left, self.right)
+        self._typed(dom, self.right, not dom.has_terminal)
 
 
 @dataclass(frozen=True)
@@ -146,7 +178,7 @@ class Bang(ArrowTerm):
 
     def __post_init__(self):
         _objects(self.obj)
-        self._typed(self.obj, Terminal())
+        self._typed(self.obj, Terminal(), False)
 
 
 @dataclass(frozen=True)
@@ -161,7 +193,11 @@ class Pair(ArrowTerm):
             raise TypeMismatch(
                 f"pair components must share a domain: {dom} vs {self.second.domain}"
             )
-        self._typed(dom, Product(self.first.codomain, self.second.codomain))
+        self._typed(
+            dom,
+            Product(self.first.codomain, self.second.codomain),
+            self.first.terminal_free and self.second.terminal_free,
+        )
 
 
 @dataclass(frozen=True)
@@ -179,12 +215,14 @@ class Compose(ArrowTerm):
 
     def __post_init__(self):
         flat: list[ArrowTerm] = []
+        terminal_free = True
         for f in self.factors:
             if isinstance(f, Compose):
                 flat.extend(f.factors)
             else:
                 _arrows(f)
                 flat.append(f)
+            terminal_free = terminal_free and f.terminal_free
         if len(flat) < 2:
             raise ValueError("composition needs at least two factors")
         for i in range(1, len(flat)):
@@ -195,7 +233,7 @@ class Compose(ArrowTerm):
                     (i,),
                 )
         object.__setattr__(self, "factors", tuple(flat))
-        self._typed(flat[0].domain, flat[-1].codomain)
+        self._typed(flat[0].domain, flat[-1].codomain, terminal_free)
 
 
 def compose(*factors: ArrowTerm) -> ArrowTerm:
@@ -227,24 +265,18 @@ class ArrowType:
 
 def letter_length(a: ObjectExpr) -> int:
     """Number of letter occurrences in an object."""
-    match a:
-        case LetterObj(_):
-            return 1
-        case Terminal():
-            return 0
-        case Product(left, right):
-            return letter_length(left) + letter_length(right)
-    raise TypeError(f"not an object: {a!r}")
+    try:
+        return a.letters
+    except AttributeError:
+        raise TypeError(f"not an object: {a!r}") from None
 
 
 def symbol_length(a: ObjectExpr) -> int:
     """Number of symbol occurrences: letters, products and terminals."""
-    match a:
-        case LetterObj(_) | Terminal():
-            return 1
-        case Product(left, right):
-            return 1 + symbol_length(left) + symbol_length(right)
-    raise TypeError(f"not an object: {a!r}")
+    try:
+        return a.symbols
+    except AttributeError:
+        raise TypeError(f"not an object: {a!r}") from None
 
 
 def letters_of(a: ObjectExpr) -> tuple[Letter, ...]:
@@ -262,31 +294,23 @@ def letters_of(a: ObjectExpr) -> tuple[Letter, ...]:
 # ---------------------------------------------------------------------------
 # Typing
 
-def _has_terminal(a: ObjectExpr) -> bool:
-    match a:
-        case Terminal():
-            return True
-        case Product(left, right):
-            return _has_terminal(left) or _has_terminal(right)
-    return False
-
-
 def typecheck(t: ArrowTerm, mode: Mode = Mode.CARTESIAN) -> ArrowType:
     """The type that a term carries, checked against the mode.
 
     Terms are typed when they are built, so only the mode is left to
     check: in binary-products mode the first terminal arrow or terminal
     object raises ModeViolation, with the path of its subterm from the root.
+    A terminal-free term passes at once; only a violation is searched for.
     """
     _arrows(t)
-    if mode is Mode.BINARY_PRODUCTS:
+    if mode is Mode.BINARY_PRODUCTS and not t.terminal_free:
         for path, sub in iter_subterms(t):
             if isinstance(sub, Bang):
                 raise ModeViolation(
                     "terminal arrow not available in binary-products mode", path
                 )
             # The objects of an identity or a projection make up its domain.
-            if not isinstance(sub, (Pair, Compose)) and _has_terminal(sub.domain):
+            if not isinstance(sub, (Pair, Compose)) and sub.domain.has_terminal:
                 raise ModeViolation(
                     "terminal object not available in binary-products mode", path
                 )
@@ -360,35 +384,47 @@ def replace_subterm(t: ArrowTerm, path: Path, new: ArrowTerm) -> ArrowTerm:
 # ---------------------------------------------------------------------------
 # Substitution and derived arrows
 
-def _substitute_object(a: ObjectExpr, p: Letter) -> ObjectExpr:
-    match a:
-        case LetterObj(_):
-            return LetterObj(p)
-        case Terminal():
-            return a
-        case Product(left, right):
-            return Product(_substitute_object(left, p), _substitute_object(right, p))
-    raise TypeError(f"not an object: {a!r}")
-
-
 def substitute_all_letters(t: ArrowTerm, p: Letter) -> ArrowTerm:
-    """Replace every letter occurring in the term's objects by `p`."""
-    match t:
-        case Identity(obj):
-            return Identity(_substitute_object(obj, p))
-        case Proj1(left, right):
-            return Proj1(_substitute_object(left, p), _substitute_object(right, p))
-        case Proj2(left, right):
-            return Proj2(_substitute_object(left, p), _substitute_object(right, p))
-        case Bang(obj):
-            return Bang(_substitute_object(obj, p))
-        case Pair(first, second):
-            return Pair(
-                substitute_all_letters(first, p), substitute_all_letters(second, p)
-            )
-        case Compose(factors):
-            return Compose(tuple(substitute_all_letters(f, p) for f in factors))
-    raise TypeError(f"not an arrow term: {t!r}")
+    """Replace every letter occurring in the term's objects by `p`.
+
+    Each distinct object is rebuilt once per call, so objects shared in
+    `t` (as a parse shares equal ones) are shared in the result too.
+    """
+    letter = LetterObj(p)
+    done: dict[int, ObjectExpr] = {}
+
+    def obj(a: ObjectExpr) -> ObjectExpr:
+        new = done.get(id(a))
+        if new is None:
+            match a:
+                case LetterObj(_):
+                    new = letter
+                case Terminal():
+                    new = a
+                case Product(left, right):
+                    new = Product(obj(left), obj(right))
+                case _:
+                    raise TypeError(f"not an object: {a!r}")
+            done[id(a)] = new
+        return new
+
+    def arrow(t: ArrowTerm) -> ArrowTerm:
+        match t:
+            case Identity(o):
+                return Identity(obj(o))
+            case Proj1(left, right):
+                return Proj1(obj(left), obj(right))
+            case Proj2(left, right):
+                return Proj2(obj(left), obj(right))
+            case Bang(o):
+                return Bang(obj(o))
+            case Pair(first, second):
+                return Pair(arrow(first), arrow(second))
+            case Compose(factors):
+                return Compose(tuple(arrow(f) for f in factors))
+        raise TypeError(f"not an arrow term: {t!r}")
+
+    return arrow(t)
 
 
 def assoc_r(a: ObjectExpr, b: ObjectExpr, c: ObjectExpr) -> ArrowTerm:

@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from freecart import Mode, print_arrow, run_cli
 from termgen import random_arrow
@@ -104,6 +108,27 @@ def test_synth_rejects_bad_graphs(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli(["synth", "p", "p", "[true]"]) == 2
     assert "map must be a JSON list of integers" in capsys.readouterr().err
+    # The check that graphs coming in as JSON get, with the same bytes.
+    for bad in ("[1.5]", "[1, true]", "[\"1\"]", "{}", "1"):
+        assert run_cli(["synth", "p*q", "p", bad]) == 2
+        assert capsys.readouterr().err == "error: map must be a JSON list of integers\n"
+    assert run_cli(["synth", "p*q", "p", "[3]"]) == 2
+    assert capsys.readouterr().err == "error: map entry 3 not in 1..2\n"
+    assert run_cli(["synth", "p*q", "p", "[1, 1]"]) == 2
+    assert capsys.readouterr().err == "error: map has 2 entries for 1 targets\n"
+
+
+def test_module_entry_point_writes_only_its_answer():
+    # `python -m freecart.cli` runs the module as __main__; importing the
+    # package must not have loaded it already.
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "freecart.cli", "synth", "p", "p", "[1]"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "id{p}\n", "")
 
 
 def test_mode_flag_rejects_terminal_material(tmp_path, capsys):

@@ -118,6 +118,23 @@ def test_graph_json_round_trip():
     assert graph_from_json_dict(d) == g
 
 
+@pytest.mark.parametrize(
+    "source, target, entries",
+    [
+        (2, 1, [1.5]),
+        (2, 1, [True]),
+        (2, 1, [1, "2"]),
+        (2, 1, (1,)),
+        (True, 1, [1]),
+        (2.0, 1, [1]),
+        (2, "1", [1]),
+    ],
+)
+def test_graph_from_json_dict_takes_integers_only(source, target, entries):
+    with pytest.raises(ValueError):
+        graph_from_json_dict({"source_letters": source, "target_letters": target, "map": entries})
+
+
 # ---------------------------------------------------------------------------
 # The defining equations hold at graph level.
 
