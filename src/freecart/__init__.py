@@ -25,7 +25,6 @@ from .graphs import (
     graph_identity,
     graph_of,
     graph_to_json_dict,
-    letter_compatible,
 )
 from .rewrite import (
     Degree,

@@ -68,7 +68,8 @@ def collapse_witness(
 
     f_subst = substitute_all_letters(f, letter)
     g_subst = substitute_all_letters(g, letter)
-    pp = Product(LetterObj(letter), LetterObj(letter))
+    p = LetterObj(letter)
+    pp = Product(p, p)
 
     # Send the two distinguished domain positions to the two components
     # of pp; everything else goes to the first component.
@@ -76,20 +77,17 @@ def collapse_witness(
     spread[gf.map[position - 1] - 1] = 1
     spread[gg.map[position - 1] - 1] = 2
     h = synth_from_graph(pp, f_subst.domain, Graph(2, gf.source_letters, tuple(spread)), mode)
-    j = synth_from_graph(
-        f_subst.codomain, LetterObj(letter), Graph(gf.target_letters, 1, (position,)), mode
-    )
+    j = synth_from_graph(f_subst.codomain, p, Graph(gf.target_letters, 1, (position,)), mode)
 
-    lhs_graph = graph_of(compose(h, f_subst, j))
-    rhs_graph = graph_of(compose(h, g_subst, j))
-    if lhs_graph != LHS_GRAPH or rhs_graph != RHS_GRAPH:
+    if (
+        graph_of(compose(h, f_subst, j)) != LHS_GRAPH
+        or graph_of(compose(h, g_subst, j)) != RHS_GRAPH
+    ):
         raise InternalError("collapse composites have unexpected graphs")
-    # Both composites have type pp -> letter; read their normal forms back
-    # from the graphs just checked.
-    lhs_normal = synth_from_graph(pp, LetterObj(letter), lhs_graph, mode)
-    rhs_normal = synth_from_graph(pp, LetterObj(letter), rhs_graph, mode)
+    # Both composites have type pp -> p, and their graphs are the two
+    # projections', so their normal forms are the two projections.
     return CollapseWitness(
-        letter, position, f_subst, g_subst, h, j, lhs_normal, rhs_normal
+        letter, position, f_subst, g_subst, h, j, Proj1(p, p), Proj2(p, p)
     )
 
 

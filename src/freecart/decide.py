@@ -3,21 +3,21 @@
 Equality of two same-typed arrows holds exactly when their graphs agree,
 so the decision procedure is a graph comparison.  The alternative route
 normalizes both sides and compares syntax.  Synthesis goes the other
-way: given a letter-compatible graph it produces the unique normal form
-with that graph.
+way: given a graph whose letter counts fit a domain and a codomain, it
+produces the unique normal form with that graph.  The one walk that
+builds the term also checks that the graph joins only equal letters.
 
 Synthesis after graph_of is normalization by evaluation: normal_form
 reads a term's normal form back from its graph, with no rewriting.
-That read-back route serves `normalize` without `--trace` and the
-normal forms stored in collapse witnesses.  The rewriting system in
-rewrite.py stays the certifying route, for `normalize --trace`,
-`equal --method normalize|both` and verify_witness.
+That read-back route serves `normalize` without `--trace`.  The
+rewriting system in rewrite.py stays the certifying route, for
+`normalize --trace`, `equal --method normalize|both` and verify_witness.
 """
 
 from __future__ import annotations
 
-from .errors import IncompatibleGraph, Unrealizable
-from .graphs import Graph, graph_of, letter_compatible
+from .errors import IncompatibleGraph, ModeViolation, Unrealizable
+from .graphs import Graph, graph_of
 from .rewrite import normalize
 from .terms import (
     ArrowTerm,
@@ -60,16 +60,21 @@ def synth_from_graph(
     The codomain is taken apart: terminal targets become terminal
     arrows, product targets become pairings, and letter targets become
     either an identity or the projection chain from the root of dom to
-    the mapped leaf.
+    the mapped leaf, which must hold the same letter.  The
+    binary-products checks come after that walk.
     """
     if g.source_letters != letter_length(dom) or g.target_letters != letter_length(cod):
         raise IncompatibleGraph(
             f"graph {g.source_letters}->{g.target_letters} does not fit "
             f"|dom|={letter_length(dom)}, |cod|={letter_length(cod)}"
         )
-    if not letter_compatible(g, dom, cod):
-        raise IncompatibleGraph("graph connects distinct letters")
-    return _synth(dom, cod, g, mode)
+    term = _synth(dom, cod, g)
+    if mode is Mode.BINARY_PRODUCTS:
+        if cod.has_terminal:
+            raise Unrealizable("terminal codomain cannot be realized in binary-products mode")
+        if dom.has_terminal:
+            raise ModeViolation("terminal object not available in binary-products mode")
+    return term
 
 
 def normal_form(t: ArrowTerm, mode: Mode = Mode.CARTESIAN) -> ArrowTerm:
@@ -82,7 +87,7 @@ def normal_form(t: ArrowTerm, mode: Mode = Mode.CARTESIAN) -> ArrowTerm:
     return synth_from_graph(arrow_type.domain, arrow_type.codomain, graph_of(t), mode)
 
 
-def _synth(dom: ObjectExpr, cod: ObjectExpr, g: Graph, mode: Mode) -> ArrowTerm:
+def _synth(dom: ObjectExpr, cod: ObjectExpr, g: Graph) -> ArrowTerm:
     # The letters of cod are met in leaf order, so they take the entries
     # of g.map in turn, and every object carries its letter count: the
     # work is linear in the size of the result.
@@ -91,24 +96,18 @@ def _synth(dom: ObjectExpr, cod: ObjectExpr, g: Graph, mode: Mode) -> ArrowTerm:
     def build(node: ObjectExpr) -> ArrowTerm:
         match node:
             case Terminal():
-                if mode is Mode.BINARY_PRODUCTS:
-                    raise Unrealizable(
-                        "terminal codomain cannot be realized in binary-products mode"
-                    )
                 return Bang(dom)
             case Product(left, right):
                 return Pair(build(left), build(right))
             case LetterObj(_):
-                position = next(sources)
-                if isinstance(dom, LetterObj):
-                    return Identity(dom)
-                return _projection_chain(dom, position)
+                return _projection_chain(dom, next(sources), node)
         raise TypeError(f"not an object: {node!r}")
 
     return build(cod)
 
 
-def _projection_chain(dom: ObjectExpr, position: int) -> ArrowTerm:
+def _projection_chain(dom: ObjectExpr, position: int, target: LetterObj) -> ArrowTerm:
+    # The graph is valid and its counts fit dom, so the descent ends at a letter.
     factors: list[ArrowTerm] = []
     node = dom
     j = position
@@ -121,8 +120,10 @@ def _projection_chain(dom: ObjectExpr, position: int) -> ArrowTerm:
             factors.append(Proj2(node.left, node.right))
             j -= nl
             node = node.right
-    if not isinstance(node, LetterObj):
-        raise IncompatibleGraph(f"position {position} does not reach a letter")
+    if node != target:
+        raise IncompatibleGraph("graph connects distinct letters")
+    if not factors:
+        return Identity(dom)
     if len(factors) == 1:
         return factors[0]
     return Compose(tuple(factors))

@@ -5,6 +5,11 @@ positions of B to the letter positions of A, computed by induction on
 the term.  Two arrows of the free cartesian category are equal exactly
 when their graphs agree, which makes graphs the cheap side of the
 equality decision procedure.
+
+A node caches only its map.  The letter counts come from its type, and
+typed construction already guarantees that the map fits them, so the
+maps of a term are composed as plain tuples.  The Graph constructor
+validates, for the graphs that come in from callers and from JSON.
 """
 
 from __future__ import annotations
@@ -13,17 +18,9 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .errors import ArityMismatch
-from .terms import (
-    ArrowTerm,
-    Bang,
-    Compose,
-    Identity,
-    ObjectExpr,
-    Pair,
-    Proj1,
-    Proj2,
-    letters_of,
-)
+from .terms import ArrowTerm, Bang, Compose, Identity, Pair, Proj1, Proj2
+
+Map = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -32,7 +29,7 @@ class Graph:
 
     source_letters: int
     target_letters: int
-    map: tuple[int, ...]
+    map: Map
 
     def __post_init__(self):
         object.__setattr__(self, "map", tuple(self.map))
@@ -50,78 +47,63 @@ def graph_identity(n: int) -> Graph:
     return Graph(n, n, tuple(range(1, n + 1)))
 
 
-def graph_compose(first: Graph, second: Graph) -> Graph:
-    """Graph of a composite, `first` being the first-applied factor.
+def _chase(first: Map, second: Map) -> Map:
+    """The map of a composite, `first` being the first-applied factor's.
 
-    Positions chase through the later factor first: the composite sends
-    i to first.map[second.map[i]].
+    Positions chase through the later factor first: i goes to
+    first[second[i]].
     """
+    return tuple(first[j - 1] for j in second)
+
+
+def graph_compose(first: Graph, second: Graph) -> Graph:
+    """Graph of a composite, `first` being the first-applied factor."""
     if first.target_letters != second.source_letters:
         raise ArityMismatch(
             f"cannot compose graphs: {first.target_letters} target letters "
             f"vs {second.source_letters} source letters"
         )
     return Graph(
-        first.source_letters,
-        second.target_letters,
-        tuple(first.map[j - 1] for j in second.map),
+        first.source_letters, second.target_letters, _chase(first.map, second.map)
     )
 
 
 def graph_of(t: ArrowTerm) -> Graph:
-    """Graph of a well-typed arrow term.
+    """Graph of an arrow term: its type's letter counts and its map.
 
-    The graph is cached in the node's `__dict__` on first use.  Nodes are
-    immutable, so a cached graph never goes stale; a term rebuilt by a
-    rewriting step, or composed into a larger term, keeps the graphs of
+    The map is cached in the node's `__dict__` on first use.  Nodes are
+    immutable, so a cached map never goes stale; a term rebuilt by a
+    rewriting step, or composed into a larger term, keeps the maps of
     the subterms it shares with the old one.
     """
-    g = getattr(t, "__dict__", {}).get("_graph")
-    if g is None:
-        g = t.__dict__["_graph"] = _graph_node(t)
-    return g
+    m = _map_of(t)  # first: a non-term raises TypeError here
+    return Graph(t.domain.letters, t.codomain.letters, m)
 
 
-def _graph_node(t: ArrowTerm) -> Graph:
-    """graph_of t, from the graphs of its children."""
+def _map_of(t: ArrowTerm) -> Map:
+    m = getattr(t, "__dict__", {}).get("_map")
+    if m is None:
+        m = t.__dict__["_map"] = _graph_node(t)
+    return m
+
+
+def _graph_node(t: ArrowTerm) -> Map:
+    """The map of t, from the maps of its children."""
     match t:
         case Identity(obj):
-            return graph_identity(obj.letters)
-        case Proj1(left, right):
-            nl = left.letters
-            return Graph(nl + right.letters, nl, tuple(range(1, nl + 1)))
+            return tuple(range(1, obj.letters + 1))
+        case Proj1(left, _):
+            return tuple(range(1, left.letters + 1))
         case Proj2(left, right):
             nl = left.letters
-            nr = right.letters
-            return Graph(nl + nr, nr, tuple(range(nl + 1, nl + nr + 1)))
-        case Bang(obj):
-            return Graph(obj.letters, 0, ())
+            return tuple(range(nl + 1, nl + right.letters + 1))
+        case Bang(_):
+            return ()
         case Pair(first, second):
-            gf = graph_of(first)
-            gs = graph_of(second)
-            return Graph(
-                gf.source_letters,
-                gf.target_letters + gs.target_letters,
-                gf.map + gs.map,
-            )
+            return _map_of(first) + _map_of(second)
         case Compose(factors):
-            return reduce(graph_compose, (graph_of(f) for f in factors))
+            return reduce(_chase, map(_map_of, factors))
     raise TypeError(f"not an arrow term: {t!r}")
-
-
-def letter_compatible(g: Graph, dom: ObjectExpr, cod: ObjectExpr) -> bool:
-    """Whether g only connects equal letters of dom and cod."""
-    sources = letters_of(dom)
-    targets = letters_of(cod)
-    if g.source_letters != len(sources):
-        raise ArityMismatch(
-            f"graph has {g.source_letters} source letters, domain has {len(sources)}"
-        )
-    if g.target_letters != len(targets):
-        raise ArityMismatch(
-            f"graph has {g.target_letters} target letters, codomain has {len(targets)}"
-        )
-    return all(sources[j - 1] == letter for j, letter in zip(g.map, targets))
 
 
 def graph_to_json_dict(g: Graph) -> dict:

@@ -20,9 +20,8 @@ composition factors.
 Rewriting is the certifying route: every step is recorded and checked
 to decrease the degree.  It serves `normalize --trace`,
 `equal --method normalize|both` and verify_witness.  Where no trace is
-wanted (`normalize` without `--trace`, the normal forms stored in
-collapse witnesses), decide.normal_form reads the same normal form back
-from the term's graph instead.
+wanted (`normalize` without `--trace`), decide.normal_form reads the
+same normal form back from the term's graph instead.
 """
 
 from __future__ import annotations
@@ -117,30 +116,26 @@ def is_normal_form(t: ArrowTerm, mode: Mode = Mode.CARTESIAN) -> bool:
 # ---------------------------------------------------------------------------
 # The termination measure
 
-# The keys under which _measure caches its tuples in a node's __dict__.
-_MEASURE_KEY = {False: "_measure", True: "_measure_as_factor"}
-
-
-def _measure(t: ArrowTerm, factor: bool = False) -> tuple[int, bool, bool, int]:
+def _measure(t: ArrowTerm) -> tuple[int, bool, bool, int]:
     """(gamma, pairing occurs, pairing occurs under a composition, beta) of t.
 
-    All four are synthesized, but beta also needs `factor`: a pairing-free
-    node counts its target length unless it is a composition factor, and
-    nothing inside it counts again.
+    beta is that of t standing alone: a pairing-free node counts its
+    target length, and nothing inside it counts again.  As a composition
+    factor, a pairing-free node counts nothing, so a factor's beta is its
+    own if a pairing occurs in it and 0 otherwise.
 
-    The tuple is cached in the node's `__dict__`, one per value of
-    `factor`.  Nodes are immutable, so a cached tuple never goes stale;
-    and replace_subterm rebuilds only the spine above a rewritten
-    subterm, so measuring the term after a step walks only that spine.
+    The tuple is cached in the node's `__dict__`.  Nodes are immutable,
+    so a cached tuple never goes stale; and replace_subterm rebuilds only
+    the spine above a rewritten subterm, so measuring the term after a
+    step walks only that spine.
     """
-    key = _MEASURE_KEY[factor]
-    measure = getattr(t, "__dict__", {}).get(key)
+    measure = getattr(t, "__dict__", {}).get("_measure")
     if measure is None:
-        measure = t.__dict__[key] = _measure_node(t, factor)
+        measure = t.__dict__["_measure"] = _measure_node(t)
     return measure
 
 
-def _measure_node(t: ArrowTerm, factor: bool) -> tuple[int, bool, bool, int]:
+def _measure_node(t: ArrowTerm) -> tuple[int, bool, bool, int]:
     """_measure of t, from the measures of its children."""
     match t:
         case Pair(first, second):
@@ -150,8 +145,8 @@ def _measure_node(t: ArrowTerm, factor: bool) -> tuple[int, bool, bool, int]:
         case Compose(factors):
             gamma, pair, beta = 1, False, 0
             for f in factors:
-                g, p, _, b = _measure(f, True)
-                gamma, pair, beta = gamma * g, pair or p, beta + b
+                g, p, _, b = _measure(f)
+                gamma, pair, beta = gamma * g, pair or p, beta + (b if p else 0)
             if pair:
                 # A pairing in a factor is a pairing under this composition.
                 return gamma, True, True, beta
@@ -161,7 +156,7 @@ def _measure_node(t: ArrowTerm, factor: bool) -> tuple[int, bool, bool, int]:
             gamma = 3
         case _:
             raise TypeError(f"not an arrow term: {t!r}")
-    return gamma, False, False, 0 if factor else t.codomain.symbols
+    return gamma, False, False, t.codomain.symbols
 
 
 def degree(t: ArrowTerm) -> Degree:

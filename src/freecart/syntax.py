@@ -54,7 +54,6 @@ from .terms import (
     Proj2,
     Terminal,
     compose,
-    derived_arrow,
     product_of_arrows,
     typecheck,
 )
@@ -78,8 +77,9 @@ class ParseError(FreecartError):
         self.origin = origin
 
 
-# The primitive arrows by name: their class and how many objects they take.
-_PRIMITIVES = {"id": (Identity, 1), "p1": (Proj1, 2), "p2": (Proj2, 2), "bang": (Bang, 1)}
+# The arrows written name{objects}, primitives and macros: what builds
+# each and how many objects it takes.
+_BRACED = {"id": (Identity, 1), "p1": (Proj1, 2), "p2": (Proj2, 2), "bang": (Bang, 1)} | DERIVED
 
 # One scan: an identifier, a symbol, skipped space or a comment, or one
 # unexpected character.  Every character starts a match, so the matches
@@ -200,11 +200,9 @@ class _Parser:
             self.expect(">")
             return Pair(first, second)
         if kind == "ident":
-            if name in _PRIMITIVES:
-                cls, arity = _PRIMITIVES[name]
-                return cls(*self.braced_objects(arity))
-            if name in DERIVED:
-                return derived_arrow(name, *self.braced_objects(DERIVED[name][1]))
+            if name in _BRACED:
+                build, arity = _BRACED[name]
+                return build(*self.braced_objects(arity))
             if name == "prod":
                 self.expect("(")
                 first = self.arrow()

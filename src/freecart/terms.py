@@ -19,9 +19,10 @@ symbol count `symbols` and whether it contains the terminal object
 (`has_terminal`); an arrow knows whether it is `terminal_free`: no
 terminal arrow, and no terminal object in the object of an identity or
 a projection.  Like the type, they are plain attributes, not dataclass
-fields, and nodes are immutable, so they never go stale.  The graph and
-the termination measure are cached the same way, on first use, by
-graphs.graph_of and rewrite._measure.
+fields, and nodes are immutable, so they never go stale.  The map of
+the graph and the termination measure are cached the same way, on first
+use, by graphs.graph_of and rewrite._measure; the graph's letter counts
+are those of the type.
 """
 
 from __future__ import annotations

@@ -116,6 +116,9 @@ def test_synth_rejects_bad_graphs(tmp_path, capsys):
     assert capsys.readouterr().err == "error: map entry 3 not in 1..2\n"
     assert run_cli(["synth", "p*q", "p", "[1, 1]"]) == 2
     assert capsys.readouterr().err == "error: map has 2 entries for 1 targets\n"
+    # The check that `check` makes of the same arrow, p1{p,T}.
+    assert run_cli(["--mode", "binary-products", "synth", "p*T", "p", "[1]"]) == 2
+    assert capsys.readouterr() == ("", "error: terminal object not available in binary-products mode\n")
 
 
 def test_module_entry_point_writes_only_its_answer():

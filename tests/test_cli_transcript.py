@@ -1,0 +1,32 @@
+"""Smoke test of tools/cli_transcript.py on seed 1."""
+
+import json
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SHA256 = re.compile(r"[0-9a-f]{64}\Z")
+
+
+def test_cli_transcript_prints_one_line_per_command():
+    done = subprocess.run(
+        [sys.executable, "tools/cli_transcript.py", "src", "1"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    lines = done.stdout.splitlines()
+    commands = [json.loads(line.split("\t")[0]) for line in lines]
+    assert sum("synth" in argv for argv in commands) == 2 * 6000
+    assert {argv[2] for argv in commands} == {"equal", "normalize", "collapse", "synth"}
+    assert {argv[1] for argv in commands} == {"cartesian", "binary-products"}
+    for line in lines:
+        _, code, out, err = line.split("\t")
+        assert code in {"0", "1", "2", "3"}, line
+        assert SHA256.match(out) and SHA256.match(err), line
+    # The term files went to a temporary directory, not here or under bench/.
+    assert not list(ROOT.glob("s1-*.term")) and not list(ROOT.glob("bench/**/s1-*.term"))

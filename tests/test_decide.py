@@ -98,9 +98,42 @@ def test_synth_rejects_letter_mismatch():
         synth_from_graph(Product(p, q), p, Graph(3, 1, (1,)))
 
 
+def test_synth_joins_only_equal_letters():
+    pq, pqp, pqq = Product(p, q), Product(Product(p, q), p), Product(p, Product(q, q))
+    compatible = [
+        (pq, Product(q, p), Graph(2, 2, (2, 1))),
+        (pq, T, Graph(2, 0, ())),
+        (pqp, pqq, Graph(3, 3, (3, 2, 2))),
+    ]
+    for dom, cod, g in compatible:
+        assert graph_of(synth_from_graph(dom, cod, g)) == g
+    incompatible = [
+        (pq, q, Graph(2, 1, (1,))),
+        # The last q of pqq drawn from the first p of pqp.
+        (pqp, pqq, Graph(3, 3, (3, 2, 1))),
+        (p, q, Graph(1, 1, (1,))),
+    ]
+    for dom, cod, g in incompatible:
+        with pytest.raises(IncompatibleGraph, match="graph connects distinct letters"):
+            synth_from_graph(dom, cod, g)
+
+
 def test_synth_unrealizable_in_binary_products_mode():
     with pytest.raises(Unrealizable):
         synth_from_graph(p, T, Graph(1, 0, ()), Mode.BINARY_PRODUCTS)
+    # Distinct letters are named before the terminal codomain.
+    with pytest.raises(IncompatibleGraph, match="distinct letters"):
+        synth_from_graph(p, Product(T, q), Graph(1, 1, (1,)), Mode.BINARY_PRODUCTS)
+
+
+def test_synth_rejects_terminal_domain_in_binary_products_mode():
+    pt = Product(p, T)
+    assert synth_from_graph(pt, p, Graph(1, 1, (1,))) == Proj1(p, T)
+    with pytest.raises(ModeViolation, match="terminal object not available"):
+        synth_from_graph(pt, p, Graph(1, 1, (1,)), Mode.BINARY_PRODUCTS)
+    # A terminal codomain is named first.
+    with pytest.raises(Unrealizable):
+        synth_from_graph(pt, T, Graph(1, 0, ()), Mode.BINARY_PRODUCTS)
 
 
 @given(st.randoms(use_true_random=False))

@@ -1,0 +1,135 @@
+"""A transcript of `freecart` commands: argv, exit code and output hashes.
+
+    python3 tools/cli_transcript.py SRC SEED [SEED ...]
+
+For each seed, every query of both benchmark corpora (read from
+bench/workloads.py) and SYNTH_COMMANDS seeded `synth` commands per mode
+are run in process against the package in the directory SRC.  One line
+is printed per command: the argv as JSON, the exit code, and the sha256
+of stdout and of stderr, separated by tabs.  Term files are written to a
+temporary directory, which is the working directory while the commands
+run, under names that depend only on the seed and the query; so the
+transcripts of two trees can be compared line by line:
+
+    python3 tools/cli_transcript.py ../old/src 1 7 > old.txt
+    python3 tools/cli_transcript.py src 1 7 > new.txt
+    diff old.txt new.txt
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+
+from workloads import WORKLOADS, build  # noqa: E402
+
+SYNTH_COMMANDS = 6000  # per mode and seed
+MODES = ("cartesian", "binary-products")
+LETTERS = ("p", "q", "r")
+
+
+def _object(rng, depth: int) -> tuple[str, list[str]]:
+    """A random object's text and its letters in leaf order; T may occur."""
+    if depth > 0 and rng.random() < 0.5:
+        (left, ll), (right, rl) = _object(rng, depth - 1), _object(rng, depth - 1)
+        return f"({left}*{right})", ll + rl
+    if rng.random() < 0.15:
+        return "T", []
+    letter = rng.choice(LETTERS)
+    return letter, [letter]
+
+
+def _map(rng, sources: list[str], targets: list[str]) -> str:
+    """A JSON map, mostly joining equal letters, sometimes not a graph at all."""
+    entries = []
+    for letter in targets:
+        same = [i + 1 for i, s in enumerate(sources) if s == letter]
+        if same and rng.random() < 0.85:
+            entries.append(rng.choice(same))
+        else:
+            entries.append(rng.randint(0, len(sources) + 1))
+    roll = rng.random()
+    if roll < 0.03:
+        entries.append(1)
+    elif roll < 0.06 and entries:
+        entries.pop()
+    elif roll < 0.07:
+        return rng.choice(["[1,", "[1.5]", "[true]", "{}", "1"])
+    return json.dumps(entries)
+
+
+def synth_commands(seed: int) -> list[list[str]]:
+    commands = []
+    for mode in MODES:
+        rng = random.Random(f"synth:{mode}:{seed}")
+        for _ in range(SYNTH_COMMANDS):
+            (dom, sources), (cod, targets) = _object(rng, 3), _object(rng, 3)
+            commands.append(["--mode", mode, "synth", dom, cod, _map(rng, sources, targets)])
+    return commands
+
+
+def corpus_commands(seed: int) -> list[list[str]]:
+    """The benchmark queries of one seed, their term files written to the working directory."""
+    commands = []
+    for workload in WORKLOADS:
+        for i, query in enumerate(build(workload, seed)):
+            files = []
+            for k, term in enumerate(query.texts):
+                name = f"s{seed}-{workload}-q{i}-{k}.term"
+                Path(name).write_text(term + "\n", encoding="utf-8")
+                files.append(name)
+            commands.append(query.command(files))
+    return commands
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def run(run_cli, argv: list[str]) -> str:
+    """The transcript line of one command."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = str(run_cli(argv))
+        except Exception as exc:  # run_cli should never raise; record it if it does
+            code = f"raised {type(exc).__name__}"
+    return "\t".join((json.dumps(argv), code, _digest(out.getvalue()), _digest(err.getvalue())))
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) < 2:
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    src = Path(argv[0]).resolve()
+    sys.path.insert(0, str(src))
+    import freecart
+
+    if not Path(freecart.__file__).resolve().is_relative_to(src):
+        print(f"error: freecart came from {freecart.__file__}, not {src}", file=sys.stderr)
+        return 2
+    run_cli = freecart.run_cli
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            for seed in map(int, argv[1:]):
+                for command in corpus_commands(seed) + synth_commands(seed):
+                    print(run(run_cli, command))
+        finally:
+            os.chdir(home)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
