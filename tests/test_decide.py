@@ -98,26 +98,6 @@ def test_synth_rejects_letter_mismatch():
         synth_from_graph(Product(p, q), p, Graph(3, 1, (1,)))
 
 
-def test_synth_joins_only_equal_letters():
-    pq, pqp, pqq = Product(p, q), Product(Product(p, q), p), Product(p, Product(q, q))
-    compatible = [
-        (pq, Product(q, p), Graph(2, 2, (2, 1))),
-        (pq, T, Graph(2, 0, ())),
-        (pqp, pqq, Graph(3, 3, (3, 2, 2))),
-    ]
-    for dom, cod, g in compatible:
-        assert graph_of(synth_from_graph(dom, cod, g)) == g
-    incompatible = [
-        (pq, q, Graph(2, 1, (1,))),
-        # The last q of pqq drawn from the first p of pqp.
-        (pqp, pqq, Graph(3, 3, (3, 2, 1))),
-        (p, q, Graph(1, 1, (1,))),
-    ]
-    for dom, cod, g in incompatible:
-        with pytest.raises(IncompatibleGraph, match="graph connects distinct letters"):
-            synth_from_graph(dom, cod, g)
-
-
 def test_synth_unrealizable_in_binary_products_mode():
     with pytest.raises(Unrealizable):
         synth_from_graph(p, T, Graph(1, 0, ()), Mode.BINARY_PRODUCTS)

@@ -7,6 +7,7 @@ from freecart import (
     Bang,
     Graph,
     Identity,
+    IncompatibleGraph,
     Letter,
     LetterObj,
     Mode,
@@ -27,6 +28,7 @@ from freecart import (
     normalize,
     product_of_arrows,
     swap,
+    synth_from_graph,
     typecheck,
 )
 from termgen import (
@@ -99,6 +101,32 @@ def test_graph_equal_distinguishes_projections():
     assert graph_of(Proj1(p, p)) != graph_of(Proj2(p, p))
     g = graph_of(Proj1(p, p))
     assert g == g
+
+
+def test_letter_compatible():
+    # synth_from_graph reads a graph back only if it joins equal letters.
+    compatible = [
+        (Product(p, q), Product(q, p), Graph(2, 2, (2, 1))),
+        (Product(p, q), T, Graph(2, 0, ())),
+    ]
+    for dom, cod, g in compatible:
+        assert graph_of(synth_from_graph(dom, cod, g)) == g
+    with pytest.raises(IncompatibleGraph, match="graph connects distinct letters"):
+        synth_from_graph(Product(p, q), q, Graph(2, 1, (1,)))
+    with pytest.raises(IncompatibleGraph, match="does not fit"):
+        synth_from_graph(Product(p, q), q, Graph(3, 1, (1,)))
+
+
+def test_letter_compatible_rejects_joining_distinct_letters():
+    dom = Product(Product(p, q), p)
+    cod = Product(p, Product(q, q))
+    g = Graph(3, 3, (3, 2, 2))
+    assert graph_of(synth_from_graph(dom, cod, g)) == g
+    # The last q of cod drawn from the first p of dom.
+    with pytest.raises(IncompatibleGraph, match="graph connects distinct letters"):
+        synth_from_graph(dom, cod, Graph(3, 3, (3, 2, 1)))
+    with pytest.raises(IncompatibleGraph, match="graph connects distinct letters"):
+        synth_from_graph(p, q, Graph(1, 1, (1,)))
 
 
 def test_graph_json_round_trip():
