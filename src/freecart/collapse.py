@@ -71,10 +71,9 @@ def collapse_witness(
     p = LetterObj(letter)
     pp = Product(p, p)
 
-    # Send the two distinguished domain positions to the two components
-    # of pp; everything else goes to the first component.
+    # Send the domain position that g reads at `position` to the second
+    # component of pp, and every other one, f's included, to the first.
     spread = [1] * gf.source_letters
-    spread[gf.map[position - 1] - 1] = 1
     spread[gg.map[position - 1] - 1] = 2
     h = synth_from_graph(pp, f_subst.domain, Graph(2, gf.source_letters, tuple(spread)), mode)
     j = synth_from_graph(f_subst.codomain, p, Graph(gf.target_letters, 1, (position,)), mode)

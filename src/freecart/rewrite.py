@@ -12,10 +12,12 @@ post-order walk computes it.  The atomizing-to-product step is only
 permitted on the product-eliminative occurrences (pairing-free subterms
 that are not composition factors), and only while no pairing occurs
 anywhere under a composition (alpha is 0), which is what makes the
-measure work.  While alpha is 0, those occurrences are the leaves of the
-root's pairings: the non-pairing nodes reached through pairings only.
-find_redex and step share one test for the redexes in a window of
-composition factors.
+measure work.  While alpha is 0, those occurrences are the pairing
+leaves: the non-pairing nodes reached from the root through pairings
+only.  find_redex finds the strategy's redex in one preorder scan, and
+step rewrites it along one descent (terms.spine); they share one test
+for the redexes in a window of composition factors and one for
+terminal atomization.
 
 Rewriting is the certifying route: every step is recorded and checked
 to decrease the degree.  It serves `normalize --trace`,
@@ -28,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator
 
 from .errors import InternalError, InvalidRedex
 from .terms import (
@@ -45,8 +46,8 @@ from .terms import (
     Proj2,
     Terminal,
     compose,
-    replace_subterm,
-    subterm_at,
+    rebuild,
+    spine,
     typecheck,
 )
 
@@ -189,82 +190,68 @@ def _window_kinds(factors: tuple[ArrowTerm, ...], i: int) -> tuple[RedexKind, ..
 Redex = tuple[Path, RedexKind]
 
 
-def _window_redex(t: ArrowTerm, path: Path) -> Redex | None:
-    """The strategy's first identity or pairing redex among t's factors."""
-    if isinstance(t, Compose):
-        for i in range(len(t.factors)):
-            if kinds := _window_kinds(t.factors, i):
-                return path + (i,), kinds[0]
-    return None
+def _terminal_redex(t: ArrowTerm) -> bool:
+    """Atomization to the terminal object applies: t maps to T and is no terminal arrow."""
+    return isinstance(t.codomain, Terminal) and not isinstance(t, Bang)
 
 
-def _terminal_redex(t: ArrowTerm, path: Path) -> Redex | None:
-    """Atomization to the terminal object, unless t is a terminal arrow already."""
-    if not isinstance(t, Bang) and isinstance(t.codomain, Terminal):
-        return path, RedexKind.ATOMIZE_TERMINAL
-    return None
-
-
-def _first(
-    t: ArrowTerm, redex_at: Callable[[ArrowTerm, Path], Redex | None], path: Path = ()
-) -> Redex | None:
-    """The first redex that redex_at finds at a node of t, in preorder."""
-    found = redex_at(t, path)
-    if found is None and isinstance(t, (Pair, Compose)):
-        children = (t.first, t.second) if isinstance(t, Pair) else t.factors
-        for i, child in enumerate(children):
-            if (found := _first(child, redex_at, path + (i,))) is not None:
-                break
-    return found
-
-
-def _pairing_leaves(t: ArrowTerm, path: Path = ()) -> Iterator[tuple[Path, ArrowTerm]]:
-    """The non-pairing nodes reached from t through pairings only, in preorder.
-
-    While no pairing occurs under a composition (alpha is 0), these are
-    exactly the product-eliminative occurrences.
-    """
-    if isinstance(t, Pair):
-        yield from _pairing_leaves(t.first, path + (0,))
-        yield from _pairing_leaves(t.second, path + (1,))
-    else:
-        yield path, t
-
-
-def find_redex(t: ArrowTerm, mode: Mode = Mode.CARTESIAN) -> Redex | None:
+def find_redex(t: ArrowTerm) -> Redex | None:
     """The next redex under the fixed strategy, or None on normal forms.
 
-    Identity and pairing redexes are contracted first, then terminal
-    atomizations, and only when no pairing remains under a composition
-    (which the earlier phases guarantee) product atomizations.
+    One preorder scan, from an explicit stack.  The first composition
+    with an identity or pairing redex among its factors gives the
+    strategy's choice at once.  Otherwise the first terminal atomization
+    wins; failing that, and only when no pairing remains under a
+    composition (alpha is 0, which the other kinds guarantee in the
+    end), the first product atomization, at a pairing leaf: a
+    non-pairing node reached from the root through pairings only.
+    Each stack entry carries that "through pairings only" flag.
     """
-    found = _first(t, _window_redex) or _first(t, _terminal_redex)
-    if found is None and not _measure(t)[2]:
-        for path, sub in _pairing_leaves(t):
-            if isinstance(sub.codomain, Product):
-                return path, RedexKind.ATOMIZE_PRODUCT
-    return found
+    terminal = product = None
+    stack: list[tuple[Path, ArrowTerm, bool]] = [((), t, True)]
+    while stack:
+        path, node, through_pairings = stack.pop()
+        if isinstance(node, Pair):
+            stack.append((path + (1,), node.second, through_pairings))
+            stack.append((path + (0,), node.first, through_pairings))
+            continue
+        if isinstance(node, Compose):
+            factors = node.factors
+            for i in range(len(factors)):
+                if kinds := _window_kinds(factors, i):
+                    return path + (i,), kinds[0]
+            for i in reversed(range(len(factors))):
+                stack.append((path + (i,), factors[i], False))
+        if terminal is None and _terminal_redex(node):
+            terminal = path
+        if through_pairings and product is None and isinstance(node.codomain, Product):
+            product = path
+    if terminal is not None:
+        return terminal, RedexKind.ATOMIZE_TERMINAL
+    if product is not None and not _measure(t)[2]:
+        return product, RedexKind.ATOMIZE_PRODUCT
+    return None
 
 
 def step(t: ArrowTerm, path: Path, kind: RedexKind) -> ArrowTerm:
     """Replace the redex at `path` by its contractum, re-flattening.
 
-    Raises IndexError if `path` addresses no subterm, and InvalidRedex
-    if `kind` is not a redex kind at that subterm.
+    One descent (terms.spine) reads the subterm and its parent, and the
+    contractum is rebuilt along it.  Raises IndexError if `path`
+    addresses no subterm, and InvalidRedex if `kind` is not a redex kind
+    at that subterm.
     """
-    sub = subterm_at(t, path)
-    parent = subterm_at(t, path[:-1]) if path else None
+    nodes = spine(t, path)
+    sub = nodes[-1]
     kinds: tuple[RedexKind, ...] = ()
-    if isinstance(parent, Compose):
-        factors, i = parent.factors, path[-1]
+    if path and isinstance(nodes[-2], Compose):
+        factors, i = nodes[-2].factors, path[-1]
         kinds = _window_kinds(factors, i)
-    elif (
-        isinstance(sub.codomain, Product)
-        and not _measure(t)[2]
-        and path in (p for p, _ in _pairing_leaves(t))
-    ):
+    elif isinstance(sub.codomain, Product) and not isinstance(sub, Pair) and not _measure(t)[2]:
+        # With alpha 0 this is a pairing leaf: a composition above the
+        # parent would have a factor with children on the path, a pairing.
         kinds = (RedexKind.ATOMIZE_PRODUCT,)
-    if _terminal_redex(sub, path):
+    if _terminal_redex(sub):
         kinds += (RedexKind.ATOMIZE_TERMINAL,)
     if kind not in kinds:
         name = kind.value if isinstance(kind, RedexKind) else repr(kind)
@@ -272,13 +259,13 @@ def step(t: ArrowTerm, path: Path, kind: RedexKind) -> ArrowTerm:
 
     match kind:
         case RedexKind.ATOMIZE_TERMINAL:
-            return replace_subterm(t, path, Bang(sub.domain))
+            return rebuild(nodes, path, Bang(sub.domain))
         case RedexKind.ATOMIZE_PRODUCT:
             left, right = sub.codomain.left, sub.codomain.right
             expanded = Pair(
                 compose(sub, Proj1(left, right)), compose(sub, Proj2(left, right))
             )
-            return replace_subterm(t, path, expanded)
+            return rebuild(nodes, path, expanded)
         # The rest contract the window factors[lo:hi] of the parent.
         case RedexKind.IDENTITY_LEFT | RedexKind.IDENTITY_RIGHT:
             lo, hi, window = i, i + 1, ()
@@ -290,7 +277,7 @@ def step(t: ArrowTerm, path: Path, kind: RedexKind) -> ArrowTerm:
             h = factors[i - 1]
             pushed = Pair(compose(h, sub.first), compose(h, sub.second))
             lo, hi, window = i - 1, i + 1, (pushed,)
-    return replace_subterm(t, path[:-1], compose(*factors[:lo], *window, *factors[hi:]))
+    return rebuild(nodes[:-1], path[:-1], compose(*factors[:lo], *window, *factors[hi:]))
 
 
 def normalize(t: ArrowTerm, mode: Mode = Mode.CARTESIAN) -> ReductionTrace:
@@ -304,7 +291,7 @@ def normalize(t: ArrowTerm, mode: Mode = Mode.CARTESIAN) -> ReductionTrace:
     steps: list[ReductionStep] = []
     current = t
     current_degree = degree(current)
-    while (found := find_redex(current, mode)) is not None:
+    while (found := find_redex(current)) is not None:
         path, kind = found
         nxt = step(current, path, kind)
         next_degree = degree(nxt)

@@ -23,6 +23,9 @@ fields, and nodes are immutable, so they never go stale.  The map of
 the graph and the termination measure are cached the same way, on first
 use, by graphs.graph_of and rewrite._measure; the graph's letter counts
 are those of the type.
+
+A subterm is addressed by its path of child indices from the root; spine
+states that rule, once, and subterm_at and replace_subterm are built on it.
 """
 
 from __future__ import annotations
@@ -34,8 +37,7 @@ from typing import Iterator
 
 from .errors import ModeViolation, TypeMismatch
 
-# Address of a subterm: child indices from the root (Pair components are
-# 0 and 1, Compose factors are indexed in application order).
+# Address of a subterm: child indices from the root, as spine reads them.
 Path = tuple[int, ...]
 
 _LETTER_NAME = re.compile(r"[a-z][a-z0-9_]*\Z")
@@ -331,55 +333,62 @@ def common_type(f: ArrowTerm, g: ArrowTerm, mode: Mode = Mode.CARTESIAN) -> Arro
 # Subterm addressing
 
 def iter_subterms(t: ArrowTerm, path: Path = ()) -> Iterator[tuple[Path, ArrowTerm]]:
-    """Yield (path, subterm) pairs in preorder."""
-    yield path, t
-    match t:
-        case Pair(first, second):
-            yield from iter_subterms(first, path + (0,))
-            yield from iter_subterms(second, path + (1,))
-        case Compose(factors):
-            for i, f in enumerate(factors):
-                yield from iter_subterms(f, path + (i,))
+    """Yield (path, subterm) pairs in preorder, from an explicit stack."""
+    stack = [(path, t)]
+    while stack:
+        path, t = stack.pop()
+        yield path, t
+        if isinstance(t, Pair):
+            stack.append((path + (1,), t.second))
+            stack.append((path + (0,), t.first))
+        elif isinstance(t, Compose):
+            for i in reversed(range(len(t.factors))):
+                stack.append((path + (i,), t.factors[i]))
+
+
+def spine(t: ArrowTerm, path: Path) -> list[ArrowTerm]:
+    """The nodes from t down to the subterm at `path`, t first.
+
+    This is the addressing rule, stated once: under a pairing the index
+    is 0 or 1, under a composition it is a factor's index (a negative
+    index would count from the end, so it is no address), and any other
+    index, or any index under a leaf, raises IndexError.
+    """
+    nodes = [t]
+    for i in path:
+        if isinstance(t, Pair) and 0 <= i <= 1:
+            t = t.second if i else t.first
+        elif isinstance(t, Compose) and 0 <= i < len(t.factors):
+            t = t.factors[i]
+        else:
+            raise IndexError(f"no subterm at {path}")
+        nodes.append(t)
+    return nodes
+
+
+def rebuild(nodes: list[ArrowTerm], path: Path, new: ArrowTerm) -> ArrowTerm:
+    """The root of `nodes = spine(t, path)`, its last node replaced by `new`.
+
+    Only the spine is rebuilt, bottom-up.  A replacement in a factor
+    position is re-flattened into its composition; one of another type
+    raises TypeMismatch when its parent is rebuilt.
+    """
+    for parent, i in zip(reversed(nodes[:-1]), reversed(path)):
+        if isinstance(parent, Pair):
+            new = Pair(parent.first, new) if i else Pair(new, parent.second)
+        else:
+            factors = parent.factors
+            new = Compose((*factors[:i], new, *factors[i + 1 :]))
+    return new
 
 
 def subterm_at(t: ArrowTerm, path: Path) -> ArrowTerm:
-    node = t
-    for i in path:
-        # A negative index would count from the end: not an address.
-        if i < 0:
-            raise IndexError(f"no subterm at {path}")
-        match node:
-            case Pair(first, second):
-                node = (first, second)[i]
-            case Compose(factors):
-                node = factors[i]
-            case _:
-                raise IndexError(f"no subterm at {path}")
-    return node
+    return spine(t, path)[-1]
 
 
 def replace_subterm(t: ArrowTerm, path: Path, new: ArrowTerm) -> ArrowTerm:
-    """Rebuild a term with the subterm at `path` replaced.
-
-    If the replacement lands in a factor position the surrounding
-    composition is re-flattened.  A replacement of another type raises
-    TypeMismatch when the enclosing node is rebuilt.
-    """
-    if not path:
-        return new
-    i, rest = path[0], path[1:]
-    # The addresses are those of subterm_at: no negative index, 0 or 1
-    # under a pairing, a factor's index under a composition.
-    match t:
-        case Pair(first, second) if i == 0:
-            return Pair(replace_subterm(first, rest, new), second)
-        case Pair(first, second) if i == 1:
-            return Pair(first, replace_subterm(second, rest, new))
-        case Compose(factors) if 0 <= i < len(factors):
-            updated = list(factors)
-            updated[i] = replace_subterm(factors[i], rest, new)
-            return compose(*updated)
-    raise IndexError(f"no subterm at {path}")
+    """Rebuild a term with the subterm at `path` replaced (see rebuild)."""
+    return rebuild(spine(t, path), path, new)
 
 
 # ---------------------------------------------------------------------------

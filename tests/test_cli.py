@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import random
@@ -36,6 +38,33 @@ def test_graph_json(tmp_path, capsys):
         "source_letters": 4,
         "target_letters": 4,
     }
+
+
+class _Terminal(io.StringIO):
+    """A stdout that reports being a terminal."""
+
+    def isatty(self):
+        return True
+
+
+def _stdout_of(argv, stream):
+    with contextlib.redirect_stdout(stream):
+        assert run_cli(argv) == 0
+    return stream.getvalue()
+
+
+def test_terminal_gets_a_summary_line_before_the_json(tmp_path):
+    f = write(tmp_path, "f.term", "p1{p,p}\n")
+    g = write(tmp_path, "g.term", "p2{p,p}\n")
+    for argv, summary in (
+        (["graph", f], "2 source letter(s), 1 target letter(s)"),
+        (["collapse", f, g], "collapse witness on letter 'p' at position 1"),
+    ):
+        plain = _stdout_of(argv, io.StringIO())
+        first, rest = _stdout_of(argv, _Terminal()).split("\n", 1)
+        assert first == summary
+        assert rest == plain
+        json.loads(plain)
 
 
 def test_normalize_with_trace(tmp_path, capsys):

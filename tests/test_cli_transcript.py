@@ -22,7 +22,11 @@ def test_cli_transcript_prints_one_line_per_command():
     lines = done.stdout.splitlines()
     commands = [json.loads(line.split("\t")[0]) for line in lines]
     assert sum("synth" in argv for argv in commands) == 2 * 6000
-    assert {argv[2] for argv in commands} == {"equal", "normalize", "collapse", "synth"}
+    assert {argv[2] for argv in commands} == {
+        "check", "graph", "equal", "normalize", "collapse", "synth"
+    }
+    assert {argv[4] for argv in commands if argv[2] == "equal"} == {"graph", "both"}
+    assert any(argv[2:4] == ["normalize", "--trace"] for argv in commands)
     assert {argv[1] for argv in commands} == {"cartesian", "binary-products"}
     for line in lines:
         _, code, out, err = line.split("\t")

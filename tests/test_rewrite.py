@@ -31,7 +31,9 @@ from freecart import (
     is_normal_form,
     iter_subterms,
     normalize,
+    replace_subterm,
     step,
+    subterm_at,
     typecheck,
 )
 from termgen import mutate_preserving, random_arrow, random_normal_form, random_object
@@ -307,3 +309,165 @@ def test_binary_products_mode_reduction(rng):
     assert is_normal_form(trace.result, Mode.BINARY_PRODUCTS)
     for _, sub in iter_subterms(trace.result):
         assert not isinstance(sub, Bang)
+
+
+# ---------------------------------------------------------------------------
+# Differential checks: the one-scan strategy and the one-descent addressing
+# against references that walk the term recursively, phase by phase
+
+
+def _reference_subterms(t, path=()):
+    yield path, t
+    children = (t.first, t.second) if isinstance(t, Pair) else getattr(t, "factors", ())
+    for i, child in enumerate(children):
+        yield from _reference_subterms(child, path + (i,))
+
+
+def _reference_window_kind(factors, i):
+    """The strategy's redex kind at factor i of a composition, or None."""
+    f = factors[i]
+    after = factors[i + 1] if i + 1 < len(factors) else None
+    if isinstance(f, Identity):
+        return RedexKind.IDENTITY_LEFT if after is None else RedexKind.IDENTITY_RIGHT
+    if isinstance(f, Pair):
+        if isinstance(after, Proj1):
+            return RedexKind.PAIRING_BETA1
+        if isinstance(after, Proj2):
+            return RedexKind.PAIRING_BETA2
+        if i > 0:
+            return RedexKind.DISTR
+    return None
+
+
+def _window_redex(t, path):
+    if isinstance(t, Compose):
+        for i in range(len(t.factors)):
+            if (kind := _reference_window_kind(t.factors, i)) is not None:
+                return path + (i,), kind
+    return None
+
+
+def _terminal_redex(t, path):
+    if not isinstance(t, Bang) and isinstance(t.codomain, Terminal):
+        return path, RedexKind.ATOMIZE_TERMINAL
+    return None
+
+
+def _first(t, redex_at, path=()):
+    """The first redex that redex_at finds at a node of t, in preorder."""
+    found = redex_at(t, path)
+    if found is None and isinstance(t, (Pair, Compose)):
+        children = (t.first, t.second) if isinstance(t, Pair) else t.factors
+        for i, child in enumerate(children):
+            if (found := _first(child, redex_at, path + (i,))) is not None:
+                break
+    return found
+
+
+def _pairing_leaves(t, path=()):
+    """The non-pairing nodes reached from t through pairings only, in preorder."""
+    if isinstance(t, Pair):
+        yield from _pairing_leaves(t.first, path + (0,))
+        yield from _pairing_leaves(t.second, path + (1,))
+    else:
+        yield path, t
+
+
+def _reference_find_redex(t):
+    """The strategy in three phases: windows, then terminals, then products."""
+    found = _first(t, _window_redex) or _first(t, _terminal_redex)
+    if found is None and _reference_degree(t).alpha == 0:
+        for path, sub in _pairing_leaves(t):
+            if isinstance(sub.codomain, Product):
+                return path, RedexKind.ATOMIZE_PRODUCT
+    return found
+
+
+def _reference_valid(t, at, path, kind):
+    """Whether `kind` is a redex kind at `path`, from the rules' side conditions."""
+    sub = at[path]
+    if kind is RedexKind.ATOMIZE_TERMINAL:
+        return _terminal_redex(sub, path) is not None
+    if kind is RedexKind.ATOMIZE_PRODUCT:
+        return (
+            not isinstance(sub, Pair)
+            and isinstance(sub.codomain, Product)
+            and all(isinstance(at[path[:k]], Pair) for k in range(len(path)))
+            and _reference_degree(t).alpha == 0
+        )
+    if not path or not isinstance(at[path[:-1]], Compose):
+        return False
+    factors, i = at[path[:-1]].factors, path[-1]
+    after = factors[i + 1] if i + 1 < len(factors) else None
+    match kind:
+        case RedexKind.IDENTITY_LEFT | RedexKind.IDENTITY_RIGHT:
+            return isinstance(sub, Identity)
+        case RedexKind.PAIRING_BETA1:
+            return isinstance(sub, Pair) and isinstance(after, Proj1)
+        case RedexKind.PAIRING_BETA2:
+            return isinstance(sub, Pair) and isinstance(after, Proj2)
+    return isinstance(sub, Pair) and i > 0  # DISTR
+
+
+def _bad_paths(t):
+    """Paths that address nothing, one kind of mistake at every subterm."""
+    for path, sub in _reference_subterms(t):
+        yield path + (-1,)
+        if isinstance(sub, Pair):
+            yield path + (2,)
+        elif isinstance(sub, Compose):
+            yield path + (len(sub.factors),)
+        else:
+            yield path + (0,)
+
+
+def _every_state(rng, mode):
+    """A random term, a mutation of it, and every state of both traces."""
+    t = random_arrow(rng, mode=mode, depth=3)
+    states = []
+    for u in (t, mutate_preserving(rng, t, mode=mode, rounds=2)):
+        states += [u] + [s.after for s in normalize(u, mode).steps]
+    return states
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_find_redex_matches_the_three_phase_search(mode, rng):
+    for t in _every_state(rng, mode):
+        assert find_redex(t) == _reference_find_redex(t)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_step_accepts_exactly_the_valid_redexes(mode, rng):
+    for t in _every_state(rng, mode):
+        at = dict(_reference_subterms(t))
+        for path in at:
+            for kind in RedexKind:
+                try:
+                    step(t, path, kind)
+                    accepted = True
+                except InvalidRedex:
+                    accepted = False
+                assert accepted == _reference_valid(t, at, path, kind), (kind, path)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_addressing_matches_a_recursive_walk(mode, rng):
+    for t in _every_state(rng, mode):
+        assert list(iter_subterms(t)) == list(_reference_subterms(t))
+        for path, sub in _reference_subterms(t):
+            assert subterm_at(t, path) is sub
+            assert replace_subterm(t, path, sub) == t
+        for path in _bad_paths(t):
+            with pytest.raises(IndexError):
+                subterm_at(t, path)
+            with pytest.raises(IndexError):
+                replace_subterm(t, path, t)
+            for kind in RedexKind:
+                with pytest.raises(IndexError):
+                    step(t, path, kind)

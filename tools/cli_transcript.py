@@ -3,7 +3,8 @@
     python3 tools/cli_transcript.py SRC SEED [SEED ...]
 
 For each seed, every query of both benchmark corpora (read from
-bench/workloads.py) and SYNTH_COMMANDS seeded `synth` commands per mode
+bench/workloads.py), the other subcommands on the same term files (see
+corpus_commands) and SYNTH_COMMANDS seeded `synth` commands per mode
 are run in process against the package in the directory SRC.  One line
 is printed per command: the argv as JSON, the exit code, and the sha256
 of stdout and of stderr, separated by tabs.  Term files are written to a
@@ -79,7 +80,12 @@ def synth_commands(seed: int) -> list[list[str]]:
 
 
 def corpus_commands(seed: int) -> list[list[str]]:
-    """The benchmark queries of one seed, their term files written to the working directory."""
+    """The benchmark queries of one seed, their term files written to the working directory.
+
+    Each query is followed by `check`, `graph` and `normalize --trace`
+    on each of its terms (a traced query runs that already), and a
+    two-term query by `equal --method both` on its pair.
+    """
     commands = []
     for workload in WORKLOADS:
         for i, query in enumerate(build(workload, seed)):
@@ -89,6 +95,13 @@ def corpus_commands(seed: int) -> list[list[str]]:
                 Path(name).write_text(term + "\n", encoding="utf-8")
                 files.append(name)
             commands.append(query.command(files))
+            head = ["--mode", query.mode]
+            for name in files:
+                commands += [head + ["check", name], head + ["graph", name]]
+                if query.kind != "trace":
+                    commands.append(head + ["normalize", "--trace", name])
+            if len(files) == 2:
+                commands.append(head + ["equal", "--method", "both", *files])
     return commands
 
 
