@@ -196,23 +196,22 @@ def _dispatch(args, mode: Mode) -> int:
         )
         return 0
 
-    if args.command == "synth":
-        dom = parse_object(args.dom)
-        cod = parse_object(args.cod)
-        try:
-            positions = json.loads(args.map)
-        except json.JSONDecodeError as exc:
-            raise FreecartError(f"map is not valid JSON: {exc}") from exc
-        shape = {"source_letters": dom.letters, "target_letters": cod.letters}
-        try:
-            g = graph_from_json_dict({**shape, "map": positions})
-        except ValueError as exc:
-            raise FreecartError(str(exc)) from exc
-        term = synth_from_graph(dom, cod, g, mode)
-        print(print_arrow(term))
-        return 0
-
-    raise FreecartError(f"unknown command {args.command!r}")
+    # synth: the subparsers are required, so no other command is left.
+    dom = parse_object(args.dom)
+    cod = parse_object(args.cod)
+    try:
+        positions = json.loads(args.map)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # Nesting too deep for the decoder is malformed input too.
+        raise FreecartError(f"map is not valid JSON: {exc}") from exc
+    shape = {"source_letters": dom.letters, "target_letters": cod.letters}
+    try:
+        g = graph_from_json_dict({**shape, "map": positions})
+    except ValueError as exc:
+        raise FreecartError(str(exc)) from exc
+    term = synth_from_graph(dom, cod, g, mode)
+    print(print_arrow(term))
+    return 0
 
 
 def main() -> None:

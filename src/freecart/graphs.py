@@ -6,21 +6,19 @@ the term.  Two arrows of the free cartesian category are equal exactly
 when their graphs agree, which makes graphs the cheap side of the
 equality decision procedure.
 
-A node caches only its map.  The letter counts come from its type, and
-typed construction already guarantees that the map fits them, so the
-maps of a term are composed as plain tuples.  The Graph constructor
-validates, for the graphs that come in from callers and from JSON.
+A term's graph is read off its root: each node's constructor sets its
+map, a plain tuple, from its children's (terms.ArrowTerm), and the letter
+counts come from its type.  Typed construction already guarantees that
+the map fits them; the Graph constructor validates, for the graphs that
+come in from callers and from JSON.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 from .errors import ArityMismatch
-from .terms import ArrowTerm, Bang, Compose, Identity, Pair, Proj1, Proj2
-
-Map = tuple[int, ...]
+from .terms import ArrowTerm, Map, _arrows, _chase
 
 
 @dataclass(frozen=True)
@@ -47,15 +45,6 @@ def graph_identity(n: int) -> Graph:
     return Graph(n, n, tuple(range(1, n + 1)))
 
 
-def _chase(first: Map, second: Map) -> Map:
-    """The map of a composite, `first` being the first-applied factor's.
-
-    Positions chase through the later factor first: i goes to
-    first[second[i]].
-    """
-    return tuple(first[j - 1] for j in second)
-
-
 def graph_compose(first: Graph, second: Graph) -> Graph:
     """Graph of a composite, `first` being the first-applied factor."""
     if first.target_letters != second.source_letters:
@@ -69,41 +58,9 @@ def graph_compose(first: Graph, second: Graph) -> Graph:
 
 
 def graph_of(t: ArrowTerm) -> Graph:
-    """Graph of an arrow term: its type's letter counts and its map.
-
-    The map is cached in the node's `__dict__` on first use.  Nodes are
-    immutable, so a cached map never goes stale; a term rebuilt by a
-    rewriting step, or composed into a larger term, keeps the maps of
-    the subterms it shares with the old one.
-    """
-    m = _map_of(t)  # first: a non-term raises TypeError here
-    return Graph(t.domain.letters, t.codomain.letters, m)
-
-
-def _map_of(t: ArrowTerm) -> Map:
-    m = getattr(t, "__dict__", {}).get("_map")
-    if m is None:
-        m = t.__dict__["_map"] = _graph_node(t)
-    return m
-
-
-def _graph_node(t: ArrowTerm) -> Map:
-    """The map of t, from the maps of its children."""
-    match t:
-        case Identity(obj):
-            return tuple(range(1, obj.letters + 1))
-        case Proj1(left, _):
-            return tuple(range(1, left.letters + 1))
-        case Proj2(left, right):
-            nl = left.letters
-            return tuple(range(nl + 1, nl + right.letters + 1))
-        case Bang(_):
-            return ()
-        case Pair(first, second):
-            return _map_of(first) + _map_of(second)
-        case Compose(factors):
-            return reduce(_chase, map(_map_of, factors))
-    raise TypeError(f"not an arrow term: {t!r}")
+    """Graph of an arrow term: its type's letter counts and its map."""
+    _arrows(t)
+    return Graph(t.domain.letters, t.codomain.letters, t.map)
 
 
 def graph_to_json_dict(g: Graph) -> dict:

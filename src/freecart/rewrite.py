@@ -7,17 +7,19 @@ compositions against pairings, and finally atomizes terms whose
 codomain is still a product or the terminal object.
 
 Termination is measured by a triple (alpha, beta, gamma) compared
-lexicographically; every permitted step strictly decreases it, and one
-post-order walk computes it.  The atomizing-to-product step is only
-permitted on the product-eliminative occurrences (pairing-free subterms
-that are not composition factors), and only while no pairing occurs
-anywhere under a composition (alpha is 0), which is what makes the
-measure work.  While alpha is 0, those occurrences are the pairing
-leaves: the non-pairing nodes reached from the root through pairings
-only.  find_redex finds the strategy's redex in one preorder scan, and
-step rewrites it along one descent (terms.spine); they share one test
-for the redexes in a window of composition factors and one for
-terminal atomization.
+lexicographically; every permitted step strictly decreases it.  degree
+reads it off the root's `measure`, which each node's constructor sets
+from its children's (terms.ArrowTerm), so a step computes it only for
+the nodes it rebuilds.  The atomizing-to-product step is only permitted
+on the product-eliminative occurrences (pairing-free subterms that are
+not composition factors), and only while no pairing occurs anywhere
+under a composition (alpha is 0), which is what makes the measure work.
+While alpha is 0, those occurrences are the pairing leaves: the
+non-pairing nodes reached from the root through pairings only.
+find_redex finds the strategy's redex in one preorder scan, and step
+rewrites it along one descent (terms.spine); they share one test for
+the redexes in a window of composition factors and one for terminal
+atomization.
 
 Rewriting is the certifying route: every step is recorded and checked
 to decrease the degree.  It serves `normalize --trace`,
@@ -45,6 +47,7 @@ from .terms import (
     Proj1,
     Proj2,
     Terminal,
+    _arrows,
     compose,
     rebuild,
     spine,
@@ -117,52 +120,10 @@ def is_normal_form(t: ArrowTerm, mode: Mode = Mode.CARTESIAN) -> bool:
 # ---------------------------------------------------------------------------
 # The termination measure
 
-def _measure(t: ArrowTerm) -> tuple[int, bool, bool, int]:
-    """(gamma, pairing occurs, pairing occurs under a composition, beta) of t.
-
-    beta is that of t standing alone: a pairing-free node counts its
-    target length, and nothing inside it counts again.  As a composition
-    factor, a pairing-free node counts nothing, so a factor's beta is its
-    own if a pairing occurs in it and 0 otherwise.
-
-    The tuple is cached in the node's `__dict__`.  Nodes are immutable,
-    so a cached tuple never goes stale; and replace_subterm rebuilds only
-    the spine above a rewritten subterm, so measuring the term after a
-    step walks only that spine.
-    """
-    measure = getattr(t, "__dict__", {}).get("_measure")
-    if measure is None:
-        measure = t.__dict__["_measure"] = _measure_node(t)
-    return measure
-
-
-def _measure_node(t: ArrowTerm) -> tuple[int, bool, bool, int]:
-    """_measure of t, from the measures of its children."""
-    match t:
-        case Pair(first, second):
-            g1, _, u1, b1 = _measure(first)
-            g2, _, u2, b2 = _measure(second)
-            return g1 + g2 + 1, True, u1 or u2, b1 + b2
-        case Compose(factors):
-            gamma, pair, beta = 1, False, 0
-            for f in factors:
-                g, p, _, b = _measure(f)
-                gamma, pair, beta = gamma * g, pair or p, beta + (b if p else 0)
-            if pair:
-                # A pairing in a factor is a pairing under this composition.
-                return gamma, True, True, beta
-        case Bang(_):
-            gamma = 2
-        case Identity(_) | Proj1(_, _) | Proj2(_, _):
-            gamma = 3
-        case _:
-            raise TypeError(f"not an arrow term: {t!r}")
-    return gamma, False, False, t.codomain.symbols
-
-
 def degree(t: ArrowTerm) -> Degree:
     """alpha is gamma if a pairing occurs under a composition, else 0."""
-    gamma, _, pair_under_composition, beta = _measure(t)
+    _arrows(t)
+    gamma, _, pair_under_composition, beta = t.measure
     return Degree(gamma if pair_under_composition else 0, beta, gamma)
 
 
@@ -228,7 +189,7 @@ def find_redex(t: ArrowTerm) -> Redex | None:
             product = path
     if terminal is not None:
         return terminal, RedexKind.ATOMIZE_TERMINAL
-    if product is not None and not _measure(t)[2]:
+    if product is not None and not t.measure[2]:
         return product, RedexKind.ATOMIZE_PRODUCT
     return None
 
@@ -247,7 +208,7 @@ def step(t: ArrowTerm, path: Path, kind: RedexKind) -> ArrowTerm:
     if path and isinstance(nodes[-2], Compose):
         factors, i = nodes[-2].factors, path[-1]
         kinds = _window_kinds(factors, i)
-    elif isinstance(sub.codomain, Product) and not isinstance(sub, Pair) and not _measure(t)[2]:
+    elif isinstance(sub.codomain, Product) and not isinstance(sub, Pair) and not t.measure[2]:
         # With alpha 0 this is a pairing leaf: a composition above the
         # parent would have a factor with children on the path, a pairing.
         kinds = (RedexKind.ATOMIZE_PRODUCT,)

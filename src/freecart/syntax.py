@@ -65,16 +65,15 @@ class Diagnostic:
     span: tuple[int, int]
     message: str
 
-    def render(self, origin: str = "<input>") -> str:
+    def render(self) -> str:
         lo, hi = self.span
-        return f"{origin}:{lo}-{hi}: {self.severity}: {self.message}"
+        return f"<input>:{lo}-{hi}: {self.severity}: {self.message}"
 
 
 class ParseError(FreecartError):
-    def __init__(self, diagnostic: Diagnostic, origin: str = "<input>"):
+    def __init__(self, diagnostic: Diagnostic):
         super().__init__(diagnostic.message)
         self.diagnostic = diagnostic
-        self.origin = origin
 
 
 # The arrows written name{objects}, primitives and macros: what builds

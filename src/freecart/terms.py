@@ -12,17 +12,17 @@ raises TypeMismatch, so an ill-typed term cannot be built.  The typing
 rules therefore live in the constructors; typecheck reads the type off
 the term and adds only the check of the binary-products fragment.
 
-Beside its type, every node carries synthesized attributes, computed
-from its children's when it is built (Knuth, "Semantics of context-free
-languages", 1968).  An object knows its letter count `letters`, its
-symbol count `symbols` and whether it contains the terminal object
-(`has_terminal`); an arrow knows whether it is `terminal_free`: no
-terminal arrow, and no terminal object in the object of an identity or
-a projection.  Like the type, they are plain attributes, not dataclass
-fields, and nodes are immutable, so they never go stale.  The map of
-the graph and the termination measure are cached the same way, on first
-use, by graphs.graph_of and rewrite._measure; the graph's letter counts
-are those of the type.
+Every node attribute follows one rule: the node's constructor sets it
+from its children's attributes, when the node is built (Knuth,
+"Semantics of context-free languages", 1968).  An object knows its
+letter count `letters`, its symbol count `symbols` and whether it
+contains the terminal object (`has_terminal`).  An arrow knows, beside
+its type, whether it is `terminal_free` (no terminal arrow, and no
+terminal object in the object of an identity or a projection), the
+`map` of its graph (graphs.graph_of adds the type's letter counts) and
+the termination `measure` that rewrite.degree reads.  They are plain
+attributes, not dataclass fields, and nodes are immutable, so they
+never go stale, and reading one never walks the term.
 
 A subterm is addressed by its path of child indices from the root; spine
 states that rule, once, and subterm_at and replace_subterm are built on it.
@@ -39,6 +39,9 @@ from .errors import ModeViolation, TypeMismatch
 
 # Address of a subterm: child indices from the root, as spine reads them.
 Path = tuple[int, ...]
+
+# A graph's map: entry i - 1 is the domain position of codomain letter i.
+Map = tuple[int, ...]
 
 _LETTER_NAME = re.compile(r"[a-z][a-z0-9_]*\Z")
 
@@ -117,25 +120,60 @@ class Product(ObjectExpr):
 class ArrowTerm:
     """Base class of arrow terms.
 
-    Every node carries `domain`, `codomain` and `terminal_free`, set once
-    by its constructor.  They are plain attributes, not dataclass fields,
-    so equality, hashing, repr and match patterns see only the fields.
+    Every node carries `domain`, `codomain`, `terminal_free`, `map` and
+    `measure`, set once by its constructor through _typed.  They are
+    plain attributes, not dataclass fields, so equality, hashing, repr
+    and match patterns see only the fields.
+
+    `measure` is (gamma, whether a pairing occurs, whether one occurs
+    under a composition, beta), from which rewrite.degree builds the
+    termination degree.  beta is that of the node standing alone: a
+    pairing-free node counts its target length, and nothing inside it
+    counts again.
     """
 
     domain: ObjectExpr
     codomain: ObjectExpr
     terminal_free: bool
+    map: Map
+    measure: tuple[int, bool, bool, int]
 
-    def _typed(self, domain: ObjectExpr, codomain: ObjectExpr, terminal_free: bool) -> None:
+    def _typed(self, domain, codomain, terminal_free, map, measure) -> None:
         attributes = self.__dict__
         attributes["domain"] = domain
         attributes["codomain"] = codomain
         attributes["terminal_free"] = terminal_free
+        attributes["map"] = map
+        attributes["measure"] = measure
+
+    def _primitive(self, domain: ObjectExpr, codomain: ObjectExpr, first: int, gamma=3) -> None:
+        """_typed for an identity, a projection or a terminal arrow.
+
+        The codomain's letters come, in order, from the domain's letters
+        at `first` on.  The arrow is terminal-free when neither object
+        holds T, and being pairing-free it counts its target length.
+        """
+        self._typed(
+            domain,
+            codomain,
+            not (domain.has_terminal or codomain.has_terminal),
+            tuple(range(first, first + codomain.letters)),
+            (gamma, False, False, codomain.symbols),
+        )
 
     def __str__(self):
         from .syntax import print_arrow
 
         return print_arrow(self)
+
+
+def _chase(first: Map, second: Map) -> Map:
+    """The map of a composite, `first` being the first-applied factor's.
+
+    Positions chase through the later factor first: i goes to
+    first[second[i]].
+    """
+    return tuple([first[j - 1] for j in second])
 
 
 def _arrows(*ts: ArrowTerm) -> None:
@@ -150,7 +188,7 @@ class Identity(ArrowTerm):
 
     def __post_init__(self):
         _objects(self.obj)
-        self._typed(self.obj, self.obj, not self.obj.has_terminal)
+        self._primitive(self.obj, self.obj, 1)
 
 
 @dataclass(frozen=True)
@@ -159,8 +197,7 @@ class Proj1(ArrowTerm):
     right: ObjectExpr
 
     def __post_init__(self):
-        dom = Product(self.left, self.right)
-        self._typed(dom, self.left, not dom.has_terminal)
+        self._primitive(Product(self.left, self.right), self.left, 1)
 
 
 @dataclass(frozen=True)
@@ -169,8 +206,7 @@ class Proj2(ArrowTerm):
     right: ObjectExpr
 
     def __post_init__(self):
-        dom = Product(self.left, self.right)
-        self._typed(dom, self.right, not dom.has_terminal)
+        self._primitive(Product(self.left, self.right), self.right, self.left.letters + 1)
 
 
 @dataclass(frozen=True)
@@ -181,7 +217,7 @@ class Bang(ArrowTerm):
 
     def __post_init__(self):
         _objects(self.obj)
-        self._typed(self.obj, Terminal(), False)
+        self._primitive(self.obj, Terminal(), 1, gamma=2)
 
 
 @dataclass(frozen=True)
@@ -190,16 +226,21 @@ class Pair(ArrowTerm):
     second: ArrowTerm
 
     def __post_init__(self):
-        _arrows(self.first, self.second)
-        dom = self.first.domain
-        if dom != self.second.domain:
+        first, second = self.first, self.second
+        _arrows(first, second)
+        dom = first.domain
+        if dom != second.domain:
             raise TypeMismatch(
-                f"pair components must share a domain: {dom} vs {self.second.domain}"
+                f"pair components must share a domain: {dom} vs {second.domain}"
             )
+        g1, _, u1, b1 = first.measure
+        g2, _, u2, b2 = second.measure
         self._typed(
             dom,
-            Product(self.first.codomain, self.second.codomain),
-            self.first.terminal_free and self.second.terminal_free,
+            Product(first.codomain, second.codomain),
+            first.terminal_free and second.terminal_free,
+            first.map + second.map,
+            (g1 + g2 + 1, True, u1 or u2, b1 + b2),
         )
 
 
@@ -211,32 +252,52 @@ class Compose(ArrowTerm):
     fewer than two entries is rejected, so a Compose node never contains
     another Compose and never degenerates to a single arrow.  Each
     factor's domain must be its predecessor's codomain; the path of the
-    TypeMismatch raised otherwise is the index of the factor.
+    TypeMismatch raised otherwise is the index of the factor.  A nested
+    composition was checked when it was built, so only the seams between
+    the given factors are checked, and its map and measure stand for its
+    factors'.
     """
 
     factors: tuple[ArrowTerm, ...]
 
     def __post_init__(self):
+        _arrows(*self.factors)
         flat: list[ArrowTerm] = []
-        terminal_free = True
+        terminal_free, gamma, pairing, beta = True, 1, False, 0
         for f in self.factors:
+            if not flat:
+                chased = f.map
+            # Objects are often shared (a parse shares equal ones), and
+            # `is` costs far less than the dataclass `==`.
+            elif flat[-1].codomain is not f.domain and flat[-1].codomain != f.domain:
+                i = len(flat)
+                raise TypeMismatch(
+                    f"composition factor {i} expects domain "
+                    f"{flat[-1].codomain} but has {f.domain}",
+                    (i,),
+                )
+            else:
+                chased = _chase(chased, f.map)
             if isinstance(f, Compose):
                 flat.extend(f.factors)
             else:
-                _arrows(f)
                 flat.append(f)
             terminal_free = terminal_free and f.terminal_free
+            g, p, _, b = f.measure
+            gamma *= g
+            # As a factor, a pairing-free node counts nothing toward beta,
+            # and a pairing in a factor is a pairing under this composition.
+            if p:
+                pairing, beta = True, beta + b
         if len(flat) < 2:
             raise ValueError("composition needs at least two factors")
-        for i in range(1, len(flat)):
-            if flat[i - 1].codomain != flat[i].domain:
-                raise TypeMismatch(
-                    f"composition factor {i} expects domain "
-                    f"{flat[i - 1].codomain} but has {flat[i].domain}",
-                    (i,),
-                )
         object.__setattr__(self, "factors", tuple(flat))
-        self._typed(flat[0].domain, flat[-1].codomain, terminal_free)
+        codomain = flat[-1].codomain
+        if not pairing:
+            beta = codomain.symbols
+        self._typed(
+            flat[0].domain, codomain, terminal_free, chased, (gamma, pairing, pairing, beta)
+        )
 
 
 def compose(*factors: ArrowTerm) -> ArrowTerm:

@@ -1,9 +1,9 @@
-"""Synthesized attributes and caches against their definitions.
+"""Synthesized attributes against their definitions.
 
 Objects carry their letter count, symbol count and whether they contain
-T; arrows carry whether they are terminal-free; graph_of and
-rewrite._measure cache their results on the node.  Every reference
-below is recomputed from the node's fields and never reads any of them.
+T; arrows carry whether they are terminal-free, their graph's map and
+their termination measure.  Every reference below is recomputed from
+the node's fields and never reads any of them.
 """
 
 import math
@@ -12,9 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import freecart.graphs
-import freecart.rewrite
 from freecart import (
+    ArrowTerm,
     Bang,
     Compose,
     Graph,
@@ -39,7 +38,6 @@ from freecart import (
     subterm_at,
     typecheck,
 )
-from freecart.rewrite import _measure
 from termgen import LETTERS, mutate_preserving, random_arrow
 
 T = Terminal()
@@ -148,7 +146,7 @@ def _gamma(t):
 
 
 def _reference_measure(t, factor):
-    """_measure's tuple from its definition, t being a factor or not."""
+    """The measure tuple from its definition, t being a factor or not."""
     at = dict(iter_subterms(t))
 
     def pairing_free(u):
@@ -177,17 +175,13 @@ def _states(rng, mode):
 
 
 # ---------------------------------------------------------------------------
-# Every cached value equals its definition
+# Every attribute equals its definition
 
 @pytest.mark.parametrize("mode", list(Mode))
 @given(st.randoms(use_true_random=False))
 @settings(max_examples=40, deadline=None)
 def test_cached_attributes_match_their_definitions(mode, rng):
     for t in _states(rng, mode):
-        # Fill the caches from the root first, so the subterms below are
-        # read back from them rather than computed afresh.
-        degree(t)
-        graph_of(t)
         for _, sub in iter_subterms(t):
             for a in {id(o): o for top in (sub.domain, sub.codomain, *_leaf_objects(sub))
                       for o in _sub_objects(top)}.values():
@@ -195,14 +189,14 @@ def test_cached_attributes_match_their_definitions(mode, rng):
                     _letters(a), _symbols(a), _has_t(a))
             assert sub.terminal_free == _terminal_free(sub)
             assert graph_of(sub) == Graph(*_graph(sub))
-            gamma, pair, under, beta = _measure(sub)
+            gamma, pair, under, beta = sub.measure
             assert (gamma, pair, under, beta) == _reference_measure(sub, False)
             # As a factor, a pairing-free node counts nothing.
             assert (gamma, pair, under, beta if pair else 0) == _reference_measure(sub, True)
 
 
 # ---------------------------------------------------------------------------
-# A step rebuilds only its spine, so the caches off it survive
+# A step rebuilds only its spine, so the nodes off it are kept
 
 _WINDOW = {
     RedexKind.IDENTITY_LEFT: (0, 1),
@@ -213,15 +207,15 @@ _WINDOW = {
 }
 
 
-def _counting(monkeypatch, module, name):
+def _counting(monkeypatch, owner, name):
     calls = []
-    original = getattr(module, name)
+    original = getattr(owner, name)
 
     def counted(*args):
         calls.append(args[0])
         return original(*args)
 
-    monkeypatch.setattr(module, name, counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 
@@ -230,14 +224,13 @@ def _counting(monkeypatch, module, name):
 @settings(max_examples=40, deadline=None)
 def test_a_step_keeps_every_subterm_off_its_spine(mode, rng):
     with pytest.MonkeyPatch.context() as monkeypatch:
-        measured = _counting(monkeypatch, freecart.rewrite, "_measure_node")
-        graphed = _counting(monkeypatch, freecart.graphs, "_graph_node")
+        # Every arrow attribute is set through this one method.
+        typed = _counting(monkeypatch, ArrowTerm, "_typed")
         for t in _states(rng, mode)[:3]:
-            degree(t)
-            graph_of(t)
             old = {id(sub) for _, sub in iter_subterms(t)}
             for path, _ in iter_subterms(t):
                 for kind in RedexKind:
+                    typed.clear()
                     try:
                         after = step(t, path, kind)
                     except InvalidRedex:
@@ -256,14 +249,14 @@ def test_a_step_keeps_every_subterm_off_its_spine(mode, rng):
                         assert all(a is b for a, b in zip(result, factors[:lo]))
                         kept = factors[hi:]
                         assert all(a is b for a, b in zip(result[::-1], kept[::-1]))
-                    # Measuring and graphing the result computes only its new nodes.
-                    fresh = sum(id(sub) not in old for _, sub in iter_subterms(after))
-                    measured.clear()
-                    graphed.clear()
+                    # The step set the attributes of its new nodes, and
+                    # measuring and graphing the result sets none.
+                    fresh = {id(sub) for _, sub in iter_subterms(after)} - old
+                    assert fresh <= {id(node) for node in typed}
+                    typed.clear()
                     degree(after)
                     graph_of(after)
-                    assert len(graphed) <= fresh
-                    assert len(measured) <= fresh
+                    assert typed == []
 
 
 # ---------------------------------------------------------------------------

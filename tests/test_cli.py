@@ -135,6 +135,10 @@ def test_synth_rejects_bad_graphs(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli(["synth", "p*q", "p", "not json"]) == 2
     capsys.readouterr()
+    # Nesting too deep for the JSON decoder is a malformed map, not an
+    # internal error.
+    assert run_cli(["synth", "p", "p", "[" * 20000 + "]" * 20000]) == 2
+    assert capsys.readouterr().err.startswith("error: map is not valid JSON: ")
     assert run_cli(["synth", "p", "p", "[true]"]) == 2
     assert "map must be a JSON list of integers" in capsys.readouterr().err
     # The check that graphs coming in as JSON get, with the same bytes.
