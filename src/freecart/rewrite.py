@@ -47,7 +47,9 @@ from .terms import (
     Proj1,
     Proj2,
     Terminal,
+    _Link,
     _arrows,
+    _unlink,
     compose,
     rebuild,
     spine,
@@ -159,38 +161,39 @@ def _terminal_redex(t: ArrowTerm) -> bool:
 def find_redex(t: ArrowTerm) -> Redex | None:
     """The next redex under the fixed strategy, or None on normal forms.
 
-    One preorder scan, from an explicit stack.  The first composition
-    with an identity or pairing redex among its factors gives the
-    strategy's choice at once.  Otherwise the first terminal atomization
-    wins; failing that, and only when no pairing remains under a
-    composition (alpha is 0, which the other kinds guarantee in the
-    end), the first product atomization, at a pairing leaf: a
+    One preorder scan, from an explicit stack of linked paths
+    (terms._Link), so that only the path returned is built.  The first
+    composition with an identity or pairing redex among its factors
+    gives the strategy's choice at once.  Otherwise the first terminal
+    atomization wins; failing that, and only when no pairing remains
+    under a composition (alpha is 0, which the other kinds guarantee in
+    the end), the first product atomization, at a pairing leaf: a
     non-pairing node reached from the root through pairings only.
     Each stack entry carries that "through pairings only" flag.
     """
     terminal = product = None
-    stack: list[tuple[Path, ArrowTerm, bool]] = [((), t, True)]
+    stack: list[tuple[_Link, ArrowTerm, bool]] = [((), t, True)]
     while stack:
-        path, node, through_pairings = stack.pop()
+        link, node, through_pairings = stack.pop()
         if isinstance(node, Pair):
-            stack.append((path + (1,), node.second, through_pairings))
-            stack.append((path + (0,), node.first, through_pairings))
+            stack.append(((link, 1), node.second, through_pairings))
+            stack.append(((link, 0), node.first, through_pairings))
             continue
         if isinstance(node, Compose):
             factors = node.factors
             for i in range(len(factors)):
                 if kinds := _window_kinds(factors, i):
-                    return path + (i,), kinds[0]
+                    return _unlink((link, i)), kinds[0]
             for i in reversed(range(len(factors))):
-                stack.append((path + (i,), factors[i], False))
+                stack.append(((link, i), factors[i], False))
         if terminal is None and _terminal_redex(node):
-            terminal = path
+            terminal = link
         if through_pairings and product is None and isinstance(node.codomain, Product):
-            product = path
+            product = link
     if terminal is not None:
-        return terminal, RedexKind.ATOMIZE_TERMINAL
+        return _unlink(terminal), RedexKind.ATOMIZE_TERMINAL
     if product is not None and not t.measure[2]:
-        return product, RedexKind.ATOMIZE_PRODUCT
+        return _unlink(product), RedexKind.ATOMIZE_PRODUCT
     return None
 
 

@@ -24,12 +24,17 @@ whose parts do not fit is reported as soon as it is read, before any
 later syntax error and before the check of the mode, which runs on the
 whole arrow once it has been read.
 
-A text is scanned once, by one regular expression, into plain
-(kind, text, start, end) tuples; an unexpected character is reported
-before any syntax error.  Objects are shared within a parse: each letter
-name is built once, and each product once per pair of parts, so the
-equal objects of one term are one object and an equality test between
-them stops at the first shared part.
+A text is read as plain token strings: one regular-expression match
+finds the first unexpected character, which is reported before any
+syntax error, and `findall` then yields the token texts, which the
+parser compares.  Tokens carry no spans.  A diagnostic recomputes them:
+it rescans the text into (kind, text, start, end) tuples, which drop
+the same spaces and comments, so its token k is the parser's token k.
+Objects are shared within a parse: each letter name is built once, and
+each product once per pair of parts, so the equal objects of one term
+are one object and an equality test between them stops at the first
+shared part.  The printers write from explicit stacks, so they have no
+depth limit.
 """
 
 from __future__ import annotations
@@ -53,7 +58,6 @@ from .terms import (
     Proj1,
     Proj2,
     Terminal,
-    compose,
     product_of_arrows,
     typecheck,
 )
@@ -87,12 +91,20 @@ _BRACED = {"id": (Identity, 1), "p1": (Proj1, 2), "p2": (Proj2, 2), "bang": (Ban
 _SCAN = re.compile(r"[a-z][a-z0-9_]*|[{}()<>,.*×T]|\s+|#[^\n]*|.", re.DOTALL)
 _SYMBOLS = {c: (c, c) for c in "{}()<>,.*"} | {"×": ("*", "*"), "T": ("terminal", "T")}
 
-# A token is (kind, text, start, end); kind is "ident", "terminal", a
-# symbol, or "eof".
+# The longest prefix that _SCAN tiles without an unexpected character:
+# the same alternatives, taken in the same order, so it ends exactly where
+# _SCAN's first unexpected character starts.
+_VALID = re.compile(r"(?:[a-z][a-z0-9_]*|[{}()<>,.*×T]|\s+|#[^\n]*)*")
+_COMMENT = re.compile(r"#[^\n]*")
+_TOKEN = re.compile(r"[a-z][a-z0-9_]*|[{}()<>,.*T]")
+
+# A token with its span is (kind, text, start, end); kind is "ident",
+# "terminal", a symbol, or "eof".
 _Token = tuple[str, str, int, int]
 
 
 def _tokenize(text: str) -> list[_Token]:
+    """The tokens of a text with their kinds and spans, for diagnostics."""
     tokens: list[_Token] = []
     append = tokens.append
     i = 0
@@ -110,36 +122,57 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-class _Parser:
-    """Recursive descent over the tokens of one text, sharing its objects.
+def _tokens(text: str) -> list[str]:
+    """The token texts of a text, "" standing for its end.
 
-    Products are keyed by the ids of their parts, which the stored
-    products keep alive for the whole parse.
+    They are the texts of _tokenize's tokens, found without spans: once
+    the text is known to hold no unexpected character, dropping its
+    comments and reading the product sign as "*" leaves only the tokens
+    and the space between them.
+    """
+    i = _VALID.match(text).end()
+    if i < len(text):
+        raise ParseError(Diagnostic("error", (i, i + 1), f"unexpected character {text[i]!r}"))
+    if "#" in text:
+        text = _COMMENT.sub("", text)
+    if "×" in text:
+        text = text.replace("×", "*")
+    tokens = _TOKEN.findall(text)
+    tokens.append("")
+    return tokens
+
+
+class _Parser:
+    """Recursive descent over the token texts of one text, sharing its objects.
+
+    The tokens are kept reversed, so the next one is last and reading it
+    is a pop.  A diagnostic finds its token's span by counting: token k
+    of _tokens is token k of _tokenize.  Products are keyed by the ids
+    of their parts, which the stored products keep alive for the whole
+    parse.
     """
 
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+        self.text = text
+        tokens = _tokens(text)
+        self.count = len(tokens)
+        self.rest = tokens[::-1]
+        self.next = self.rest.pop
         self.letters: dict[str, LetterObj] = {}
         self.products: dict[tuple[int, int], Product] = {}
         self.terminal = Terminal()
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        return self.rest[-1]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def expect(self, sym: str) -> None:
+        tok = self.next()
+        if tok != sym:
+            self.fail(f"expected {sym!r}, found {tok!r}" if tok else f"expected {sym!r}, found end of input", 1)
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok[0] != kind:
-            self.fail(f"expected {kind!r}, found {tok[1]!r}" if tok[0] != "eof" else f"expected {kind!r}, found end of input", tok)
-        return self.advance()
-
-    def fail(self, message: str, tok: _Token | None = None):
-        _, _, start, end = tok or self.peek()
+    def fail(self, message: str, back: int = 0):
+        """Raise at the next token, or at the one read `back` tokens ago."""
+        _, _, start, end = _tokenize(self.text)[self.count - len(self.rest) - back]
         raise ParseError(Diagnostic("error", (start, end), message))
 
     # -- objects ----------------------------------------------------------
@@ -152,26 +185,43 @@ class _Parser:
         return obj
 
     def object_atom(self) -> ObjectExpr:
-        kind, name, _, _ = tok = self.advance()
-        if kind == "ident":
-            obj = self.letters.get(name)
-            if obj is None:
-                obj = self.letters[name] = LetterObj(Letter(name))
-            return obj
-        if kind == "terminal":
-            return self.terminal
-        if kind == "(":
-            left = self.object_atom()
-            self.expect("*")
-            right = self.object_atom()
-            self.expect(")")
-            return self.product(left, right)
-        self.fail("expected an object", tok)
+        """A name, T or a parenthesized product, read without recursion.
+
+        `opened` holds the products whose "(" has been read: None until
+        the left part is read, then the left part.
+        """
+        read = self.next
+        opened: list[ObjectExpr | None] = []
+        while True:
+            tok = read()
+            if tok == "(":
+                opened.append(None)
+                continue
+            if "a" <= tok < "{":  # a name: it starts with a lowercase letter, and "{" follows "z"
+                obj = self.letters.get(tok)
+                if obj is None:
+                    obj = self.letters[tok] = LetterObj(Letter(tok))
+            elif tok == "T":
+                obj = self.terminal
+            else:
+                self.fail("expected an object", 1)
+            # obj ends the left part of the innermost open product, or its
+            # right part, which closes it and ends a part of the next one.
+            while opened:
+                left = opened.pop()
+                if left is None:
+                    self.expect("*")
+                    opened.append(obj)
+                    break
+                self.expect(")")
+                obj = self.product(left, obj)
+            else:
+                return obj
 
     def object_top(self) -> ObjectExpr:
         left = self.object_atom()
-        if self.peek()[0] == "*":
-            self.advance()
+        if self.rest[-1] == "*":
+            self.next()
             return self.product(left, self.object_atom())
         return left
 
@@ -187,44 +237,47 @@ class _Parser:
         return objs
 
     def arrow_item(self) -> ArrowTerm:
-        kind, name, _, _ = tok = self.advance()
-        if kind == "(":
+        tok = self.next()
+        if tok == "(":
             inner = self.arrow()
             self.expect(")")
             return inner
-        if kind == "<":
+        if tok == "<":
             first = self.arrow()
             self.expect(",")
             second = self.arrow()
             self.expect(">")
             return Pair(first, second)
-        if kind == "ident":
-            if name in _BRACED:
-                build, arity = _BRACED[name]
+        if "a" <= tok < "{":
+            if tok in _BRACED:
+                build, arity = _BRACED[tok]
                 return build(*self.braced_objects(arity))
-            if name == "prod":
+            if tok == "prod":
                 self.expect("(")
                 first = self.arrow()
                 self.expect(",")
                 second = self.arrow()
                 self.expect(")")
                 return product_of_arrows(first, second)
-            self.fail(f"unknown arrow form {name!r}", tok)
-        self.fail("expected an arrow", tok)
+            self.fail(f"unknown arrow form {tok!r}", 1)
+        self.fail("expected an arrow", 1)
 
     def arrow(self) -> ArrowTerm:
-        # Written order is display order: the rightmost item applies first.
-        items = [self.arrow_item()]
-        while self.peek()[0] == ".":
-            self.advance()
+        item = self.arrow_item()
+        if self.rest[-1] != ".":
+            return item
+        items = [item]
+        while self.rest[-1] == ".":
+            self.next()
             items.append(self.arrow_item())
-        return compose(*reversed(items))
+        # Written order is display order: the rightmost item applies first.
+        return Compose(items[::-1])
 
 
 def parse_object(text: str) -> ObjectExpr:
     parser = _Parser(text)
     obj = parser.object_top()
-    if parser.peek()[0] != "eof":
+    if parser.peek():
         parser.fail("unexpected trailing input")
     return obj
 
@@ -233,7 +286,7 @@ def parse_arrow(text: str, mode: Mode = Mode.CARTESIAN) -> ArrowTerm:
     parser = _Parser(text)
     try:
         term = parser.arrow()
-        if parser.peek()[0] != "eof":
+        if parser.peek():
             parser.fail("unexpected trailing input")
         typecheck(term, mode)
     except (TypeMismatch, ModeViolation) as exc:
@@ -241,36 +294,70 @@ def parse_arrow(text: str, mode: Mode = Mode.CARTESIAN) -> ArrowTerm:
     return term
 
 
+def _render_object(a: ObjectExpr, sep: str, out: list[str]) -> None:
+    """Append the text of `a` to `out`: parenthesized unless at the top.
+
+    The stack holds objects and the strings to write between them, the
+    next one last.
+    """
+    if not isinstance(a, ObjectExpr):
+        raise TypeError(f"not an object: {a!r}")
+    stack: list[ObjectExpr | str] = [a.right, sep, a.left] if isinstance(a, Product) else [a]
+    append, push, pop = out.append, stack.extend, stack.pop
+    while stack:
+        node = pop()
+        if isinstance(node, str):
+            append(node)
+        elif isinstance(node, LetterObj):
+            append(node.letter.name)
+        elif isinstance(node, Product):
+            append("(")
+            push((")", node.right, sep, node.left))
+        elif isinstance(node, Terminal):
+            append("T")
+        else:
+            raise TypeError(f"not an object: {node!r}")
+
+
 def print_object(a: ObjectExpr, spaced: bool = False) -> str:
-    sep = " * " if spaced else "*"
-
-    def render(node: ObjectExpr, top: bool) -> str:
-        match node:
-            case LetterObj(letter):
-                return letter.name
-            case Terminal():
-                return "T"
-            case Product(left, right):
-                inner = f"{render(left, False)}{sep}{render(right, False)}"
-                return inner if top else f"({inner})"
-        raise TypeError(f"not an object: {node!r}")
-
-    return render(a, True)
+    out: list[str] = []
+    _render_object(a, " * " if spaced else "*", out)
+    return "".join(out)
 
 
 def print_arrow(t: ArrowTerm) -> str:
-    """Canonical rendering; parse_arrow(print_arrow(t)) returns t."""
-    match t:
-        case Identity(obj):
-            return f"id{{{print_object(obj)}}}"
-        case Proj1(left, right):
-            return f"p1{{{print_object(left)},{print_object(right)}}}"
-        case Proj2(left, right):
-            return f"p2{{{print_object(left)},{print_object(right)}}}"
-        case Bang(obj):
-            return f"bang{{{print_object(obj)}}}"
-        case Pair(first, second):
-            return f"<{print_arrow(first)}, {print_arrow(second)}>"
-        case Compose(factors):
-            return " . ".join(print_arrow(f) for f in reversed(factors))
-    raise TypeError(f"not an arrow term: {t!r}")
+    """Canonical rendering; parse_arrow(print_arrow(t)) returns t.
+
+    Like _render_object, it writes from a stack of terms and strings.
+    """
+    if not isinstance(t, ArrowTerm):
+        raise TypeError(f"not an arrow term: {t!r}")
+    out: list[str] = []
+    stack: list[ArrowTerm | str] = [t]
+    append, push, pop = out.append, stack.extend, stack.pop
+    while stack:
+        node = pop()
+        if isinstance(node, str):
+            append(node)
+        elif isinstance(node, Pair):
+            append("<")
+            push((">", node.second, ", ", node.first))
+        elif isinstance(node, Compose):
+            # The last factor is written first.
+            factors = node.factors
+            stack.append(factors[0])
+            for f in factors[1:]:
+                push((" . ", f))
+        elif isinstance(node, (Identity, Bang)):
+            append("id{" if isinstance(node, Identity) else "bang{")
+            _render_object(node.obj, "*", out)
+            append("}")
+        elif isinstance(node, (Proj1, Proj2)):
+            append("p1{" if isinstance(node, Proj1) else "p2{")
+            _render_object(node.left, "*", out)
+            append(",")
+            _render_object(node.right, "*", out)
+            append("}")
+        else:
+            raise TypeError(f"not an arrow term: {node!r}")
+    return "".join(out)

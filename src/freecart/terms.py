@@ -24,6 +24,12 @@ the termination `measure` that rewrite.degree reads.  They are plain
 attributes, not dataclass fields, and nodes are immutable, so they
 never go stale, and reading one never walks the term.
 
+Each node class is a frozen dataclass with a hand-written __init__,
+which checks its arguments and writes the fields and the attributes
+into the instance dict in one step; equality, hashing, repr, match
+patterns, keyword construction and dataclasses.replace are the
+dataclass's own.
+
 A subterm is addressed by its path of child indices from the root; spine
 states that rule, once, and subterm_at and replace_subterm are built on it.
 """
@@ -53,15 +59,16 @@ class Mode(Enum):
     BINARY_PRODUCTS = "binary-products"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Letter:
     """A generating object.  The terminal object is not a letter."""
 
     name: str
 
-    def __post_init__(self):
-        if not _LETTER_NAME.match(self.name):
-            raise ValueError(f"invalid letter name: {self.name!r}")
+    def __init__(self, name: str):
+        if not _LETTER_NAME.match(name):
+            raise ValueError(f"invalid letter name: {name!r}")
+        self.__dict__["name"] = name
 
     def __str__(self):
         return self.name
@@ -84,11 +91,14 @@ class ObjectExpr:
         return print_object(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LetterObj(ObjectExpr):
     letter: Letter
 
     letters, symbols, has_terminal = 1, 1, False
+
+    def __init__(self, letter: Letter):
+        self.__dict__["letter"] = letter
 
 
 @dataclass(frozen=True)
@@ -102,28 +112,38 @@ def _objects(*objs: ObjectExpr) -> None:
             raise TypeError(f"not an object: {a!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Product(ObjectExpr):
     left: ObjectExpr
     right: ObjectExpr
 
-    def __post_init__(self):
-        left, right = self.left, self.right
+    def __init__(self, left: ObjectExpr, right: ObjectExpr):
         if not (isinstance(left, ObjectExpr) and isinstance(right, ObjectExpr)):
             _objects(left, right)
-        attributes = self.__dict__
-        attributes["letters"] = left.letters + right.letters
-        attributes["symbols"] = 1 + left.symbols + right.symbols
-        attributes["has_terminal"] = left.has_terminal or right.has_terminal
+        d = self.__dict__
+        d["left"] = left
+        d["right"] = right
+        d["letters"] = left.letters + right.letters
+        d["symbols"] = 1 + left.symbols + right.symbols
+        d["has_terminal"] = left.has_terminal or right.has_terminal
+
+
+_TERMINAL = Terminal()
 
 
 class ArrowTerm:
     """Base class of arrow terms.
 
     Every node carries `domain`, `codomain`, `terminal_free`, `map` and
-    `measure`, set once by its constructor through _typed.  They are
-    plain attributes, not dataclass fields, so equality, hashing, repr
-    and match patterns see only the fields.
+    `measure`, which its constructor writes into the instance dict
+    together with the fields.  They are plain attributes, not dataclass
+    fields, so equality, hashing, repr and match patterns see only the
+    fields.
+
+    An identity, a projection or a terminal arrow maps its codomain's
+    letters, in order, from its domain's letters at some position on; it
+    is terminal-free when neither object holds T, and being pairing-free
+    it counts its target length.
 
     `measure` is (gamma, whether a pairing occurs, whether one occurs
     under a composition, beta), from which rewrite.degree builds the
@@ -137,29 +157,6 @@ class ArrowTerm:
     terminal_free: bool
     map: Map
     measure: tuple[int, bool, bool, int]
-
-    def _typed(self, domain, codomain, terminal_free, map, measure) -> None:
-        attributes = self.__dict__
-        attributes["domain"] = domain
-        attributes["codomain"] = codomain
-        attributes["terminal_free"] = terminal_free
-        attributes["map"] = map
-        attributes["measure"] = measure
-
-    def _primitive(self, domain: ObjectExpr, codomain: ObjectExpr, first: int, gamma=3) -> None:
-        """_typed for an identity, a projection or a terminal arrow.
-
-        The codomain's letters come, in order, from the domain's letters
-        at `first` on.  The arrow is terminal-free when neither object
-        holds T, and being pairing-free it counts its target length.
-        """
-        self._typed(
-            domain,
-            codomain,
-            not (domain.has_terminal or codomain.has_terminal),
-            tuple(range(first, first + codomain.letters)),
-            (gamma, False, False, codomain.symbols),
-        )
 
     def __str__(self):
         from .syntax import print_arrow
@@ -182,69 +179,95 @@ def _arrows(*ts: ArrowTerm) -> None:
             raise TypeError(f"not an arrow term: {t!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Identity(ArrowTerm):
     obj: ObjectExpr
 
-    def __post_init__(self):
-        _objects(self.obj)
-        self._primitive(self.obj, self.obj, 1)
+    def __init__(self, obj: ObjectExpr):
+        if not isinstance(obj, ObjectExpr):
+            _objects(obj)
+        d = self.__dict__
+        d["obj"] = d["domain"] = d["codomain"] = obj
+        d["terminal_free"] = not obj.has_terminal
+        d["map"] = tuple(range(1, obj.letters + 1))
+        d["measure"] = (3, False, False, obj.symbols)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Proj1(ArrowTerm):
     left: ObjectExpr
     right: ObjectExpr
 
-    def __post_init__(self):
-        self._primitive(Product(self.left, self.right), self.left, 1)
+    def __init__(self, left: ObjectExpr, right: ObjectExpr):
+        domain = Product(left, right)
+        d = self.__dict__
+        d["left"] = d["codomain"] = left
+        d["right"] = right
+        d["domain"] = domain
+        d["terminal_free"] = not domain.has_terminal
+        d["map"] = tuple(range(1, left.letters + 1))
+        d["measure"] = (3, False, False, left.symbols)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Proj2(ArrowTerm):
     left: ObjectExpr
     right: ObjectExpr
 
-    def __post_init__(self):
-        self._primitive(Product(self.left, self.right), self.right, self.left.letters + 1)
+    def __init__(self, left: ObjectExpr, right: ObjectExpr):
+        domain = Product(left, right)
+        d = self.__dict__
+        d["left"] = left
+        d["right"] = d["codomain"] = right
+        d["domain"] = domain
+        d["terminal_free"] = not domain.has_terminal
+        d["map"] = tuple(range(left.letters + 1, domain.letters + 1))
+        d["measure"] = (3, False, False, right.symbols)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Bang(ArrowTerm):
     """The unique arrow into the terminal object (cartesian mode only)."""
 
     obj: ObjectExpr
 
-    def __post_init__(self):
-        _objects(self.obj)
-        self._primitive(self.obj, Terminal(), 1, gamma=2)
+    def __init__(self, obj: ObjectExpr):
+        if not isinstance(obj, ObjectExpr):
+            _objects(obj)
+        d = self.__dict__
+        d["obj"] = d["domain"] = obj
+        d["codomain"] = _TERMINAL
+        d["terminal_free"] = False
+        d["map"] = ()
+        d["measure"] = (2, False, False, 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Pair(ArrowTerm):
     first: ArrowTerm
     second: ArrowTerm
 
-    def __post_init__(self):
-        first, second = self.first, self.second
-        _arrows(first, second)
+    def __init__(self, first: ArrowTerm, second: ArrowTerm):
+        if not (isinstance(first, ArrowTerm) and isinstance(second, ArrowTerm)):
+            _arrows(first, second)
         dom = first.domain
-        if dom != second.domain:
+        if dom is not second.domain and dom != second.domain:
             raise TypeMismatch(
                 f"pair components must share a domain: {dom} vs {second.domain}"
             )
         g1, _, u1, b1 = first.measure
         g2, _, u2, b2 = second.measure
-        self._typed(
-            dom,
-            Product(first.codomain, second.codomain),
-            first.terminal_free and second.terminal_free,
-            first.map + second.map,
-            (g1 + g2 + 1, True, u1 or u2, b1 + b2),
-        )
+        d = self.__dict__
+        d["first"] = first
+        d["second"] = second
+        d["domain"] = dom
+        d["codomain"] = Product(first.codomain, second.codomain)
+        d["terminal_free"] = first.terminal_free and second.terminal_free
+        d["map"] = first.map + second.map
+        d["measure"] = (g1 + g2 + 1, True, u1 or u2, b1 + b2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Compose(ArrowTerm):
     """Flattened composition; factors[0] is applied first.
 
@@ -260,24 +283,25 @@ class Compose(ArrowTerm):
 
     factors: tuple[ArrowTerm, ...]
 
-    def __post_init__(self):
-        _arrows(*self.factors)
+    def __init__(self, factors: tuple[ArrowTerm, ...]):
+        _arrows(*factors)
         flat: list[ArrowTerm] = []
         terminal_free, gamma, pairing, beta = True, 1, False, 0
-        for f in self.factors:
-            if not flat:
+        codomain = None
+        for f in factors:
+            if codomain is None:
                 chased = f.map
             # Objects are often shared (a parse shares equal ones), and
             # `is` costs far less than the dataclass `==`.
-            elif flat[-1].codomain is not f.domain and flat[-1].codomain != f.domain:
+            elif codomain is not f.domain and codomain != f.domain:
                 i = len(flat)
                 raise TypeMismatch(
-                    f"composition factor {i} expects domain "
-                    f"{flat[-1].codomain} but has {f.domain}",
+                    f"composition factor {i} expects domain {codomain} but has {f.domain}",
                     (i,),
                 )
             else:
                 chased = _chase(chased, f.map)
+            codomain = f.codomain
             if isinstance(f, Compose):
                 flat.extend(f.factors)
             else:
@@ -291,13 +315,15 @@ class Compose(ArrowTerm):
                 pairing, beta = True, beta + b
         if len(flat) < 2:
             raise ValueError("composition needs at least two factors")
-        object.__setattr__(self, "factors", tuple(flat))
-        codomain = flat[-1].codomain
         if not pairing:
             beta = codomain.symbols
-        self._typed(
-            flat[0].domain, codomain, terminal_free, chased, (gamma, pairing, pairing, beta)
-        )
+        d = self.__dict__
+        d["factors"] = tuple(flat)
+        d["domain"] = flat[0].domain
+        d["codomain"] = codomain
+        d["terminal_free"] = terminal_free
+        d["map"] = chased
+        d["measure"] = (gamma, pairing, pairing, beta)
 
 
 def compose(*factors: ArrowTerm) -> ArrowTerm:
@@ -368,15 +394,15 @@ def typecheck(t: ArrowTerm, mode: Mode = Mode.CARTESIAN) -> ArrowType:
     """
     _arrows(t)
     if mode is Mode.BINARY_PRODUCTS and not t.terminal_free:
-        for path, sub in iter_subterms(t):
+        for link, sub in _preorder(t):
             if isinstance(sub, Bang):
                 raise ModeViolation(
-                    "terminal arrow not available in binary-products mode", path
+                    "terminal arrow not available in binary-products mode", _unlink(link)
                 )
             # The objects of an identity or a projection make up its domain.
             if not isinstance(sub, (Pair, Compose)) and sub.domain.has_terminal:
                 raise ModeViolation(
-                    "terminal object not available in binary-products mode", path
+                    "terminal object not available in binary-products mode", _unlink(link)
                 )
     return ArrowType(t.domain, t.codomain)
 
@@ -393,18 +419,40 @@ def common_type(f: ArrowTerm, g: ArrowTerm, mode: Mode = Mode.CARTESIAN) -> Arro
 # ---------------------------------------------------------------------------
 # Subterm addressing
 
-def iter_subterms(t: ArrowTerm, path: Path = ()) -> Iterator[tuple[Path, ArrowTerm]]:
-    """Yield (path, subterm) pairs in preorder, from an explicit stack."""
-    stack = [(path, t)]
+# A linked path: () at the root, else (the parent's linked path, the
+# child's index).  A walk extends one in constant time, and _unlink
+# turns one into a Path only where a path is handed out.
+_Link = tuple
+
+
+def _unlink(link: _Link) -> Path:
+    indices: list[int] = []
+    while link:
+        link, i = link
+        indices.append(i)
+    indices.reverse()
+    return tuple(indices)
+
+
+def _preorder(t: ArrowTerm) -> Iterator[tuple[_Link, ArrowTerm]]:
+    """Yield (linked path, subterm) pairs in preorder, from an explicit stack."""
+    stack: list[tuple[_Link, ArrowTerm]] = [((), t)]
     while stack:
-        path, t = stack.pop()
-        yield path, t
+        link, t = stack.pop()
+        yield link, t
         if isinstance(t, Pair):
-            stack.append((path + (1,), t.second))
-            stack.append((path + (0,), t.first))
+            stack.append(((link, 1), t.second))
+            stack.append(((link, 0), t.first))
         elif isinstance(t, Compose):
-            for i in reversed(range(len(t.factors))):
-                stack.append((path + (i,), t.factors[i]))
+            factors = t.factors
+            for i in reversed(range(len(factors))):
+                stack.append(((link, i), factors[i]))
+
+
+def iter_subterms(t: ArrowTerm, path: Path = ()) -> Iterator[tuple[Path, ArrowTerm]]:
+    """Yield (path, subterm) pairs in preorder, `path` leading every path."""
+    for link, sub in _preorder(t):
+        yield path + _unlink(link), sub
 
 
 def spine(t: ArrowTerm, path: Path) -> list[ArrowTerm]:

@@ -1,4 +1,4 @@
-"""Synthesized attributes against their definitions.
+"""Synthesized attributes against their definitions, and the constructors that set them.
 
 Objects carry their letter count, symbol count and whether they contain
 T; arrows carry whether they are terminal-free, their graph's map and
@@ -6,6 +6,7 @@ their termination measure.  Every reference below is recomputed from
 the node's fields and never reads any of them.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -19,6 +20,7 @@ from freecart import (
     Graph,
     Identity,
     InvalidRedex,
+    Letter,
     LetterObj,
     Mode,
     ModeViolation,
@@ -28,6 +30,7 @@ from freecart import (
     Proj2,
     RedexKind,
     Terminal,
+    TypeMismatch,
     compose,
     degree,
     graph_of,
@@ -207,16 +210,17 @@ _WINDOW = {
 }
 
 
-def _counting(monkeypatch, owner, name):
-    calls = []
-    original = getattr(owner, name)
+def _counting_constructors(monkeypatch):
+    """Every arrow node built from now on, recorded by its constructor."""
+    built = []
+    for cls in (Identity, Proj1, Proj2, Bang, Pair, Compose):
 
-    def counted(*args):
-        calls.append(args[0])
-        return original(*args)
+        def counted(self, *args, _original=cls.__init__, **kwargs):
+            built.append(self)
+            _original(self, *args, **kwargs)
 
-    monkeypatch.setattr(owner, name, counted)
-    return calls
+        monkeypatch.setattr(cls, "__init__", counted)
+    return built
 
 
 @pytest.mark.parametrize("mode", list(Mode))
@@ -224,8 +228,8 @@ def _counting(monkeypatch, owner, name):
 @settings(max_examples=40, deadline=None)
 def test_a_step_keeps_every_subterm_off_its_spine(mode, rng):
     with pytest.MonkeyPatch.context() as monkeypatch:
-        # Every arrow attribute is set through this one method.
-        typed = _counting(monkeypatch, ArrowTerm, "_typed")
+        # Every arrow attribute is set by its node's constructor.
+        typed = _counting_constructors(monkeypatch)
         for t in _states(rng, mode)[:3]:
             old = {id(sub) for _, sub in iter_subterms(t)}
             for path, _ in iter_subterms(t):
@@ -249,14 +253,16 @@ def test_a_step_keeps_every_subterm_off_its_spine(mode, rng):
                         assert all(a is b for a, b in zip(result, factors[:lo]))
                         kept = factors[hi:]
                         assert all(a is b for a, b in zip(result[::-1], kept[::-1]))
-                    # The step set the attributes of its new nodes, and
-                    # measuring and graphing the result sets none.
+                    # The step built its new nodes, and measuring and
+                    # graphing the result builds none and sets nothing.
                     fresh = {id(sub) for _, sub in iter_subterms(after)} - old
                     assert fresh <= {id(node) for node in typed}
                     typed.clear()
+                    attributes = [dict(vars(sub)) for _, sub in iter_subterms(after)]
                     degree(after)
                     graph_of(after)
                     assert typed == []
+                    assert [vars(sub) for _, sub in iter_subterms(after)] == attributes
 
 
 # ---------------------------------------------------------------------------
@@ -322,3 +328,136 @@ def test_binary_products_typecheck_finds_the_first_violation(rng, mode):
         with pytest.raises(ModeViolation) as exc:
             typecheck(t, Mode.BINARY_PRODUCTS)
         assert (str(exc.value), exc.value.path) == expected
+
+
+# ---------------------------------------------------------------------------
+# Constructors: keyword and positional arguments, dataclasses.replace,
+# and the errors raised on arguments that do not fit
+
+p, q, r = (LetterObj(Letter(name)) for name in "pqr")
+pq = Product(p, q)
+
+# Each node class with the fields of two instances; the second differs
+# from the first in some fields, which replace() puts in.
+CONSTRUCTOR_CASES = {
+    LetterObj: ({"letter": Letter("p")}, {"letter": Letter("q")}),
+    Product: ({"left": p, "right": q}, {"left": p, "right": Product(q, T)}),
+    Identity: ({"obj": pq}, {"obj": Product(T, r)}),
+    Proj1: ({"left": p, "right": q}, {"left": Product(q, T), "right": q}),
+    Proj2: ({"left": p, "right": q}, {"left": p, "right": pq}),
+    Bang: ({"obj": p}, {"obj": Product(pq, T)}),
+    Pair: (
+        {"first": Proj1(p, q), "second": Proj2(p, q)},
+        {"first": Proj1(p, q), "second": compose(Proj2(p, q), Bang(q))},
+    ),
+    # A nested composition is spliced in by replace() as by the constructor.
+    Compose: (
+        {"factors": (Identity(pq), Proj1(p, q))},
+        {"factors": (Compose((Identity(pq), Identity(pq))), Proj2(p, q), Identity(q))},
+    ),
+}
+
+ARROW_ATTRIBUTES = {"domain", "codomain", "terminal_free", "map", "measure"}
+
+
+def _stored(node):
+    """Every field and attribute that the constructor writes."""
+    fields = {f.name for f in dataclasses.fields(node)}
+    extra = ARROW_ATTRIBUTES if isinstance(node, ArrowTerm) else set()
+    if isinstance(node, Product):
+        extra = {"letters", "symbols", "has_terminal"}
+    assert set(vars(node)) == fields | extra
+    return vars(node)
+
+
+@pytest.mark.parametrize("cls", list(CONSTRUCTOR_CASES), ids=lambda cls: cls.__name__)
+def test_keyword_construction_equals_positional_construction(cls):
+    for fields in CONSTRUCTOR_CASES[cls]:
+        by_keyword, by_position = cls(**fields), cls(*fields.values())
+        assert by_keyword == by_position
+        assert hash(by_keyword) == hash(by_position)
+        assert repr(by_keyword) == repr(by_position)
+        assert _stored(by_keyword) == _stored(by_position)
+
+
+@pytest.mark.parametrize("cls", list(CONSTRUCTOR_CASES), ids=lambda cls: cls.__name__)
+def test_replace_recomputes_every_stored_attribute(cls):
+    before, after = CONSTRUCTOR_CASES[cls]
+    changes = {name: value for name, value in after.items() if value is not before[name]}
+    replaced = dataclasses.replace(cls(**before), **changes)
+    expected = _stored(cls(**after))
+    assert _stored(replaced) == expected
+    assert _stored(replaced) != _stored(cls(**before))
+    # The replaced node is a node like any other: its children untouched
+    # and its attributes those of its own fields.
+    assert replaced == cls(**after)
+
+
+NOT_OBJECT, NOT_ARROW = "not an object: ", "not an arrow term: "
+
+
+@pytest.mark.parametrize(
+    ("build", "message"),
+    [
+        (lambda: Product(p, "q"), NOT_OBJECT + "'q'"),
+        (lambda: Product(1, p), NOT_OBJECT + "1"),
+        (lambda: Product(left=p, right=None), NOT_OBJECT + "None"),
+        (lambda: Identity("p"), NOT_OBJECT + "'p'"),
+        (lambda: Identity(obj=Identity(p)), NOT_OBJECT + repr(Identity(p))),
+        (lambda: Bang(None), NOT_OBJECT + "None"),
+        (lambda: Proj1(p, 3), NOT_OBJECT + "3"),
+        (lambda: Proj1(Letter("p"), q), NOT_OBJECT + repr(Letter("p"))),
+        (lambda: Proj2("x", p), NOT_OBJECT + "'x'"),
+        (lambda: Proj2(left=p, right=Identity(p)), NOT_OBJECT + repr(Identity(p))),
+        (lambda: Pair(Identity(p), p), NOT_ARROW + repr(p)),
+        (lambda: Pair("f", 1), NOT_ARROW + "'f'"),
+        (lambda: Pair(first=Identity(p), second=None), NOT_ARROW + "None"),
+        # Every factor is checked before any seam.
+        (lambda: Compose((Identity(p), Identity(q), "f")), NOT_ARROW + "'f'"),
+        (lambda: Compose(factors=(p, Identity(p))), NOT_ARROW + repr(p)),
+    ],
+)
+def test_non_objects_and_non_arrows_raise_type_error(build, message):
+    with pytest.raises(TypeError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    ("build", "message", "path"),
+    [
+        (lambda: Pair(Identity(p), Identity(q)), "pair components must share a domain: p vs q", ()),
+        (
+            lambda: Pair(first=Proj1(p, q), second=Identity(q)),
+            "pair components must share a domain: p*q vs q",
+            (),
+        ),
+        (
+            lambda: Compose((Identity(p), Identity(q))),
+            "composition factor 1 expects domain p but has q",
+            (1,),
+        ),
+        (
+            lambda: Compose(factors=(Identity(pq), Proj1(p, q), Proj2(p, q))),
+            "composition factor 2 expects domain p but has p*q",
+            (2,),
+        ),
+        # A nested composition is spliced in, so later indices count its factors.
+        (
+            lambda: Compose((Compose((Identity(pq), Proj1(p, q))), Bang(p), Identity(p))),
+            "composition factor 3 expects domain T but has p",
+            (3,),
+        ),
+    ],
+)
+def test_mismatches_raise_type_mismatch_with_message_and_path(build, message, path):
+    with pytest.raises(TypeMismatch) as exc:
+        build()
+    assert (str(exc.value), exc.value.path) == (message, path)
+
+
+def test_a_composition_needs_two_factors():
+    for factors in ((), (Identity(p),), [Bang(p)]):
+        with pytest.raises(ValueError) as exc:
+            Compose(factors)
+        assert str(exc.value) == "composition needs at least two factors"

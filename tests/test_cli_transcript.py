@@ -22,6 +22,13 @@ def test_cli_transcript_prints_one_line_per_command():
     lines = done.stdout.splitlines()
     commands = [json.loads(line.split("\t")[0]) for line in lines]
     assert sum("synth" in argv for argv in commands) == 2 * 6000
+    malformed = [
+        (argv, line.split("\t")[1]) for line, argv in zip(lines, commands) if "-malformed-" in argv[-1]
+    ]
+    assert len(malformed) == 2 * 1000
+    assert all(argv[2] == "check" for argv, _ in malformed)
+    # Most malformed terms are parse errors, whose diagnostics go to stderr.
+    assert sum(code == "2" for _, code in malformed) > 1000
     assert {argv[2] for argv in commands} == {
         "check", "graph", "equal", "normalize", "collapse", "synth"
     }

@@ -1,9 +1,9 @@
 """Terms far deeper and longer than the recursion limit, built in a loop.
 
 A term's graph and degree are read off its root, and the binary-products
-check and the redex search walk from explicit stacks, so none of them
-has a depth limit.  The terms are built directly, not parsed: the
-parser still recurses.
+check, the redex search and the printers walk from explicit stacks, so
+none of them has a depth limit.  The terms are built directly, not
+parsed: the parser still recurses on arrows, though not on objects.
 """
 
 import sys
@@ -28,22 +28,33 @@ from freecart import (
     degree,
     find_redex,
     graph_of,
+    parse_arrow,
+    parse_object,
+    print_arrow,
+    print_object,
     typecheck,
 )
 
 p = LetterObj(Letter("p"))
+q = LetterObj(Letter("q"))
 pp = Product(p, p)
 T = Terminal()
 DEPTH = 10_000
 LENGTH = 20_000
 
 
-def test_a_pairing_nested_deeper_than_the_recursion_limit():
-    assert DEPTH > sys.getrecursionlimit()
+@pytest.fixture(scope="module")
+def deep_pairing():
     # <...<<id{p*p} . bang{p*p}, p1>, p1>, ..., p1>, with DEPTH pairings.
     t = Compose((Identity(pp), Bang(pp)))
     for _ in range(DEPTH):
         t = Pair(t, Proj1(p, p))
+    return t
+
+
+def test_a_pairing_nested_deeper_than_the_recursion_limit(deep_pairing):
+    assert DEPTH > sys.getrecursionlimit()
+    t = deep_pairing
     assert graph_of(t) == Graph(2, DEPTH, (1,) * DEPTH)
     # gamma: 3 * 2 at the bottom, then 3 + 1 per pairing; beta: 1 symbol
     # for the bottom and for each projection.
@@ -73,3 +84,38 @@ def test_a_composition_of_many_factors_built_in_one_call():
     assert str(exc.value) == "terminal arrow not available in binary-products mode"
     assert exc.value.path == (LENGTH - 2, 1)
     assert find_redex(t) == ((0,), RedexKind.PAIRING_BETA1)
+
+
+def test_printing_a_pairing_nested_deeper_than_the_recursion_limit(deep_pairing):
+    opening, closing = [], []
+    for _ in range(DEPTH):
+        opening.append("<")
+        closing.append(", p1{p,p}>")
+    expected = "".join(opening) + "bang{p*p} . id{p*p}" + "".join(closing)
+    assert print_arrow(deep_pairing) == expected
+
+
+def test_printing_an_object_nested_deeper_than_the_recursion_limit():
+    # ((...((p*q)*q)...)*q)*q, with DEPTH products.
+    a, text = p, "p"
+    for _ in range(DEPTH):
+        a = Product(a, q)
+        text = f"({text}*q)"
+    # The outermost product is written without parentheses.
+    text = text[1:-1]
+    assert print_object(a) == text
+    assert print_object(a, spaced=True) == text.replace("*", " * ")
+    assert print_arrow(Identity(a)) == f"id{{{text}}}"
+    assert print_arrow(Proj1(a, a)) == f"p1{{{text},{text}}}"
+
+
+def test_parsing_an_object_nested_deeper_than_the_recursion_limit():
+    text = "p"
+    for _ in range(DEPTH):
+        text = f"({text}*q)"
+    a = parse_object(text)
+    assert (a.letters, a.symbols) == (DEPTH + 1, 2 * DEPTH + 1)
+    assert print_object(a) == text[1:-1]
+    t = parse_arrow(f"p2{{{text},{text}}}")
+    assert t.left is t.right
+    assert print_arrow(t) == f"p2{{{text[1:-1]},{text[1:-1]}}}"

@@ -228,12 +228,42 @@ def test_scanner_matches_character_by_character_reference(text):
     assert _scanned(text) == _reference_tokens(text)
 
 
-@pytest.mark.parametrize(
-    "text",
-    ["", "  # only a comment", "# x\nid{p}\u3000# y\n", "p × q\x1c", "abc_9 T!", "<A"],
-)
+SCAN_EDGE_CASES = ["", "  # only a comment", "# x\nid{p}\u3000# y\n", "p × q\x1c", "abc_9 T!", "<A"]
+
+
+@pytest.mark.parametrize("text", SCAN_EDGE_CASES)
 def test_scanner_matches_reference_on_edge_cases(text):
     assert _scanned(text) == _reference_tokens(text)
+
+
+# The parser reads token texts without spans; they must be the texts of
+# the spanned tokens, since a diagnostic finds its span by token index.
+
+
+def _token_texts(text):
+    try:
+        return syntax._tokens(text)
+    except ParseError as exc:
+        return exc.diagnostic
+
+
+def _assert_same_scan(text):
+    spanned = _scanned(text)
+    if isinstance(spanned, Diagnostic):
+        assert _token_texts(text) == spanned
+    else:
+        assert _token_texts(text) == [tok[1] for tok in spanned]
+
+
+@given(_scan_texts)
+@settings(max_examples=400, deadline=None)
+def test_token_texts_match_the_spanned_scanner(text):
+    _assert_same_scan(text)
+
+
+@pytest.mark.parametrize("text", SCAN_EDGE_CASES + ["p#c\nq", "×T#×\n×", "a\u3000!b"])
+def test_token_texts_match_the_spanned_scanner_on_edge_cases(text):
+    _assert_same_scan(text)
 
 
 # ---------------------------------------------------------------------------

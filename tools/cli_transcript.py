@@ -4,7 +4,9 @@
 
 For each seed, every query of both benchmark corpora (read from
 bench/workloads.py), the other subcommands on the same term files (see
-corpus_commands) and SYNTH_COMMANDS seeded `synth` commands per mode
+corpus_commands), MALFORMED_COMMANDS seeded `check` commands per mode on
+corpus terms with a few characters deleted, inserted or cut off (see
+malformed_commands), and SYNTH_COMMANDS seeded `synth` commands per mode
 are run in process against the package in the directory SRC.  One line
 is printed per command: the argv as JSON, the exit code, and the sha256
 of stdout and of stderr, separated by tabs.  Term files are written to a
@@ -35,8 +37,13 @@ sys.path.insert(0, str(ROOT / "bench"))
 from workloads import WORKLOADS, build  # noqa: E402
 
 SYNTH_COMMANDS = 6000  # per mode and seed
+MALFORMED_COMMANDS = 1000  # per mode and seed
 MODES = ("cartesian", "binary-products")
 LETTERS = ("p", "q", "r")
+# What an edit may insert: every token character, the product sign,
+# space, a comment sign, characters that cannot start a name, and
+# characters that are never allowed.
+INSERTABLE = "{}()<>,.*×Tpq1_ \n#!A"
 
 
 def _object(rng, depth: int) -> tuple[str, list[str]]:
@@ -105,6 +112,39 @@ def corpus_commands(seed: int) -> list[list[str]]:
     return commands
 
 
+def _malform(rng, text: str) -> str:
+    """text after 1-3 edits: each deletes a character, inserts one, or cuts the text short."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        edit = rng.choice(("delete", "insert", "truncate"))
+        if edit == "delete":
+            text = text[:i] + text[i + 1 :]
+        elif edit == "insert":
+            text = text[:i] + rng.choice(INSERTABLE) + text[i:]
+        else:
+            text = text[:i]
+    return text
+
+
+def malformed_commands(seed: int) -> list[list[str]]:
+    """`check` on malformed corpus terms, their files written to the working directory.
+
+    The terms are those of both corpora in each mode, except the deep-
+    nesting ones, and most of the edited texts are parse errors, so the
+    transcript records the diagnostics' bytes.
+    """
+    queries = [query for workload in WORKLOADS for query in build(workload, seed) if not query.deep]
+    commands = []
+    for mode in MODES:
+        texts = [text for query in queries if query.mode == mode for text in query.texts]
+        rng = random.Random(f"malformed:{mode}:{seed}")
+        for i in range(MALFORMED_COMMANDS):
+            name = f"s{seed}-malformed-{mode}-{i}.term"
+            Path(name).write_text(_malform(rng, rng.choice(texts)), encoding="utf-8")
+            commands.append(["--mode", mode, "check", name])
+    return commands
+
+
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -137,7 +177,8 @@ def main(argv: list[str]) -> int:
         os.chdir(work)
         try:
             for seed in map(int, argv[1:]):
-                for command in corpus_commands(seed) + synth_commands(seed):
+                commands = corpus_commands(seed) + malformed_commands(seed) + synth_commands(seed)
+                for command in commands:
                     print(run(run_cli, command))
         finally:
             os.chdir(home)
