@@ -9,6 +9,15 @@ Exit codes:
 
 `normalize` reads the normal form back from the term's graph; with
 `--trace` it rewrites step by step instead, printing each step.
+
+How argv is read: the grammar (subcommands, their operands, `--mode`,
+`--trace` and `--method` with their choices and defaults) is stated
+once, in _MODE and _COMMANDS.  _build_parser builds the argparse parser
+from it, for help and usage errors.  _plain_args reads the plain form,
+`[--mode M] COMMAND [--trace | --method X] OPERAND...`, from the same
+table and returns the Namespace that argparse would; every other argv,
+from `-h` to an abbreviation or an option after the operands, goes to
+argparse, so its exit codes, usage messages and help are argparse's own.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ import dataclasses
 import functools
 import json
 import sys
+from typing import NamedTuple
 
 from .collapse import LHS_GRAPH, RHS_GRAPH, CollapseWitness, collapse_witness, verify_witness
 from .decide import equal_in_cart, equal_via_normal_forms, normal_form, synth_from_graph
@@ -75,6 +85,63 @@ def witness_to_json_dict(w: CollapseWitness) -> dict:
     }
 
 
+class _Option(NamedTuple):
+    flag: str
+    choices: tuple[str, ...] | None  # None: a flag that stores True when given
+    default: object
+    help: str | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:]
+
+
+class _Command(NamedTuple):
+    help: str
+    operands: tuple[str, ...]
+    option: _Option | None = None
+
+
+# The command-line grammar, stated once: _build_parser and _plain_args
+# both read it.
+_MODE = _Option(
+    "--mode",
+    tuple(m.value for m in Mode),
+    Mode.CARTESIAN.value,
+    "ambient theory (default: cartesian)",
+)
+_COMMANDS = {
+    "check": _Command("typecheck a term and print its type", ("term_file",)),
+    "graph": _Command("print the graph of a term as JSON", ("term_file",)),
+    "normalize": _Command(
+        "reduce a term to normal form",
+        ("term_file",),
+        _Option("--trace", None, False, "print one line per step"),
+    ),
+    "equal": _Command(
+        "decide whether two terms are equal",
+        ("lhs_file", "rhs_file"),
+        _Option("--method", ("graph", "normalize", "both"), "both"),
+    ),
+    "collapse": _Command("build the collapse witness for a non-equal pair", ("lhs_file", "rhs_file")),
+    "synth": _Command("build the normal form with a given graph", ("dom", "cod", "map")),
+}
+_OPERAND_HELP = {
+    "dom": "domain object, e.g. 'p*q'",
+    "cod": "codomain object, e.g. 'q'",
+    "map": "JSON list of 1-based source positions, e.g. '[2]'",
+}
+
+
+def _add_option(parser: argparse.ArgumentParser, option: _Option) -> None:
+    if option.choices is None:
+        parser.add_argument(option.flag, action="store_true", help=option.help)
+    else:
+        parser.add_argument(
+            option.flag, choices=option.choices, default=option.default, help=option.help
+        )
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """Built on the first call and then reused; it holds no per-call state."""
@@ -82,49 +149,76 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="freecart",
         description="Typecheck, normalize and compare arrows of the free cartesian category.",
     )
-    parser.add_argument(
-        "--mode",
-        choices=[m.value for m in Mode],
-        default=Mode.CARTESIAN.value,
-        help="ambient theory (default: cartesian)",
-    )
+    _add_option(parser, _MODE)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="typecheck a term and print its type")
-    p.add_argument("term_file")
-
-    p = sub.add_parser("graph", help="print the graph of a term as JSON")
-    p.add_argument("term_file")
-
-    p = sub.add_parser("normalize", help="reduce a term to normal form")
-    p.add_argument("term_file")
-    p.add_argument("--trace", action="store_true", help="print one line per step")
-
-    p = sub.add_parser("equal", help="decide whether two terms are equal")
-    p.add_argument("lhs_file")
-    p.add_argument("rhs_file")
-    p.add_argument(
-        "--method", choices=["graph", "normalize", "both"], default="both"
-    )
-
-    p = sub.add_parser("collapse", help="build the collapse witness for a non-equal pair")
-    p.add_argument("lhs_file")
-    p.add_argument("rhs_file")
-
-    p = sub.add_parser("synth", help="build the normal form with a given graph")
-    p.add_argument("dom", help="domain object, e.g. 'p*q'")
-    p.add_argument("cod", help="codomain object, e.g. 'q'")
-    p.add_argument("map", help="JSON list of 1-based source positions, e.g. '[2]'")
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for operand in command.operands:
+            p.add_argument(operand, help=_OPERAND_HELP.get(operand))
+        if command.option is not None:
+            _add_option(p, command.option)
     return parser
 
 
+def _plain_args(argv) -> argparse.Namespace | None:
+    """What parse_args(argv) returns, for an argv in the plain form; else None.
+
+    The plain form is `[--mode M] COMMAND [--trace | --method X] OPERAND...`:
+    a list of str, each option of the grammar given at most once and
+    spelled in full before the operands, every choice valid, the exact
+    number of operands, and no operand that starts with "-".  argparse
+    reads such an argv without a choice of its own to make, and this
+    reads it the same way; anything else is left to argparse.
+    """
+    if type(argv) is not list:
+        return None
+    for token in argv:
+        if type(token) is not str:
+            return None
+    mode = _MODE.default
+    head = 0
+    if argv[:1] == [_MODE.flag]:
+        if len(argv) < 2 or argv[1] not in _MODE.choices:
+            return None
+        mode = argv[1]
+        head = 2
+    if head == len(argv) or argv[head] not in _COMMANDS:
+        return None
+    name = argv[head]
+    command = _COMMANDS[name]
+    values = {_MODE.dest: mode, "command": name}
+    rest = argv[head + 1 :]
+    option = command.option
+    if option is not None:
+        dest = option.dest
+        values[dest] = option.default
+        if rest[:1] == [option.flag]:
+            if option.choices is None:
+                values[dest] = True
+                rest = rest[1:]
+            elif len(rest) > 1 and rest[1] in option.choices:
+                values[dest] = rest[1]
+                rest = rest[2:]
+            else:
+                return None
+    if len(rest) != len(command.operands):
+        return None
+    for token in rest:
+        if token.startswith("-"):
+            return None
+    values.update(zip(command.operands, rest))
+    args = argparse.Namespace()
+    vars(args).update(values)
+    return args
+
+
 def run_cli(argv) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    args = _plain_args(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     mode = Mode(args.mode)
     try:
         return _dispatch(args, mode)

@@ -90,20 +90,26 @@ def normal_form(t: ArrowTerm, mode: Mode = Mode.CARTESIAN) -> ArrowTerm:
 def _synth(dom: ObjectExpr, cod: ObjectExpr, g: Graph) -> ArrowTerm:
     # The letters of cod are met in leaf order, so they take the entries
     # of g.map in turn, and every object carries its letter count: the
-    # work is linear in the size of the result.
+    # work is linear in the size of the result.  The walk keeps its own
+    # stack of nodes to visit, where None stands for "pair the last two
+    # terms built", so no depth of cod reaches the recursion limit.
     sources = iter(g.map)
-
-    def build(node: ObjectExpr) -> ArrowTerm:
-        match node:
-            case Terminal():
-                return Bang(dom)
-            case Product(left, right):
-                return Pair(build(left), build(right))
-            case LetterObj(_):
-                return _projection_chain(dom, next(sources), node)
-        raise TypeError(f"not an object: {node!r}")
-
-    return build(cod)
+    built: list[ArrowTerm] = []
+    todo: list[ObjectExpr | None] = [cod]
+    while todo:
+        node = todo.pop()
+        if node is None:
+            second = built.pop()
+            built[-1] = Pair(built[-1], second)
+        elif isinstance(node, Product):
+            todo += (None, node.right, node.left)
+        elif isinstance(node, LetterObj):
+            built.append(_projection_chain(dom, next(sources), node))
+        elif isinstance(node, Terminal):
+            built.append(Bang(dom))
+        else:
+            raise TypeError(f"not an object: {node!r}")
+    return built[0]
 
 
 def _projection_chain(dom: ObjectExpr, position: int, target: LetterObj) -> ArrowTerm:

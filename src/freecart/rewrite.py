@@ -107,16 +107,21 @@ def is_atomized_k_composition(t: ArrowTerm) -> bool:
 
 
 def is_normal_form(t: ArrowTerm, mode: Mode = Mode.CARTESIAN) -> bool:
-    match t:
-        case Identity(obj):
-            return isinstance(obj, LetterObj)
-        case Bang(_):
-            return mode is Mode.CARTESIAN
-        case Pair(first, second):
-            return is_normal_form(first, mode) and is_normal_form(second, mode)
-        case Proj1(_, _) | Proj2(_, _) | Compose(_):
-            return is_atomized_k_composition(t)
-    return False
+    # Pairs are walked from an explicit stack, first component first.
+    todo = [t]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Pair):
+            todo += (node.second, node.first)
+        elif isinstance(node, Identity):
+            if not isinstance(node.obj, LetterObj):
+                return False
+        elif isinstance(node, Bang):
+            if mode is not Mode.CARTESIAN:
+                return False
+        elif not is_atomized_k_composition(node):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

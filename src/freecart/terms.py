@@ -371,14 +371,17 @@ def symbol_length(a: ObjectExpr) -> int:
 
 def letters_of(a: ObjectExpr) -> tuple[Letter, ...]:
     """All letters of an object in left-to-right leaf order."""
-    match a:
-        case LetterObj(letter):
-            return (letter,)
-        case Terminal():
-            return ()
-        case Product(left, right):
-            return letters_of(left) + letters_of(right)
-    raise TypeError(f"not an object: {a!r}")
+    letters = []
+    todo = [a]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Product):
+            todo += (node.right, node.left)
+        elif isinstance(node, LetterObj):
+            letters.append(node.letter)
+        elif not isinstance(node, Terminal):
+            raise TypeError(f"not an object: {node!r}")
+    return tuple(letters)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from freecart import (
     degree,
     graph_of,
     iter_subterms,
+    letters_of,
     normalize,
     replace_subterm,
     step,
@@ -415,6 +416,8 @@ NOT_OBJECT, NOT_ARROW = "not an object: ", "not an arrow term: "
         # Every factor is checked before any seam.
         (lambda: Compose((Identity(p), Identity(q), "f")), NOT_ARROW + "'f'"),
         (lambda: Compose(factors=(p, Identity(p))), NOT_ARROW + repr(p)),
+        (lambda: letters_of("p"), NOT_OBJECT + "'p'"),
+        (lambda: letters_of(Identity(p)), NOT_OBJECT + repr(Identity(p))),
     ],
 )
 def test_non_objects_and_non_arrows_raise_type_error(build, message):

@@ -7,8 +7,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from freecart import Mode, print_arrow, run_cli
+from freecart.cli import _build_parser, _plain_args
 from termgen import random_arrow
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
+import cli_transcript  # noqa: E402  (it puts bench/ on the path, for workloads)
+from workloads import Query  # noqa: E402
 
 
 def write(tmp_path, name, text):
@@ -243,3 +253,127 @@ def test_unexpected_exception_exits_3(tmp_path, capsys):
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("internal error: RecursionError")
     assert "Traceback" not in captured.err
+
+
+# Every subcommand and option, valid and bogus choices, abbreviations,
+# the --opt=value form, help flags, "--", and operands that argparse
+# reads as positionals although they start with "-" ("-", "-1") or are
+# empty.
+ARGV_TOKENS = [
+    "check", "graph", "normalize", "equal", "collapse", "synth",
+    "--mode", "cartesian", "binary-products", "cubical",
+    "--trace", "--method", "both", "approx",
+    "--mod", "--meth", "--tr", "--method=graph", "--mode=cartesian",
+    "-h", "--help", "--", "-", "", "-1", "-x",
+    "a.term", "b.term", "p*q", "[1]",
+]
+
+
+def _argparse_result(argv):
+    """vars() of what argparse returns for argv, or None when it exits; its output is dropped."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(_build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _plain_result(argv):
+    args = _plain_args(argv)
+    return None if args is None else vars(args)
+
+
+def _edited(argv, edits):
+    """argv after each (kind, index, token) edit, cut to 8 tokens."""
+    argv = list(argv)
+    for kind, i, token in edits:
+        i %= len(argv) + 1
+        if kind == "insert":
+            argv.insert(i, token)
+        elif kind == "replace":
+            argv[i:i + 1] = [token]
+        else:
+            del argv[i:i + 1]
+    return argv[:8]
+
+
+def _accepted_shapes():
+    """The argv shapes that the benchmark and the transcript tool run."""
+    shapes = [
+        Query(kind, mode.value, ()).command(["a.term", "b.term"][: 1 + (kind == "collapse")])
+        for kind in ("normalize", "trace", "collapse")
+        for mode in Mode
+    ]
+    shapes += [Query("decide", mode.value, ()).command(["a.term", "b.term"]) for mode in Mode]
+    for mode in Mode:
+        head = ["--mode", mode.value]
+        shapes += [
+            head + ["check", "a.term"],
+            head + ["graph", "a.term"],
+            head + ["normalize", "--trace", "a.term"],
+            head + ["equal", "--method", "both", "a.term", "b.term"],
+        ]
+    return shapes + cli_transcript.synth_commands(1)[::500]
+
+
+ACCEPTED = _accepted_shapes()
+
+
+def test_the_plain_reader_accepts_every_shape_the_benchmark_and_transcript_run():
+    assert {argv[2] for argv in ACCEPTED} == {
+        "check", "graph", "normalize", "equal", "collapse", "synth"
+    }
+    for argv in ACCEPTED:
+        assert _plain_result(argv) is not None, argv
+        assert _plain_result(argv) == _argparse_result(argv), argv
+
+
+@settings(max_examples=1000, deadline=None)
+@example(["--mode", "cubical", "check", "a.term"])
+@example(["equal", "--method", "approx", "a.term", "b.term"])
+@example(["equal", "a.term"])
+@example(["normalize", "a.term", "--trace"])
+@example(["check", "-1"])
+@given(
+    st.one_of(
+        st.lists(st.sampled_from(ARGV_TOKENS), max_size=8),
+        st.builds(
+            _edited,
+            st.sampled_from(ACCEPTED),
+            st.lists(
+                st.tuples(
+                    st.sampled_from(["insert", "replace", "delete"]),
+                    st.integers(0, 8),
+                    st.sampled_from(ARGV_TOKENS),
+                ),
+                max_size=2,
+            ),
+        ),
+    )
+)
+def test_the_plain_reader_reads_as_argparse_reads_or_leaves_it_to_argparse(argv):
+    plain = _plain_result(argv)
+    if plain is not None:
+        assert plain == _argparse_result(argv)
+
+
+def test_argv_that_is_not_a_list_of_str_goes_to_argparse(monkeypatch, capsys):
+    argv = ["synth", "p", "p", "[1]"]
+    assert run_cli(argv) == 0
+    expected = capsys.readouterr()
+    assert _plain_args(tuple(argv)) is None
+    assert run_cli(tuple(argv)) == 0
+    assert capsys.readouterr() == expected
+    # None: argparse reads sys.argv.
+    monkeypatch.setattr(sys, "argv", ["freecart", *argv])
+    assert _plain_args(None) is None
+    assert run_cli(None) == 0
+    assert capsys.readouterr() == expected
+    # argparse raises TypeError on an item that is not a str, and so
+    # does run_cli, which hands it over.
+    for bad in (["check", 1], ["--mode", "cartesian", "check", Path("a.term")]):
+        assert _plain_args(bad) is None
+        with pytest.raises(TypeError):
+            _build_parser().parse_args(bad)
+        with pytest.raises(TypeError):
+            run_cli(bad)

@@ -1,9 +1,10 @@
 """Terms far deeper and longer than the recursion limit, built in a loop.
 
 A term's graph and degree are read off its root, and the binary-products
-check, the redex search and the printers walk from explicit stacks, so
-none of them has a depth limit.  The terms are built directly, not
-parsed: the parser still recurses on arrows, though not on objects.
+check, the redex search, the printers, read-back, letters_of and
+is_normal_form walk from explicit stacks, so none of them has a depth
+limit.  The terms are built directly, not parsed: the parser still
+recurses on arrows, though not on objects.
 """
 
 import sys
@@ -28,6 +29,9 @@ from freecart import (
     degree,
     find_redex,
     graph_of,
+    is_normal_form,
+    letters_of,
+    normal_form,
     parse_arrow,
     parse_object,
     print_arrow,
@@ -50,6 +54,15 @@ def deep_pairing():
     for _ in range(DEPTH):
         t = Pair(t, Proj1(p, p))
     return t
+
+
+@pytest.fixture(scope="module")
+def deep_object():
+    # ((...((p*q)*q)...)*q)*q, with DEPTH products.
+    a = p
+    for _ in range(DEPTH):
+        a = Product(a, q)
+    return a
 
 
 def test_a_pairing_nested_deeper_than_the_recursion_limit(deep_pairing):
@@ -95,18 +108,31 @@ def test_printing_a_pairing_nested_deeper_than_the_recursion_limit(deep_pairing)
     assert print_arrow(deep_pairing) == expected
 
 
-def test_printing_an_object_nested_deeper_than_the_recursion_limit():
-    # ((...((p*q)*q)...)*q)*q, with DEPTH products.
-    a, text = p, "p"
-    for _ in range(DEPTH):
-        a = Product(a, q)
-        text = f"({text}*q)"
+def test_printing_an_object_nested_deeper_than_the_recursion_limit(deep_object):
     # The outermost product is written without parentheses.
-    text = text[1:-1]
+    text = "(" * (DEPTH - 1) + "p" + "*q)" * (DEPTH - 1) + "*q"
+    a = deep_object
     assert print_object(a) == text
     assert print_object(a, spaced=True) == text.replace("*", " * ")
     assert print_arrow(Identity(a)) == f"id{{{text}}}"
     assert print_arrow(Proj1(a, a)) == f"p1{{{text},{text}}}"
+
+
+def test_reading_back_a_pairing_nested_deeper_than_the_recursion_limit(deep_pairing):
+    # Terms are compared as printed text, since `==` on them recurses.
+    nf = normal_form(deep_pairing)
+    assert print_arrow(nf) == "<" * DEPTH + "bang{p*p}" + ", p1{p,p}>" * DEPTH
+    assert is_normal_form(nf)
+    assert not is_normal_form(nf, Mode.BINARY_PRODUCTS)
+    # Under the pairings lies the composition id{p*p} . bang{p*p}.
+    assert not is_normal_form(deep_pairing)
+
+
+def test_the_letters_of_an_object_nested_deeper_than_the_recursion_limit(
+    deep_object, deep_pairing
+):
+    assert letters_of(deep_object) == (Letter("p"),) + (Letter("q"),) * DEPTH
+    assert letters_of(deep_pairing.codomain) == (Letter("p"),) * DEPTH
 
 
 def test_parsing_an_object_nested_deeper_than_the_recursion_limit():

@@ -6,17 +6,23 @@ For each seed, every query of both benchmark corpora (read from
 bench/workloads.py), the other subcommands on the same term files (see
 corpus_commands), MALFORMED_COMMANDS seeded `check` commands per mode on
 corpus terms with a few characters deleted, inserted or cut off (see
-malformed_commands), and SYNTH_COMMANDS seeded `synth` commands per mode
-are run in process against the package in the directory SRC.  One line
-is printed per command: the argv as JSON, the exit code, and the sha256
-of stdout and of stderr, separated by tabs.  Term files are written to a
-temporary directory, which is the working directory while the commands
-run, under names that depend only on the seed and the query; so the
-transcripts of two trees can be compared line by line:
+malformed_commands), SYNTH_COMMANDS seeded `synth` commands per mode,
+and the fixed command lines of ARGV_VARIANTS on two corpus term files
+(see argv_commands) are run in process against the package in the
+directory SRC.  One line is printed per command: the argv as JSON, the
+exit code, and the sha256 of stdout and of stderr, separated by tabs.
+Term files are written to a temporary directory, which is the working
+directory while the commands run, under names that depend only on the
+seed and the query; so the transcripts of two trees can be compared line
+by line:
 
     python3 tools/cli_transcript.py ../old/src 1 7 > old.txt
     python3 tools/cli_transcript.py src 1 7 > new.txt
     diff old.txt new.txt
+
+Help text is wrapped to the terminal's width (argparse reads COLUMNS, or
+asks the terminal), so run both sides with the same COLUMNS, or both
+with stdout redirected as above.
 """
 
 from __future__ import annotations
@@ -44,6 +50,47 @@ LETTERS = ("p", "q", "r")
 # space, a comment sign, characters that cannot start a name, and
 # characters that are never allowed.
 INSERTABLE = "{}()<>,.*×Tpq1_ \n#!A"
+# Command lines that test how argv is read rather than the library:
+# usage errors, help, abbreviations, --opt=value, options after the
+# operands, and repeated options.  {0} and {1} stand for two term files.
+ARGV_VARIANTS = (
+    [],
+    ["-h"],
+    ["--help"],
+    ["check", "-h"],
+    ["equal", "--help"],
+    ["collapse", "{0}", "{1}", "-h"],
+    ["--mode"],
+    ["--mode", "cubical", "check", "{0}"],
+    ["--mode=cartesian", "graph", "{0}"],
+    ["--mod", "cartesian", "check", "{0}"],
+    ["--mode", "binary-products", "--mode", "cartesian", "check", "{0}"],
+    ["check", "--mode", "cartesian", "{0}"],
+    ["frobnicate", "{0}"],
+    ["check"],
+    ["check", "{0}", "{1}"],
+    ["check", "{0}", "-x"],
+    ["check", "--", "{0}"],
+    ["--", "check", "{0}"],
+    ["check", "-"],
+    ["check", ""],
+    ["normalize", "{0}", "--trace"],
+    ["normalize", "--tr", "{0}"],
+    ["normalize", "--trace", "--trace", "{0}"],
+    ["equal", "{0}"],
+    ["equal", "{0}", "{1}", "{1}"],
+    ["equal", "--method"],
+    ["equal", "--method", "approx", "{0}", "{1}"],
+    ["equal", "--meth", "graph", "{0}", "{1}"],
+    ["equal", "--method=normalize", "{0}", "{1}"],
+    ["equal", "{0}", "{1}", "--method", "graph"],
+    ["equal", "{0}", "--method", "graph", "{1}"],
+    ["equal", "--method", "graph", "--method", "normalize", "{0}", "{1}"],
+    ["synth", "p", "p"],
+    ["synth", "p", "p", "[1]", "[1]"],
+    ["synth", "p", "p", "-1"],
+    ["synth", "--", "-p", "p", "[1]"],
+)
 
 
 def _object(rng, depth: int) -> tuple[str, list[str]]:
@@ -145,6 +192,15 @@ def malformed_commands(seed: int) -> list[list[str]]:
     return commands
 
 
+def argv_commands(seed: int) -> list[list[str]]:
+    """ARGV_VARIANTS on the two term files of the seed's first `decide` query.
+
+    corpus_commands writes those files, so it runs first.
+    """
+    files = [f"s{seed}-decide-q0-{k}.term" for k in (0, 1)]
+    return [[token.format(*files) for token in argv] for argv in ARGV_VARIANTS]
+
+
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -177,7 +233,12 @@ def main(argv: list[str]) -> int:
         os.chdir(work)
         try:
             for seed in map(int, argv[1:]):
-                commands = corpus_commands(seed) + malformed_commands(seed) + synth_commands(seed)
+                commands = (
+                    corpus_commands(seed)
+                    + malformed_commands(seed)
+                    + synth_commands(seed)
+                    + argv_commands(seed)
+                )
                 for command in commands:
                     print(run(run_cli, command))
         finally:
