@@ -10,14 +10,18 @@ Exit codes:
 `normalize` reads the normal form back from the term's graph; with
 `--trace` it rewrites step by step instead, printing each step.
 
-How argv is read: the grammar (subcommands, their operands, `--mode`,
-`--trace` and `--method` with their choices and defaults) is stated
-once, in _MODE and _COMMANDS.  _build_parser builds the argparse parser
-from it, for help and usage errors.  _plain_args reads the plain form,
-`[--mode M] COMMAND [--trace | --method X] OPERAND...`, from the same
-table and returns the Namespace that argparse would; every other argv,
-from `-h` to an abbreviation or an option after the operands, goes to
-argparse, so its exit codes, usage messages and help are argparse's own.
+How argv is read: the grammar is stated once, in _MODE and _COMMANDS,
+in argparse's own terms.  An option is its flag and the keyword
+arguments of its add_argument call; a command is its help, its operands
+with their help, and its option.  _build_parser hands them to argparse,
+for help and usage errors.  _plain_args reads the plain form,
+`[--mode M] COMMAND [--trace | --method X] OPERAND...`, with the choices
+and defaults of the same dicts, and returns the Namespace that argparse
+would; every other argv, from `-h` to an abbreviation or an option after
+the operands, goes to argparse, so its exit codes, usage messages and
+help are argparse's own.  A `--` that ends the options must follow the
+subcommand, as in `freecart check -- FILE`: argparse reads a `--` before
+it as the subcommand's name and exits 2.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ import dataclasses
 import functools
 import json
 import sys
-from typing import NamedTuple
 
 from .collapse import LHS_GRAPH, RHS_GRAPH, CollapseWitness, collapse_witness, verify_witness
 from .decide import equal_in_cart, equal_via_normal_forms, normal_form, synth_from_graph
@@ -85,61 +88,44 @@ def witness_to_json_dict(w: CollapseWitness) -> dict:
     }
 
 
-class _Option(NamedTuple):
-    flag: str
-    choices: tuple[str, ...] | None  # None: a flag that stores True when given
-    default: object
-    help: str | None = None
-
-    @property
-    def dest(self) -> str:
-        return self.flag[2:]
-
-
-class _Command(NamedTuple):
-    help: str
-    operands: tuple[str, ...]
-    option: _Option | None = None
-
-
-# The command-line grammar, stated once: _build_parser and _plain_args
-# both read it.
-_MODE = _Option(
+# The command-line grammar: an option is (flag, add_argument kwargs), a
+# command is (help, {operand: help}, option or None).
+_MODE = (
     "--mode",
-    tuple(m.value for m in Mode),
-    Mode.CARTESIAN.value,
-    "ambient theory (default: cartesian)",
+    {
+        "choices": tuple(m.value for m in Mode),
+        "default": Mode.CARTESIAN.value,
+        "help": "ambient theory (default: cartesian)",
+    },
 )
 _COMMANDS = {
-    "check": _Command("typecheck a term and print its type", ("term_file",)),
-    "graph": _Command("print the graph of a term as JSON", ("term_file",)),
-    "normalize": _Command(
+    "check": ("typecheck a term and print its type", {"term_file": None}, None),
+    "graph": ("print the graph of a term as JSON", {"term_file": None}, None),
+    "normalize": (
         "reduce a term to normal form",
-        ("term_file",),
-        _Option("--trace", None, False, "print one line per step"),
+        {"term_file": None},
+        ("--trace", {"action": "store_true", "default": False, "help": "print one line per step"}),
     ),
-    "equal": _Command(
+    "equal": (
         "decide whether two terms are equal",
-        ("lhs_file", "rhs_file"),
-        _Option("--method", ("graph", "normalize", "both"), "both"),
+        {"lhs_file": None, "rhs_file": None},
+        ("--method", {"choices": ("graph", "normalize", "both"), "default": "both"}),
     ),
-    "collapse": _Command("build the collapse witness for a non-equal pair", ("lhs_file", "rhs_file")),
-    "synth": _Command("build the normal form with a given graph", ("dom", "cod", "map")),
+    "collapse": (
+        "build the collapse witness for a non-equal pair",
+        {"lhs_file": None, "rhs_file": None},
+        None,
+    ),
+    "synth": (
+        "build the normal form with a given graph",
+        {
+            "dom": "domain object, e.g. 'p*q'",
+            "cod": "codomain object, e.g. 'q'",
+            "map": "JSON list of 1-based source positions, e.g. '[2]'",
+        },
+        None,
+    ),
 }
-_OPERAND_HELP = {
-    "dom": "domain object, e.g. 'p*q'",
-    "cod": "codomain object, e.g. 'q'",
-    "map": "JSON list of 1-based source positions, e.g. '[2]'",
-}
-
-
-def _add_option(parser: argparse.ArgumentParser, option: _Option) -> None:
-    if option.choices is None:
-        parser.add_argument(option.flag, action="store_true", help=option.help)
-    else:
-        parser.add_argument(
-            option.flag, choices=option.choices, default=option.default, help=option.help
-        )
 
 
 @functools.cache
@@ -149,14 +135,14 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="freecart",
         description="Typecheck, normalize and compare arrows of the free cartesian category.",
     )
-    _add_option(parser, _MODE)
+    parser.add_argument(_MODE[0], **_MODE[1])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in _COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
-        for operand in command.operands:
-            p.add_argument(operand, help=_OPERAND_HELP.get(operand))
-        if command.option is not None:
-            _add_option(p, command.option)
+    for name, (summary, operands, option) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for operand, operand_help in operands.items():
+            p.add_argument(operand, help=operand_help)
+        if option is not None:
+            p.add_argument(option[0], **option[1])
     return parser
 
 
@@ -175,38 +161,38 @@ def _plain_args(argv) -> argparse.Namespace | None:
     for token in argv:
         if type(token) is not str:
             return None
-    mode = _MODE.default
+    flag, spec = _MODE
+    values = {flag[2:]: spec["default"]}
     head = 0
-    if argv[:1] == [_MODE.flag]:
-        if len(argv) < 2 or argv[1] not in _MODE.choices:
+    if argv[:1] == [flag]:
+        if len(argv) < 2 or argv[1] not in spec["choices"]:
             return None
-        mode = argv[1]
+        values[flag[2:]] = argv[1]
         head = 2
     if head == len(argv) or argv[head] not in _COMMANDS:
         return None
-    name = argv[head]
-    command = _COMMANDS[name]
-    values = {_MODE.dest: mode, "command": name}
+    name = values["command"] = argv[head]
+    _, operands, option = _COMMANDS[name]
     rest = argv[head + 1 :]
-    option = command.option
     if option is not None:
-        dest = option.dest
-        values[dest] = option.default
-        if rest[:1] == [option.flag]:
-            if option.choices is None:
+        flag, spec = option
+        dest = flag[2:]
+        values[dest] = spec["default"]
+        if rest[:1] == [flag]:
+            if "choices" not in spec:
                 values[dest] = True
                 rest = rest[1:]
-            elif len(rest) > 1 and rest[1] in option.choices:
+            elif len(rest) > 1 and rest[1] in spec["choices"]:
                 values[dest] = rest[1]
                 rest = rest[2:]
             else:
                 return None
-    if len(rest) != len(command.operands):
+    if len(rest) != len(operands):
         return None
     for token in rest:
         if token.startswith("-"):
             return None
-    values.update(zip(command.operands, rest))
+    values.update(zip(operands, rest))
     args = argparse.Namespace()
     vars(args).update(values)
     return args

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .decide import synth_from_graph
-from .errors import AlreadyEqual, FreecartError, InternalError
+from .errors import AlreadyEqual, InternalError, ModeViolation, TypeMismatch
 from .graphs import Graph, graph_of
 from .rewrite import normalize
 from .terms import (
@@ -94,7 +94,9 @@ def verify_witness(w: CollapseWitness, mode: Mode = Mode.CARTESIAN) -> bool:
     """Recompute the composites and their normal forms from scratch.
 
     The normal forms are recomputed by rewriting, independently of the
-    graph read-back that built the witness.
+    graph read-back that built the witness.  A witness whose parts do not
+    compose, or leave the mode, is rejected; any other error is a bug and
+    is raised.
     """
     try:
         p = LetterObj(w.letter)
@@ -110,5 +112,5 @@ def verify_witness(w: CollapseWitness, mode: Mode = Mode.CARTESIAN) -> bool:
             and w.lhs_normal == Proj1(p, p)
             and w.rhs_normal == Proj2(p, p)
         )
-    except FreecartError:
+    except (TypeMismatch, ModeViolation):
         return False

@@ -24,12 +24,13 @@ whose parts do not fit is reported as soon as it is read, before any
 later syntax error and before the check of the mode, which runs on the
 whole arrow once it has been read.
 
-A text is read as plain token strings: one regular-expression match
-finds the first unexpected character, which is reported before any
-syntax error, and `findall` then yields the token texts, which the
-parser compares.  Tokens carry no spans.  A diagnostic recomputes them:
-it rescans the text into (kind, text, start, end) tuples, which drop
-the same spaces and comments, so its token k is the parser's token k.
+A text is scanned once it is cleaned: each comment blanked with as
+many spaces and the product sign read as "*", edits that keep every
+offset.  One regular-expression match then finds the first unexpected
+character, which is reported before any syntax error, and `findall`
+yields the token texts, which the parser compares.  Tokens carry no
+spans.  A diagnostic recomputes them with `finditer` over the same
+cleaned text, so its match k is the parser's token k.
 Objects are shared within a parse: each letter name is built once, and
 each product once per pair of parts, so the equal objects of one term
 are one object and an equality test between them stops at the first
@@ -84,62 +85,49 @@ class ParseError(FreecartError):
 # each and how many objects it takes.
 _BRACED = {"id": (Identity, 1), "p1": (Proj1, 2), "p2": (Proj2, 2), "bang": (Bang, 1)} | DERIVED
 
-# One scan: an identifier, a symbol, skipped space or a comment, or one
-# unexpected character.  Every character starts a match, so the matches
-# tile the text and their offsets are running sums of their lengths.
-# \s is exactly str.isspace() on str patterns.
-_SCAN = re.compile(r"[a-z][a-z0-9_]*|[{}()<>,.*×T]|\s+|#[^\n]*|.", re.DOTALL)
-_SYMBOLS = {c: (c, c) for c in "{}()<>,.*"} | {"×": ("*", "*"), "T": ("terminal", "T")}
-
-# The longest prefix that _SCAN tiles without an unexpected character:
-# the same alternatives, taken in the same order, so it ends exactly where
-# _SCAN's first unexpected character starts.
-_VALID = re.compile(r"(?:[a-z][a-z0-9_]*|[{}()<>,.*×T]|\s+|#[^\n]*)*")
-_COMMENT = re.compile(r"#[^\n]*")
+# A token is a name or a symbol, and a comment runs from "#" to the end
+# of its line.
 _TOKEN = re.compile(r"[a-z][a-z0-9_]*|[{}()<>,.*T]")
+_COMMENT = re.compile(r"#[^\n]*")
+# The longest prefix of a cleaned text made of tokens and space ends at
+# its first unexpected character.  \s is exactly str.isspace() on str
+# patterns.
+_VALID = re.compile(rf"(?:{_TOKEN.pattern}|\s+)*")
 
-# A token with its span is (kind, text, start, end); kind is "ident",
-# "terminal", a symbol, or "eof".
-_Token = tuple[str, str, int, int]
 
+def _clean(text: str) -> str:
+    """The text with each comment blanked and the product sign read as "*".
 
-def _tokenize(text: str) -> list[_Token]:
-    """The tokens of a text with their kinds and spans, for diagnostics."""
-    tokens: list[_Token] = []
-    append = tokens.append
-    i = 0
-    for s in _SCAN.findall(text):
-        j = i + len(s)
-        if s in _SYMBOLS:
-            kind, sym = _SYMBOLS[s]
-            append((kind, sym, i, j))
-        elif "a" <= s[0] <= "z":
-            append(("ident", s, i, j))
-        elif not (s.isspace() or s[0] == "#"):
-            raise ParseError(Diagnostic("error", (i, j), f"unexpected character {s!r}"))
-        i = j
-    append(("eof", "", i, i))
-    return tokens
+    Both edits keep every offset, so a token of the cleaned text has its
+    span in the text, and every character left outside a token is space
+    or unexpected.
+    """
+    if "#" in text:
+        text = _COMMENT.sub(lambda comment: " " * len(comment[0]), text)
+    if "×" in text:
+        text = text.replace("×", "*")
+    return text
 
 
 def _tokens(text: str) -> list[str]:
     """The token texts of a text, "" standing for its end.
 
-    They are the texts of _tokenize's tokens, found without spans: once
-    the text is known to hold no unexpected character, dropping its
-    comments and reading the product sign as "*" leaves only the tokens
-    and the space between them.
+    The first unexpected character is reported before anything else.
     """
+    text = _clean(text)
     i = _VALID.match(text).end()
     if i < len(text):
         raise ParseError(Diagnostic("error", (i, i + 1), f"unexpected character {text[i]!r}"))
-    if "#" in text:
-        text = _COMMENT.sub("", text)
-    if "×" in text:
-        text = text.replace("×", "*")
     tokens = _TOKEN.findall(text)
     tokens.append("")
     return tokens
+
+
+def _spans(text: str) -> list[tuple[int, int]]:
+    """The spans of the tokens of a valid text, its end's span (n, n) last."""
+    spans = [m.span() for m in _TOKEN.finditer(_clean(text))]
+    spans.append((len(text), len(text)))
+    return spans
 
 
 class _Parser:
@@ -147,9 +135,9 @@ class _Parser:
 
     The tokens are kept reversed, so the next one is last and reading it
     is a pop.  A diagnostic finds its token's span by counting: token k
-    of _tokens is token k of _tokenize.  Products are keyed by the ids
-    of their parts, which the stored products keep alive for the whole
-    parse.
+    of _tokens is match k of _spans, since both scan the same cleaned
+    text.  Products are keyed by the ids of their parts, which the stored
+    products keep alive for the whole parse.
     """
 
     def __init__(self, text: str):
@@ -162,9 +150,6 @@ class _Parser:
         self.products: dict[tuple[int, int], Product] = {}
         self.terminal = Terminal()
 
-    def peek(self) -> str:
-        return self.rest[-1]
-
     def expect(self, sym: str) -> None:
         tok = self.next()
         if tok != sym:
@@ -172,8 +157,8 @@ class _Parser:
 
     def fail(self, message: str, back: int = 0):
         """Raise at the next token, or at the one read `back` tokens ago."""
-        _, _, start, end = _tokenize(self.text)[self.count - len(self.rest) - back]
-        raise ParseError(Diagnostic("error", (start, end), message))
+        span = _spans(self.text)[self.count - len(self.rest) - back]
+        raise ParseError(Diagnostic("error", span, message))
 
     # -- objects ----------------------------------------------------------
 
@@ -277,7 +262,7 @@ class _Parser:
 def parse_object(text: str) -> ObjectExpr:
     parser = _Parser(text)
     obj = parser.object_top()
-    if parser.peek():
+    if parser.rest[-1]:
         parser.fail("unexpected trailing input")
     return obj
 
@@ -286,7 +271,7 @@ def parse_arrow(text: str, mode: Mode = Mode.CARTESIAN) -> ArrowTerm:
     parser = _Parser(text)
     try:
         term = parser.arrow()
-        if parser.peek():
+        if parser.rest[-1]:
             parser.fail("unexpected trailing input")
         typecheck(term, mode)
     except (TypeMismatch, ModeViolation) as exc:

@@ -392,21 +392,23 @@ def typecheck(t: ArrowTerm, mode: Mode = Mode.CARTESIAN) -> ArrowType:
 
     Terms are typed when they are built, so only the mode is left to
     check: in binary-products mode the first terminal arrow or terminal
-    object raises ModeViolation, with the path of its subterm from the root.
-    A terminal-free term passes at once; only a violation is searched for.
+    object in preorder raises ModeViolation, with the path of its subterm
+    from the root.  A subterm holds one exactly when it is not
+    terminal-free, so a terminal-free term passes at once, and the first
+    one is reached by stepping into the first part that is not.
     """
     _arrows(t)
     if mode is Mode.BINARY_PRODUCTS and not t.terminal_free:
-        for link, sub in _preorder(t):
-            if isinstance(sub, Bang):
-                raise ModeViolation(
-                    "terminal arrow not available in binary-products mode", _unlink(link)
-                )
-            # The objects of an identity or a projection make up its domain.
-            if not isinstance(sub, (Pair, Compose)) and sub.domain.has_terminal:
-                raise ModeViolation(
-                    "terminal object not available in binary-products mode", _unlink(link)
-                )
+        path = []
+        while isinstance(t, (Pair, Compose)):
+            parts = (t.first, t.second) if isinstance(t, Pair) else t.factors
+            i = next(i for i, part in enumerate(parts) if not part.terminal_free)
+            path.append(i)
+            t = parts[i]
+        # t is a terminal arrow, or an identity or a projection whose
+        # objects, which make up its domain, hold T.
+        what = "terminal arrow" if isinstance(t, Bang) else "terminal object"
+        raise ModeViolation(f"{what} not available in binary-products mode", tuple(path))
     return ArrowType(t.domain, t.codomain)
 
 
@@ -437,12 +439,12 @@ def _unlink(link: _Link) -> Path:
     return tuple(indices)
 
 
-def _preorder(t: ArrowTerm) -> Iterator[tuple[_Link, ArrowTerm]]:
-    """Yield (linked path, subterm) pairs in preorder, from an explicit stack."""
+def iter_subterms(t: ArrowTerm) -> Iterator[tuple[Path, ArrowTerm]]:
+    """Yield (path, subterm) pairs in preorder, from an explicit stack."""
     stack: list[tuple[_Link, ArrowTerm]] = [((), t)]
     while stack:
         link, t = stack.pop()
-        yield link, t
+        yield _unlink(link), t
         if isinstance(t, Pair):
             stack.append(((link, 1), t.second))
             stack.append(((link, 0), t.first))
@@ -450,12 +452,6 @@ def _preorder(t: ArrowTerm) -> Iterator[tuple[_Link, ArrowTerm]]:
             factors = t.factors
             for i in reversed(range(len(factors))):
                 stack.append(((link, i), factors[i]))
-
-
-def iter_subterms(t: ArrowTerm, path: Path = ()) -> Iterator[tuple[Path, ArrowTerm]]:
-    """Yield (path, subterm) pairs in preorder, `path` leading every path."""
-    for link, sub in _preorder(t):
-        yield path + _unlink(link), sub
 
 
 def spine(t: ArrowTerm, path: Path) -> list[ArrowTerm]:

@@ -8,6 +8,7 @@ from freecart import (
     AlreadyEqual,
     Graph,
     Identity,
+    InternalError,
     Letter,
     LetterObj,
     Mode,
@@ -27,6 +28,7 @@ from freecart import (
     synth_from_graph,
     verify_witness,
 )
+from freecart import collapse
 from termgen import mutate_preserving, random_arrow, random_codomain_and_graph, random_object
 
 p = LetterObj(Letter("p"))
@@ -147,3 +149,14 @@ def test_verification_does_not_hide_bugs():
     w = collapse_witness(Proj1(p, p), Proj2(p, p))
     with pytest.raises(TypeError):
         verify_witness(dataclasses.replace(w, h="not a term"))
+
+
+def test_verification_raises_internal_errors(monkeypatch):
+    w = collapse_witness(Proj1(p, p), Proj2(p, p))
+
+    def broken_normalize(t, mode):
+        raise InternalError("degree did not decrease")
+
+    monkeypatch.setattr(collapse, "normalize", broken_normalize)
+    with pytest.raises(InternalError, match="degree did not decrease"):
+        verify_witness(w)

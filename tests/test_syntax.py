@@ -159,11 +159,11 @@ def test_object_round_trip(rng):
 
 
 # ---------------------------------------------------------------------------
-# The one-regex scanner against a character-by-character reference
+# The scanner against a character-by-character reference
 
 
 def _reference_tokens(text):
-    """Tokens as (kind, text, start, end), read one character at a time."""
+    """Tokens as (text, start, end), read one character at a time."""
     tokens = []
     i, n = 0, len(text)
     while i < n:
@@ -174,31 +174,30 @@ def _reference_tokens(text):
         elif c.isspace():
             i += 1
         elif c == "×":
-            tokens.append(("*", "*", i, i + 1))
+            tokens.append(("*", i, i + 1))
             i += 1
-        elif c in "{}()<>,.*":
-            tokens.append((c, c, i, i + 1))
-            i += 1
-        elif c == "T":
-            tokens.append(("terminal", "T", i, i + 1))
+        elif c in "{}()<>,.*T":
+            tokens.append((c, i, i + 1))
             i += 1
         elif "a" <= c <= "z":
             j = i + 1
             while j < n and ("a" <= text[j] <= "z" or "0" <= text[j] <= "9" or text[j] == "_"):
                 j += 1
-            tokens.append(("ident", text[i:j], i, j))
+            tokens.append((text[i:j], i, j))
             i = j
         else:
             return Diagnostic("error", (i, i + 1), f"unexpected character {c!r}")
-    tokens.append(("eof", "", n, n))
+    tokens.append(("", n, n))
     return tokens
 
 
 def _scanned(text):
+    """The parser's token texts with the spans a diagnostic finds for them."""
     try:
-        return syntax._tokenize(text)
+        tokens = syntax._tokens(text)
     except ParseError as exc:
         return exc.diagnostic
+    return [(tok, lo, hi) for tok, (lo, hi) in zip(tokens, syntax._spans(text), strict=True)]
 
 
 # Unicode spaces (vertical tab, file separator, ideographic space and
@@ -228,7 +227,10 @@ def test_scanner_matches_character_by_character_reference(text):
     assert _scanned(text) == _reference_tokens(text)
 
 
-SCAN_EDGE_CASES = ["", "  # only a comment", "# x\nid{p}\u3000# y\n", "p × q\x1c", "abc_9 T!", "<A"]
+SCAN_EDGE_CASES = [
+    "", "  # only a comment", "# x\nid{p}\u3000# y\n", "p × q\x1c", "abc_9 T!", "<A",
+    "p#c\nq", "×T#×\n×", "a\u3000!b", "#!\n!",
+]
 
 
 @pytest.mark.parametrize("text", SCAN_EDGE_CASES)
@@ -236,34 +238,37 @@ def test_scanner_matches_reference_on_edge_cases(text):
     assert _scanned(text) == _reference_tokens(text)
 
 
-# The parser reads token texts without spans; they must be the texts of
-# the spanned tokens, since a diagnostic finds its span by token index.
+# ---------------------------------------------------------------------------
+# Diagnostic bytes: one input per error class, with a comment or a product
+# sign before the error, so that its offsets pass through the cleaning.
+
+DIAGNOSTICS = {
+    "object": ("# c\np1{p × q,}", Mode.CARTESIAN, "<input>:13-14: error: expected an object"),
+    "form": ("id{p} . # x\n frob{p}", Mode.CARTESIAN, "<input>:13-17: error: unknown arrow form 'frob'"),
+    "end": ("<id{p}, id{p}", Mode.CARTESIAN, "<input>:13-13: error: expected '>', found end of input"),
+    "symbol": ("# (\nid{p × q)", Mode.CARTESIAN, "<input>:12-13: error: expected '}', found ')'"),
+    "arrow": ("# c\n<id{p×q}, > ", Mode.CARTESIAN, "<input>:14-15: error: expected an arrow"),
+    "trailing": ("id{p × q} # c\n  id{p}", Mode.CARTESIAN, "<input>:16-18: error: unexpected trailing input"),
+    "character": ("# $\nid{p × q} $", Mode.CARTESIAN, "<input>:14-15: error: unexpected character '$'"),
+    "mismatch": (
+        "# c\nid{p × q} . id{p}",
+        Mode.CARTESIAN,
+        "<input>:0-21: error: composition factor 1 expects domain p but has p*q",
+    ),
+    "mode": (
+        "# c\nid{p × T}",
+        Mode.BINARY_PRODUCTS,
+        "<input>:0-13: error: terminal object not available in binary-products mode",
+    ),
+}
 
 
-def _token_texts(text):
-    try:
-        return syntax._tokens(text)
-    except ParseError as exc:
-        return exc.diagnostic
-
-
-def _assert_same_scan(text):
-    spanned = _scanned(text)
-    if isinstance(spanned, Diagnostic):
-        assert _token_texts(text) == spanned
-    else:
-        assert _token_texts(text) == [tok[1] for tok in spanned]
-
-
-@given(_scan_texts)
-@settings(max_examples=400, deadline=None)
-def test_token_texts_match_the_spanned_scanner(text):
-    _assert_same_scan(text)
-
-
-@pytest.mark.parametrize("text", SCAN_EDGE_CASES + ["p#c\nq", "×T#×\n×", "a\u3000!b"])
-def test_token_texts_match_the_spanned_scanner_on_edge_cases(text):
-    _assert_same_scan(text)
+@pytest.mark.parametrize("kind", DIAGNOSTICS)
+def test_diagnostics_render_exact_bytes(kind):
+    text, mode, rendered = DIAGNOSTICS[kind]
+    with pytest.raises(ParseError) as exc:
+        parse_arrow(text, mode)
+    assert exc.value.diagnostic.render() == rendered
 
 
 # ---------------------------------------------------------------------------
