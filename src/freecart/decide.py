@@ -126,7 +126,7 @@ def _projection_chain(dom: ObjectExpr, position: int, target: LetterObj) -> Arro
             factors.append(Proj2(node.left, node.right))
             j -= nl
             node = node.right
-    if node != target:
+    if node is not target:
         raise IncompatibleGraph("graph connects distinct letters")
     if not factors:
         return Identity(dom)

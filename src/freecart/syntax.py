@@ -30,12 +30,8 @@ offset.  One regular-expression match then finds the first unexpected
 character, which is reported before any syntax error, and `findall`
 yields the token texts, which the parser compares.  Tokens carry no
 spans.  A diagnostic recomputes them with `finditer` over the same
-cleaned text, so its match k is the parser's token k.
-Objects are shared within a parse: each letter name is built once, and
-each product once per pair of parts, so the equal objects of one term
-are one object and an equality test between them stops at the first
-shared part.  The printers write from explicit stacks, so they have no
-depth limit.
+cleaned text, so its match k is the parser's token k.  The printers
+write from explicit stacks, so they have no depth limit.
 """
 
 from __future__ import annotations
@@ -131,13 +127,12 @@ def _spans(text: str) -> list[tuple[int, int]]:
 
 
 class _Parser:
-    """Recursive descent over the token texts of one text, sharing its objects.
+    """Recursive descent over the token texts of one text.
 
     The tokens are kept reversed, so the next one is last and reading it
     is a pop.  A diagnostic finds its token's span by counting: token k
     of _tokens is match k of _spans, since both scan the same cleaned
-    text.  Products are keyed by the ids of their parts, which the stored
-    products keep alive for the whole parse.
+    text.  Each letter name is checked and looked up once per parse.
     """
 
     def __init__(self, text: str):
@@ -147,8 +142,6 @@ class _Parser:
         self.rest = tokens[::-1]
         self.next = self.rest.pop
         self.letters: dict[str, LetterObj] = {}
-        self.products: dict[tuple[int, int], Product] = {}
-        self.terminal = Terminal()
 
     def expect(self, sym: str) -> None:
         tok = self.next()
@@ -161,13 +154,6 @@ class _Parser:
         raise ParseError(Diagnostic("error", span, message))
 
     # -- objects ----------------------------------------------------------
-
-    def product(self, left: ObjectExpr, right: ObjectExpr) -> Product:
-        key = (id(left), id(right))
-        obj = self.products.get(key)
-        if obj is None:
-            obj = self.products[key] = Product(left, right)
-        return obj
 
     def object_atom(self) -> ObjectExpr:
         """A name, T or a parenthesized product, read without recursion.
@@ -187,7 +173,7 @@ class _Parser:
                 if obj is None:
                     obj = self.letters[tok] = LetterObj(Letter(tok))
             elif tok == "T":
-                obj = self.terminal
+                obj = Terminal()
             else:
                 self.fail("expected an object", 1)
             # obj ends the left part of the innermost open product, or its
@@ -199,7 +185,7 @@ class _Parser:
                     opened.append(obj)
                     break
                 self.expect(")")
-                obj = self.product(left, obj)
+                obj = Product(left, obj)
             else:
                 return obj
 
@@ -207,7 +193,7 @@ class _Parser:
         left = self.object_atom()
         if self.rest[-1] == "*":
             self.next()
-            return self.product(left, self.object_atom())
+            return Product(left, self.object_atom())
         return left
 
     # -- arrows -----------------------------------------------------------

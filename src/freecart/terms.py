@@ -24,11 +24,12 @@ the termination `measure` that rewrite.degree reads.  They are plain
 attributes, not dataclass fields, and nodes are immutable, so they
 never go stale, and reading one never walks the term.
 
-Each node class is a frozen dataclass with a hand-written __init__,
+Each node class is a frozen dataclass with a hand-written constructor,
 which checks its arguments and writes the fields and the attributes
-into the instance dict in one step; equality, hashing, repr, match
-patterns, keyword construction and dataclasses.replace are the
-dataclass's own.
+into the instance dict in one step; repr, match patterns, keyword
+construction and dataclasses.replace are the dataclass's own.  Objects
+are hash-consed (Filliatre-Conchon, 2006) through one weak-value table,
+so they compare and hash by identity; arrows compare by their fields.
 
 A subterm is addressed by its path of child indices from the root; spine
 states that rule, once, and subterm_at and replace_subterm are built on it.
@@ -37,7 +38,8 @@ states that rule, once, and subterm_at and replace_subterm are built on it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Iterator
 
@@ -50,6 +52,8 @@ Path = tuple[int, ...]
 Map = tuple[int, ...]
 
 _LETTER_NAME = re.compile(r"[a-z][a-z0-9_]*\Z")
+# The object of each formula alive, keyed by its letter or its two parts.
+_OBJECTS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 class Mode(Enum):
@@ -79,11 +83,15 @@ class ObjectExpr:
 
     `letters`, `symbols` and `has_terminal` are synthesized attributes:
     constants on the leaf classes, set once by the Product constructor.
+    Copies and unpickled objects are rebuilt from their fields: the same object.
     """
 
     letters: int
     symbols: int
     has_terminal: bool
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     def __str__(self):
         from .syntax import print_object
@@ -91,19 +99,31 @@ class ObjectExpr:
         return print_object(self)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, eq=False, init=False)
 class LetterObj(ObjectExpr):
     letter: Letter
 
     letters, symbols, has_terminal = 1, 1, False
 
-    def __init__(self, letter: Letter):
-        self.__dict__["letter"] = letter
+    def __new__(cls, letter: Letter):
+        if not isinstance(letter, Letter):
+            raise TypeError(f"not a letter: {letter!r}")
+        obj = _OBJECTS.get(letter)
+        if obj is None:
+            obj = _OBJECTS[letter] = object.__new__(cls)
+            obj.__dict__["letter"] = letter
+        return obj
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Terminal(ObjectExpr):
     letters, symbols, has_terminal = 0, 1, True
+
+    def __new__(cls):
+        return _TERMINAL
+
+
+_TERMINAL = object.__new__(Terminal)
 
 
 def _objects(*objs: ObjectExpr) -> None:
@@ -112,23 +132,24 @@ def _objects(*objs: ObjectExpr) -> None:
             raise TypeError(f"not an object: {a!r}")
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Product(ObjectExpr):
     left: ObjectExpr
     right: ObjectExpr
 
-    def __init__(self, left: ObjectExpr, right: ObjectExpr):
+    def __new__(cls, left: ObjectExpr, right: ObjectExpr):
         if not (isinstance(left, ObjectExpr) and isinstance(right, ObjectExpr)):
             _objects(left, right)
-        d = self.__dict__
-        d["left"] = left
-        d["right"] = right
-        d["letters"] = left.letters + right.letters
-        d["symbols"] = 1 + left.symbols + right.symbols
-        d["has_terminal"] = left.has_terminal or right.has_terminal
-
-
-_TERMINAL = Terminal()
+        obj = _OBJECTS.get((left, right))
+        if obj is None:
+            obj = _OBJECTS[left, right] = object.__new__(cls)
+            d = obj.__dict__
+            d["left"] = left
+            d["right"] = right
+            d["letters"] = left.letters + right.letters
+            d["symbols"] = 1 + left.symbols + right.symbols
+            d["has_terminal"] = left.has_terminal or right.has_terminal
+        return obj
 
 
 class ArrowTerm:
@@ -251,7 +272,7 @@ class Pair(ArrowTerm):
         if not (isinstance(first, ArrowTerm) and isinstance(second, ArrowTerm)):
             _arrows(first, second)
         dom = first.domain
-        if dom is not second.domain and dom != second.domain:
+        if dom is not second.domain:
             raise TypeMismatch(
                 f"pair components must share a domain: {dom} vs {second.domain}"
             )
@@ -291,9 +312,7 @@ class Compose(ArrowTerm):
         for f in factors:
             if codomain is None:
                 chased = f.map
-            # Objects are often shared (a parse shares equal ones), and
-            # `is` costs far less than the dataclass `==`.
-            elif codomain is not f.domain and codomain != f.domain:
+            elif codomain is not f.domain:
                 i = len(flat)
                 raise TypeMismatch(
                     f"composition factor {i} expects domain {codomain} but has {f.domain}",
@@ -505,44 +524,54 @@ def replace_subterm(t: ArrowTerm, path: Path, new: ArrowTerm) -> ArrowTerm:
 def substitute_all_letters(t: ArrowTerm, p: Letter) -> ArrowTerm:
     """Replace every letter occurring in the term's objects by `p`.
 
-    Each distinct object is rebuilt once per call, so objects shared in
-    `t` (as a parse shares equal ones) are shared in the result too.
+    Both walks keep their own stacks, as read-back does, so no depth
+    reaches the recursion limit.  Each distinct object is rebuilt once
+    per call.
     """
     letter = LetterObj(p)
-    done: dict[int, ObjectExpr] = {}
+    done: dict[ObjectExpr, ObjectExpr] = {_TERMINAL: _TERMINAL}
 
     def obj(a: ObjectExpr) -> ObjectExpr:
-        new = done.get(id(a))
-        if new is None:
-            match a:
-                case LetterObj(_):
-                    new = letter
-                case Terminal():
-                    new = a
-                case Product(left, right):
-                    new = Product(obj(left), obj(right))
-                case _:
-                    raise TypeError(f"not an object: {a!r}")
-            done[id(a)] = new
-        return new
+        # A product is rebuilt once both its parts are: it stays on the
+        # stack, under them, until then.
+        todo = [a]
+        while todo:
+            node = todo[-1]
+            if node in done:
+                todo.pop()
+            elif isinstance(node, LetterObj):
+                done[node] = letter
+            elif node.left in done and node.right in done:
+                done[node] = Product(done[node.left], done[node.right])
+            else:
+                todo += (node.right, node.left)
+        return done[a]
 
-    def arrow(t: ArrowTerm) -> ArrowTerm:
-        match t:
-            case Identity(o):
-                return Identity(obj(o))
-            case Proj1(left, right):
-                return Proj1(obj(left), obj(right))
-            case Proj2(left, right):
-                return Proj2(obj(left), obj(right))
-            case Bang(o):
-                return Bang(obj(o))
-            case Pair(first, second):
-                return Pair(arrow(first), arrow(second))
-            case Compose(factors):
-                return Compose(tuple(arrow(f) for f in factors))
-        raise TypeError(f"not an arrow term: {t!r}")
-
-    return arrow(t)
+    # The stack holds terms to rebuild and, wrapped in a 1-tuple, a
+    # pairing or composition whose parts are the last ones built.
+    built: list[ArrowTerm] = []
+    todo: list[ArrowTerm | tuple[ArrowTerm]] = [t]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, tuple):
+            (node,) = node
+            pair = isinstance(node, Pair)
+            n = 2 if pair else len(node.factors)
+            parts = built[-n:]
+            del built[-n:]
+            built.append(Pair(*parts) if pair else Compose(tuple(parts)))
+        elif isinstance(node, Pair):
+            todo += ((node,), node.second, node.first)
+        elif isinstance(node, Compose):
+            todo.append((node,))
+            todo += reversed(node.factors)
+        elif isinstance(node, (Identity, Bang)):
+            built.append(type(node)(obj(node.obj)))
+        elif isinstance(node, (Proj1, Proj2)):
+            built.append(type(node)(obj(node.left), obj(node.right)))
+        else:
+            raise TypeError(f"not an arrow term: {node!r}")
+    return built[0]
 
 
 def assoc_r(a: ObjectExpr, b: ObjectExpr, c: ObjectExpr) -> ArrowTerm:

@@ -400,6 +400,7 @@ NOT_OBJECT, NOT_ARROW = "not an object: ", "not an arrow term: "
 @pytest.mark.parametrize(
     ("build", "message"),
     [
+        (lambda: LetterObj("p"), "not a letter: 'p'"),
         (lambda: Product(p, "q"), NOT_OBJECT + "'q'"),
         (lambda: Product(1, p), NOT_OBJECT + "1"),
         (lambda: Product(left=p, right=None), NOT_OBJECT + "None"),

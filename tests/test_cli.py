@@ -107,6 +107,22 @@ def test_equal_methods_agree(tmp_path, capsys):
         capsys.readouterr()
 
 
+def test_equal_by_graph_on_objects_nested_deeper_than_the_recursion_limit(tmp_path, capsys):
+    # The two files are parsed apart, yet their equal objects are one
+    # object, so comparing the types walks neither.
+    a = "p"
+    for _ in range(1000):
+        a = f"({a}*q)"
+    f = write(tmp_path, "f.term", f"id{{{a}}}\n")
+    g = write(tmp_path, "g.term", f"id{{{a}}}\n")
+    assert run_cli(["equal", "--method", "graph", f, g]) == 0
+    assert capsys.readouterr().out == "equal\n"
+    h = write(tmp_path, "h.term", f"p1{{{a},{a}}}\n")
+    j = write(tmp_path, "j.term", f"p2{{{a},{a}}}\n")
+    assert run_cli(["equal", "--method", "graph", h, j]) == 1
+    assert capsys.readouterr().out == "not equal\n"
+
+
 def test_collapse_witness_json(tmp_path, capsys):
     f = write(tmp_path, "f.term", "p1{p,p}\n")
     g = write(tmp_path, "g.term", "p2{p,p}\n")

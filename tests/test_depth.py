@@ -1,12 +1,14 @@
 """Terms far deeper and longer than the recursion limit, built in a loop.
 
-A term's graph and degree are read off its root, and the binary-products
-check, the redex search, the printers, read-back, letters_of and
-is_normal_form walk from explicit stacks, so none of them has a depth
-limit.  The terms are built directly, not parsed: the parser still
+A term's graph and degree are read off its root, an object is compared
+and hashed by identity, and the binary-products check, the redex search,
+the printers, read-back, letters_of, is_normal_form and
+substitute_all_letters walk from explicit stacks, so none of them has a
+depth limit.  The terms are built directly, not parsed: the parser still
 recurses on arrows, though not on objects.
 """
 
+import re
 import sys
 
 import pytest
@@ -27,6 +29,7 @@ from freecart import (
     RedexKind,
     Terminal,
     degree,
+    equal_in_cart,
     find_redex,
     graph_of,
     is_normal_form,
@@ -36,6 +39,7 @@ from freecart import (
     parse_object,
     print_arrow,
     print_object,
+    substitute_all_letters,
     typecheck,
 )
 
@@ -145,3 +149,32 @@ def test_parsing_an_object_nested_deeper_than_the_recursion_limit():
     t = parse_arrow(f"p2{{{text},{text}}}")
     assert t.left is t.right
     assert print_arrow(t) == f"p2{{{text[1:-1]},{text[1:-1]}}}"
+
+
+def test_an_object_built_twice_is_one_object():
+    a = p
+    for _ in range(DEPTH):
+        a = Product(a, q)
+    b = p
+    for _ in range(DEPTH):
+        b = Product(b, q)
+    assert a is b
+    assert hash(a) == hash(b)
+    assert equal_in_cart(Identity(a), Identity(b))
+
+
+# In printed text a letter is a name that neither "{" nor "(" follows.
+_LETTER = re.compile(r"[a-z][a-z0-9_]*(?![a-z0-9_{(])")
+
+
+def test_substituting_letters_deeper_than_the_recursion_limit(deep_object, deep_pairing):
+    t = Identity(deep_object)
+    s = substitute_all_letters(t, Letter("q"))
+    b = q
+    for _ in range(DEPTH):
+        b = Product(b, q)
+    assert s.obj is b
+    assert graph_of(s) == graph_of(t)
+    s = substitute_all_letters(deep_pairing, Letter("q"))
+    assert graph_of(s) == graph_of(deep_pairing)
+    assert set(_LETTER.findall(print_arrow(s))) == {"q"}

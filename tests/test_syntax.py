@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -295,6 +299,47 @@ def test_parsed_objects_are_shared():
     assert t.first.left is t.first.right
     u = parse_arrow("p2{(p*q)*p,p*q}")
     assert u.left.left is u.right and u.left.right is u.right.left
+    # Separate parses share their objects too, and with objects built directly.
+    assert parse_object("p * q") is t.first.left is Product(p, q)
+    assert parse_arrow("p1{(p*q)*p, T}").left is u.left
+    assert parse_arrow("bang{T}").obj is T
+
+
+def _subobjects(a):
+    found, todo = [], [a]
+    while todo:
+        node = todo.pop()
+        found.append(node)
+        if isinstance(node, Product):
+            todo += (node.right, node.left)
+    return found
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_equal_objects_are_one_object(rng):
+    from termgen import random_object
+
+    a = random_object(rng, max_depth=3)
+    b = random_object(rng, max_depth=3)
+    match a:
+        case Product(left, right):
+            assert Product(left, right) is Product(left=left, right=right) is a
+        case LetterObj(letter):
+            assert LetterObj(Letter(letter.name)) is a
+        case Terminal():
+            assert Terminal() is a
+    assert dataclasses.replace(a) is a
+    assert parse_object(print_object(a)) is a
+    # Printed texts compare structure independently of sharing.
+    subobjects = _subobjects(a) + _subobjects(b)
+    texts = [print_object(x) for x in subobjects]
+    for x, x_text in zip(subobjects, texts):
+        for y, y_text in zip(subobjects, texts):
+            assert (x is y) == (x == y) == (x_text == y_text)
+    assert copy.copy(a) is a
+    assert copy.deepcopy(a) is a
+    assert pickle.loads(pickle.dumps(a)) is a
 
 
 @pytest.mark.parametrize("mode", list(Mode))
