@@ -9,7 +9,6 @@ from .collapse import CollapseWitness, collapse_witness, verify_witness
 from .decide import equal_in_cart, equal_via_normal_forms, normal_form, synth_from_graph
 from .errors import (
     AlreadyEqual,
-    ArityMismatch,
     FreecartError,
     IncompatibleGraph,
     InternalError,
@@ -20,9 +19,7 @@ from .errors import (
 )
 from .graphs import (
     Graph,
-    graph_compose,
     graph_from_json_dict,
-    graph_identity,
     graph_of,
     graph_to_json_dict,
 )
@@ -65,10 +62,8 @@ from .terms import (
     assoc_r,
     compose,
     delta,
-    derived_arrow,
     dup,
     iter_subterms,
-    letter_length,
     letters_of,
     product_of_arrows,
     replace_subterm,
@@ -76,7 +71,6 @@ from .terms import (
     substitute_all_letters,
     subterm_at,
     swap,
-    symbol_length,
     typecheck,
 )
 

@@ -32,8 +32,8 @@ from .terms import (
     Proj2,
     Terminal,
     Bang,
+    _objects,
     common_type,
-    letter_length,
     typecheck,
 )
 
@@ -63,10 +63,11 @@ def synth_from_graph(
     the mapped leaf, which must hold the same letter.  The
     binary-products checks come after that walk.
     """
-    if g.source_letters != letter_length(dom) or g.target_letters != letter_length(cod):
+    _objects(dom, cod)
+    if g.source_letters != dom.letters or g.target_letters != cod.letters:
         raise IncompatibleGraph(
             f"graph {g.source_letters}->{g.target_letters} does not fit "
-            f"|dom|={letter_length(dom)}, |cod|={letter_length(cod)}"
+            f"|dom|={dom.letters}, |cod|={cod.letters}"
         )
     term = _synth(dom, cod, g)
     if mode is Mode.BINARY_PRODUCTS:

@@ -29,10 +29,6 @@ class ModeViolation(FreecartError):
         self.path = tuple(path)
 
 
-class ArityMismatch(FreecartError):
-    """Graph operands do not have matching letter counts."""
-
-
 class InvalidRedex(FreecartError):
     """A reduction step was requested at an address that is not a redex."""
 

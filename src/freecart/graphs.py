@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ArityMismatch
-from .terms import ArrowTerm, Map, _arrows, _chase
+from .terms import ArrowTerm, Map, _arrows
 
 
 @dataclass(frozen=True)
@@ -38,23 +37,6 @@ class Graph:
         for v in self.map:
             if not 1 <= v <= self.source_letters:
                 raise ValueError(f"map entry {v} not in 1..{self.source_letters}")
-
-
-def graph_identity(n: int) -> Graph:
-    """Graph of an identity arrow on an object with n letters."""
-    return Graph(n, n, tuple(range(1, n + 1)))
-
-
-def graph_compose(first: Graph, second: Graph) -> Graph:
-    """Graph of a composite, `first` being the first-applied factor."""
-    if first.target_letters != second.source_letters:
-        raise ArityMismatch(
-            f"cannot compose graphs: {first.target_letters} target letters "
-            f"vs {second.source_letters} source letters"
-        )
-    return Graph(
-        first.source_letters, second.target_letters, _chase(first.map, second.map)
-    )
 
 
 def graph_of(t: ArrowTerm) -> Graph:

@@ -62,13 +62,12 @@ from .terms import (
 
 @dataclass(frozen=True)
 class Diagnostic:
-    severity: str
     span: tuple[int, int]
     message: str
 
     def render(self) -> str:
         lo, hi = self.span
-        return f"<input>:{lo}-{hi}: {self.severity}: {self.message}"
+        return f"<input>:{lo}-{hi}: error: {self.message}"
 
 
 class ParseError(FreecartError):
@@ -113,7 +112,7 @@ def _tokens(text: str) -> list[str]:
     text = _clean(text)
     i = _VALID.match(text).end()
     if i < len(text):
-        raise ParseError(Diagnostic("error", (i, i + 1), f"unexpected character {text[i]!r}"))
+        raise ParseError(Diagnostic((i, i + 1), f"unexpected character {text[i]!r}"))
     tokens = _TOKEN.findall(text)
     tokens.append("")
     return tokens
@@ -151,7 +150,7 @@ class _Parser:
     def fail(self, message: str, back: int = 0):
         """Raise at the next token, or at the one read `back` tokens ago."""
         span = _spans(self.text)[self.count - len(self.rest) - back]
-        raise ParseError(Diagnostic("error", span, message))
+        raise ParseError(Diagnostic(span, message))
 
     # -- objects ----------------------------------------------------------
 
@@ -261,7 +260,7 @@ def parse_arrow(text: str, mode: Mode = Mode.CARTESIAN) -> ArrowTerm:
             parser.fail("unexpected trailing input")
         typecheck(term, mode)
     except (TypeMismatch, ModeViolation) as exc:
-        raise ParseError(Diagnostic("error", (0, len(text)), str(exc))) from exc
+        raise ParseError(Diagnostic((0, len(text)), str(exc))) from exc
     return term
 
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import re
 import weakref
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
@@ -83,7 +83,8 @@ class ObjectExpr:
 
     `letters`, `symbols` and `has_terminal` are synthesized attributes:
     constants on the leaf classes, set once by the Product constructor.
-    Copies and unpickled objects are rebuilt from their fields: the same object.
+    Copies and unpickled objects are parsed back from their text, by the
+    iterative printer and parser, so any depth gives back the same object.
     """
 
     letters: int
@@ -91,7 +92,9 @@ class ObjectExpr:
     has_terminal: bool
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+        from .syntax import parse_object
+
+        return parse_object, (str(self),)
 
     def __str__(self):
         from .syntax import print_object
@@ -369,25 +372,6 @@ class ArrowType:
         return f"{print_object(self.domain, spaced=True)} -> {print_object(self.codomain, spaced=True)}"
 
 
-# ---------------------------------------------------------------------------
-# Structural measures on objects
-
-def letter_length(a: ObjectExpr) -> int:
-    """Number of letter occurrences in an object."""
-    try:
-        return a.letters
-    except AttributeError:
-        raise TypeError(f"not an object: {a!r}") from None
-
-
-def symbol_length(a: ObjectExpr) -> int:
-    """Number of symbol occurrences: letters, products and terminals."""
-    try:
-        return a.symbols
-    except AttributeError:
-        raise TypeError(f"not an object: {a!r}") from None
-
-
 def letters_of(a: ObjectExpr) -> tuple[Letter, ...]:
     """All letters of an object in left-to-right leaf order."""
     letters = []
@@ -621,18 +605,6 @@ DERIVED = {
     "sigma": (sigma, 1),
     "delta": (delta, 1),
 }
-
-
-def derived_arrow(kind: str, *objects: ObjectExpr, mode: Mode = Mode.CARTESIAN) -> ArrowTerm:
-    """Build one of the structural arrows by name, checked against the mode."""
-    if kind not in DERIVED:
-        raise ValueError(f"unknown derived arrow: {kind!r}")
-    builder, arity = DERIVED[kind]
-    if len(objects) != arity:
-        raise ValueError(f"{kind} takes {arity} object(s), got {len(objects)}")
-    arrow = builder(*objects)
-    typecheck(arrow, mode)
-    return arrow
 
 
 def product_of_arrows(f: ArrowTerm, g: ArrowTerm) -> ArrowTerm:

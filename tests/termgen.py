@@ -26,7 +26,6 @@ from freecart import (
     Terminal,
     compose,
     iter_subterms,
-    letter_length,
     letters_of,
     replace_subterm,
     subterm_at,
@@ -287,7 +286,7 @@ def random_codomain_and_graph(
 
     cod = build(max_depth)
     mapping = tuple(rng.choice(positions[letter]) for letter in letters_of(cod))
-    return cod, Graph(letter_length(dom), letter_length(cod), mapping)
+    return cod, Graph(dom.letters, cod.letters, mapping)
 
 
 def _descent_chain(dom: ObjectExpr, position: int) -> ArrowTerm:
@@ -295,7 +294,7 @@ def _descent_chain(dom: ObjectExpr, position: int) -> ArrowTerm:
     node = dom
     j = position
     while isinstance(node, Product):
-        nl = letter_length(node.left)
+        nl = node.left.letters
         if j <= nl:
             factors.append(Proj1(node.left, node.right))
             node = node.left
@@ -313,7 +312,7 @@ def random_normal_form(
     options = []
     if isinstance(dom, LetterObj):
         options.append("identity")
-    if isinstance(dom, Product) and letter_length(dom) > 0:
+    if isinstance(dom, Product) and dom.letters > 0:
         options.append("chain")
     if mode is Mode.CARTESIAN:
         options.append("bang")
@@ -323,7 +322,7 @@ def random_normal_form(
     if pick == "identity":
         return Identity(dom)
     if pick == "chain":
-        return _descent_chain(dom, rng.randrange(1, letter_length(dom) + 1))
+        return _descent_chain(dom, rng.randrange(1, dom.letters + 1))
     if pick == "bang":
         return Bang(dom)
     return Pair(

@@ -4,10 +4,12 @@ A term's graph and degree are read off its root, an object is compared
 and hashed by identity, and the binary-products check, the redex search,
 the printers, read-back, letters_of, is_normal_form and
 substitute_all_letters walk from explicit stacks, so none of them has a
-depth limit.  The terms are built directly, not parsed: the parser still
+depth limit; an object is copied and pickled through its text.  The terms are built directly, not parsed: the parser still
 recurses on arrows, though not on objects.
 """
 
+import copy
+import pickle
 import re
 import sys
 
@@ -161,6 +163,11 @@ def test_an_object_built_twice_is_one_object():
     assert a is b
     assert hash(a) == hash(b)
     assert equal_in_cart(Identity(a), Identity(b))
+
+
+def test_copying_an_object_nested_deeper_than_the_recursion_limit(deep_object):
+    assert copy.deepcopy(deep_object) is deep_object
+    assert pickle.loads(pickle.dumps(deep_object)) is deep_object
 
 
 # In printed text a letter is a name that neither "{" nor "(" follows.

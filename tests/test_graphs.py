@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freecart import (
-    ArityMismatch,
     Bang,
     Graph,
     Identity,
@@ -18,13 +17,10 @@ from freecart import (
     Terminal,
     compose,
     dup,
-    graph_compose,
     graph_from_json_dict,
-    graph_identity,
     graph_of,
     graph_to_json_dict,
     iter_subterms,
-    letter_length,
     normalize,
     product_of_arrows,
     swap,
@@ -61,29 +57,26 @@ def test_graph_of_dup():
 
 
 def test_graph_identity_trivia():
-    assert graph_identity(0) == Graph(0, 0, ())
-    assert graph_identity(1) == Graph(1, 1, (1,))
-    assert graph_identity(3) == Graph(3, 3, (1, 2, 3))
+    assert graph_of(Identity(T)) == Graph(0, 0, ())
+    assert graph_of(Identity(p)) == Graph(1, 1, (1,))
+    assert graph_of(Identity(Product(p, Product(T, Product(q, p))))) == Graph(3, 3, (1, 2, 3))
 
 
 def test_graph_compose_swap_twice_is_identity():
-    s = graph_of(swap(p, q))
-    assert graph_compose(s, graph_of(swap(q, p))) == graph_identity(2)
+    assert graph_of(compose(swap(p, q), swap(q, p))) == graph_of(Identity(Product(p, q)))
 
 
 def test_graph_compose_with_empty_target():
-    g = graph_of(swap(p, q))
-    assert graph_compose(g, Graph(2, 0, ())) == Graph(2, 0, ())
+    assert graph_of(compose(swap(p, q), Bang(Product(q, p)))) == Graph(2, 0, ())
 
 
 def test_graph_compose_identity_law():
-    g = Graph(3, 2, (3, 1))
-    assert graph_compose(graph_identity(3), g) == g
-
-
-def test_graph_compose_arity_mismatch():
-    with pytest.raises(ArityMismatch):
-        graph_compose(Graph(2, 1, (1,)), Graph(2, 1, (2,)))
+    # f: (p*q)*r -> r*p has the graph (3, 1).
+    r = LetterObj(Letter("r"))
+    f = Pair(Proj2(Product(p, q), r), compose(Proj1(Product(p, q), r), Proj1(p, q)))
+    assert graph_of(f) == Graph(3, 2, (3, 1))
+    assert graph_of(compose(Identity(f.domain), f)) == graph_of(f)
+    assert graph_of(compose(f, Identity(f.codomain))) == graph_of(f)
 
 
 def test_graph_validation():
@@ -201,14 +194,17 @@ def test_graph_of_compose_is_graph_composition(rng):
     dom = random_object(rng)
     f = random_arrow_from(rng, dom, 2, Mode.CARTESIAN)
     g = random_arrow_from(rng, f.codomain, 2, Mode.CARTESIAN)
-    assert graph_of(compose(f, g)) == graph_compose(graph_of(f), graph_of(g))
+    gf, gg = graph_of(f), graph_of(g)
+    # Target letter i of the composite is chased back through g, then f.
+    expected = Graph(gf.source_letters, gg.target_letters, tuple(gf.map[j - 1] for j in gg.map))
+    assert graph_of(compose(f, g)) == expected
 
 
 @given(st.randoms(use_true_random=False))
 @settings(max_examples=40, deadline=None)
 def test_graph_of_identity_is_identity_graph(rng):
     a = random_object(rng)
-    assert graph_of(Identity(a)) == graph_identity(letter_length(a))
+    assert graph_of(Identity(a)) == Graph(a.letters, a.letters, tuple(range(1, a.letters + 1)))
 
 
 @given(st.randoms(use_true_random=False))

@@ -1,8 +1,10 @@
 """Every name that a module of the package imports is used in that module,
-and every private name that a module defines is used in the package.
+and every name that a module defines is used in the package.
 
 `__init__.py` is left out of the first check: it imports names only to
-export them.
+export them.  Its imports do not count as uses either, so a public name
+is used only where the package itself reads it, or it is an entry point
+that callers outside the package use.
 """
 
 import ast
@@ -36,8 +38,8 @@ def test_module_uses_every_import(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
 
 
-def _private_names(statement: ast.stmt) -> list[str]:
-    """The private names (`_x`, not dunders) that a top-level statement defines."""
+def _defined_names(statement: ast.stmt) -> list[str]:
+    """The names, dunders left out, that a top-level statement defines."""
     if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
         names = [statement.name]
     elif isinstance(statement, ast.Assign):
@@ -46,11 +48,11 @@ def _private_names(statement: ast.stmt) -> list[str]:
         names = [statement.target.id]
     else:
         names = []
-    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+    return [n for n in names if not n.startswith("__")]
 
 
-def unreferenced_private_names(sources: list[str]) -> list[str]:
-    """Private module-level names that no other top-level statement reads.
+def unreferenced_names(sources: list[str]) -> list[str]:
+    """Module-level names that no other top-level statement reads.
 
     A reference from inside the definition itself, such as a recursive
     call, does not count.
@@ -64,9 +66,29 @@ def unreferenced_private_names(sources: list[str]) -> list[str]:
     return [
         name
         for i, s in enumerate(statements)
-        for name in _private_names(s)
+        for name in _defined_names(s)
         if not any(name in names for j, names in enumerate(read) if j != i)
     ]
+
+
+def _private(names: list[str]) -> list[str]:
+    return [n for n in names if n.startswith("_")]
+
+
+def _public(names: list[str]) -> list[str]:
+    return [n for n in names if not n.startswith("_")]
+
+
+SOURCES = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
+
+# The public names that nothing in the package reads, and why each stays.
+ENTRY_POINTS = {
+    "main": "the `freecart` console script of pyproject.toml",
+    "iter_subterms": "the tests walk every subterm with its path",
+    "subterm_at": "the tests read the subterm at a path that a redex names",
+    "replace_subterm": "the tests rewrite at a path, against step",
+    "is_normal_form": "the tests' specification of a normal form, against find_redex",
+}
 
 
 def test_unreferenced_private_names_are_found():
@@ -76,9 +98,27 @@ def test_unreferenced_private_names_are_found():
         "def f():\n    return _USED + _helper()\n"
     )
     other = "def _helper():\n    return 0\n"
-    assert unreferenced_private_names([source, other]) == ["_dead", "_UNUSED"]
+    assert _private(unreferenced_names([source, other])) == ["_dead", "_UNUSED"]
 
 
 def test_package_uses_every_private_name():
-    sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
-    assert unreferenced_private_names(sources) == []
+    assert _private(unreferenced_names(SOURCES)) == []
+
+
+def test_unreferenced_public_names_are_found():
+    source = (
+        "from .terms import Letter\n"
+        "class Shape:\n    pass\n"
+        "def size(s: Shape):\n    return size(s)\n"
+        "TABLE = {'letter': Letter}\n"
+        "def main():\n    return TABLE\n"
+        "if __name__ == '__main__':\n    main()\n"
+    )
+    assert _public(unreferenced_names([source])) == ["size"]
+
+
+def test_package_reads_every_public_name():
+    unread = _public(unreferenced_names(SOURCES))
+    assert [n for n in unread if n not in ENTRY_POINTS] == []
+    defined = {n for source in SOURCES for s in ast.parse(source).body for n in _defined_names(s)}
+    assert set(ENTRY_POINTS) <= defined

@@ -59,6 +59,11 @@ def test_normal_form_clauses():
     assert not is_normal_form(Bang(Product(p, T)), Mode.BINARY_PRODUCTS)
     assert is_normal_form(Identity(p))
     assert not is_normal_form(Identity(Product(p, q)))
+    # A composition that ends at a letter is normal only if every factor
+    # is a projection: this one has an identity factor left to remove.
+    t = compose(Proj1(p, q), Identity(p))
+    assert not is_normal_form(t)
+    assert find_redex(t) is not None
 
 
 def test_gamma_measure():
@@ -174,7 +179,7 @@ def test_normalize_eta_after_dup():
 def test_normalize_stops_when_a_step_does_not_decrease_the_degree(monkeypatch):
     # The per-step degree check is the only guard against a rewriting loop.
     monkeypatch.setattr(freecart.rewrite, "degree", lambda t: Degree(0, 0, 0))
-    with pytest.raises(InternalError, match="degree did not decrease"):
+    with pytest.raises(InternalError, match="degree did not decrease at step 1: "):
         normalize(compose(Identity(p), Identity(p)))
 
 

@@ -20,16 +20,18 @@ from freecart import (
     Proj1,
     Proj2,
     Terminal,
+    assoc_l,
+    assoc_r,
     compose,
-    derived_arrow,
+    delta,
     dup,
-    letter_length,
     normal_form,
     normalize,
     parse_arrow,
     parse_object,
     print_arrow,
     print_object,
+    sigma,
     swap,
     typecheck,
 )
@@ -44,7 +46,7 @@ T = Terminal()
 def test_parse_object_running_example():
     obj = parse_object("((p*q)*p)*(T*p)")
     assert obj == Product(Product(Product(p, q), p), Product(T, p))
-    assert letter_length(obj) == 4
+    assert obj.letters == 4
 
 
 def test_parse_object_letter_and_unicode_star():
@@ -78,21 +80,22 @@ def test_parse_arrow_macros():
     )
 
 
-# Every derived arrow, with objects of its arity written out.
-MACRO_OBJECTS = {
-    "assoc_r": ("p", "q*r", "T"),
-    "assoc_l": ("p*q", "T", "r"),
-    "swap": ("p", "q*T"),
-    "dup": ("p*q",),
-    "sigma": ("q",),
-    "delta": ("p*T",),
+# Every derived arrow: the function that builds it, and objects of its
+# arity written out.
+MACROS = {
+    "assoc_r": (assoc_r, ("p", "q*r", "T")),
+    "assoc_l": (assoc_l, ("p*q", "T", "r")),
+    "swap": (swap, ("p", "q*T")),
+    "dup": (dup, ("p*q",)),
+    "sigma": (sigma, ("q",)),
+    "delta": (delta, ("p*T",)),
 }
 
 
-@pytest.mark.parametrize("name", sorted(MACRO_OBJECTS))
+@pytest.mark.parametrize("name", sorted(MACROS))
 def test_parse_every_macro_at_its_arity(name):
-    objects = MACRO_OBJECTS[name]
-    expected = derived_arrow(name, *(parse_object(o) for o in objects))
+    build, objects = MACROS[name]
+    expected = build(*(parse_object(o) for o in objects))
     assert parse_arrow(f"{name}{{{','.join(objects)}}}") == expected
     for wrong in (objects + ("p",), objects[:-1]):
         with pytest.raises(ParseError):
@@ -190,7 +193,7 @@ def _reference_tokens(text):
             tokens.append((text[i:j], i, j))
             i = j
         else:
-            return Diagnostic("error", (i, i + 1), f"unexpected character {c!r}")
+            return Diagnostic((i, i + 1), f"unexpected character {c!r}")
     tokens.append(("", n, n))
     return tokens
 

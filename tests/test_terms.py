@@ -20,11 +20,9 @@ from freecart import (
     assoc_l,
     assoc_r,
     compose,
-    derived_arrow,
     dup,
     delta,
     iter_subterms,
-    letter_length,
     letters_of,
     product_of_arrows,
     replace_subterm,
@@ -32,7 +30,6 @@ from freecart import (
     substitute_all_letters,
     subterm_at,
     swap,
-    symbol_length,
     typecheck,
 )
 from termgen import mutate_preserving, random_arrow, random_object
@@ -155,15 +152,15 @@ def test_typecheck_mode_violations():
 
 
 def test_letter_length():
-    assert letter_length(BIG) == 4
-    assert letter_length(T) == 0
-    assert letter_length(p) == 1
+    assert BIG.letters == 4
+    assert T.letters == 0
+    assert p.letters == 1
 
 
 def test_symbol_length():
-    assert symbol_length(p) == 1
-    assert symbol_length(T) == 1
-    assert symbol_length(BIG) == 9
+    assert p.symbols == 1
+    assert T.symbols == 1
+    assert BIG.symbols == 9
 
 
 def test_substitute_examples():
@@ -204,9 +201,9 @@ def test_dup_and_padding():
 
 def test_sigma_delta_mode_violation():
     with pytest.raises(ModeViolation):
-        derived_arrow("sigma", p, mode=Mode.BINARY_PRODUCTS)
+        typecheck(sigma(p), Mode.BINARY_PRODUCTS)
     with pytest.raises(ModeViolation):
-        derived_arrow("delta", p, mode=Mode.BINARY_PRODUCTS)
+        typecheck(delta(p), Mode.BINARY_PRODUCTS)
 
 
 @given(st.randoms(use_true_random=False))
@@ -274,4 +271,4 @@ def test_no_nested_compose_anywhere(rng):
 def test_letter_length_is_additive(rng):
     a = random_object(rng)
     b = random_object(rng)
-    assert letter_length(Product(a, b)) == letter_length(a) + letter_length(b)
+    assert Product(a, b).letters == a.letters + b.letters
