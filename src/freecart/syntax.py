@@ -32,12 +32,25 @@ yields the token texts, which the parser compares.  Tokens carry no
 spans.  A diagnostic recomputes them with `finditer` over the same
 cleaned text, so its match k is the parser's token k.  The printers
 write from explicit stacks, so they have no depth limit.
+
+parse_arrow first reads a text with _GROUPED, under which a braced
+group of object syntax, such as "{p*q,T}", is one token.  Objects are
+interned, so a group's objects depend on its text alone, and a memo
+(_group) keeps those of the _GROUPS_KEPT group texts read most recently
+in the process: the same texts recur across terms, and a repeat costs
+one lookup.  The memo keeps those objects alive, and nothing else.  A
+reading that meets a syntax error is repeated with _TOKEN, one token
+per name or symbol, and that reading's diagnostic is reported, so
+every diagnostic is the token-level reader's.  Type and mode errors
+arise at the same point of both readings, which build the same terms
+in the same order.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import FreecartError, ModeViolation, TypeMismatch
 from .terms import (
@@ -88,6 +101,13 @@ _COMMENT = re.compile(r"#[^\n]*")
 # its first unexpected character.  \s is exactly str.isspace() on str
 # patterns.
 _VALID = re.compile(rf"(?:{_TOKEN.pattern}|\s+)*")
+# A braced group of names, T, "*", parentheses, commas and space is one
+# token; a "{" that starts no such group is a token of its own, as in
+# _TOKEN.  The possessive quantifiers never backtrack, so a scan stays
+# linear.
+_GROUPED = re.compile(rf"\{{(?:[a-z][a-z0-9_]*+|[T*(),]|\s)*+\}}|{_TOKEN.pattern}")
+# How many group texts the memo keeps.
+_GROUPS_KEPT = 4096
 
 
 def _clean(text: str) -> str:
@@ -104,7 +124,7 @@ def _clean(text: str) -> str:
     return text
 
 
-def _tokens(text: str) -> list[str]:
+def _tokens(text: str, token: re.Pattern = _TOKEN) -> list[str]:
     """The token texts of a text, "" standing for its end.
 
     The first unexpected character is reported before anything else.
@@ -113,7 +133,7 @@ def _tokens(text: str) -> list[str]:
     i = _VALID.match(text).end()
     if i < len(text):
         raise ParseError(Diagnostic((i, i + 1), f"unexpected character {text[i]!r}"))
-    tokens = _TOKEN.findall(text)
+    tokens = token.findall(text)
     tokens.append("")
     return tokens
 
@@ -132,11 +152,15 @@ class _Parser:
     is a pop.  A diagnostic finds its token's span by counting: token k
     of _tokens is match k of _spans, since both scan the same cleaned
     text.  Each letter name is checked and looked up once per parse.
+
+    With `token` _GROUPED, a braced group is one token, and its objects
+    come from the memo _group; only the diagnostics of a _TOKEN reading
+    are reported (see parse_arrow).
     """
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, token: re.Pattern = _TOKEN):
         self.text = text
-        tokens = _tokens(text)
+        tokens = _tokens(text, token)
         self.count = len(tokens)
         self.rest = tokens[::-1]
         self.next = self.rest.pop
@@ -197,14 +221,18 @@ class _Parser:
 
     # -- arrows -----------------------------------------------------------
 
-    def braced_objects(self, count: int) -> list[ObjectExpr]:
+    def braced_objects(self, count: int) -> tuple[ObjectExpr, ...]:
+        group = self.rest[-1]
+        if group[:1] == "{" != group:
+            self.next()
+            return _group(group, count)
         self.expect("{")
         objs = [self.object_top()]
         while len(objs) < count:
             self.expect(",")
             objs.append(self.object_top())
         self.expect("}")
-        return objs
+        return tuple(objs)
 
     def arrow_item(self) -> ArrowTerm:
         tok = self.next()
@@ -244,6 +272,15 @@ class _Parser:
         return Compose(items[::-1])
 
 
+@lru_cache(maxsize=_GROUPS_KEPT)
+def _group(group: str, count: int) -> tuple[ObjectExpr, ...]:
+    """The `count` objects of a group token, read token by token.
+
+    A malformed group raises ParseError, which is not cached.
+    """
+    return _Parser(group).braced_objects(count)
+
+
 def parse_object(text: str) -> ObjectExpr:
     parser = _Parser(text)
     obj = parser.object_top()
@@ -252,12 +289,21 @@ def parse_object(text: str) -> ObjectExpr:
     return obj
 
 
+def _read_arrow(text: str, token: re.Pattern) -> ArrowTerm:
+    parser = _Parser(text, token)
+    term = parser.arrow()
+    if parser.rest[-1]:
+        parser.fail("unexpected trailing input")
+    return term
+
+
 def parse_arrow(text: str, mode: Mode = Mode.CARTESIAN) -> ArrowTerm:
-    parser = _Parser(text)
     try:
-        term = parser.arrow()
-        if parser.rest[-1]:
-            parser.fail("unexpected trailing input")
+        try:
+            term = _read_arrow(text, _GROUPED)
+        except ParseError:
+            # The token-level reading raises the diagnostic to report.
+            term = _read_arrow(text, _TOKEN)
         typecheck(term, mode)
     except (TypeMismatch, ModeViolation) as exc:
         raise ParseError(Diagnostic((0, len(text)), str(exc))) from exc

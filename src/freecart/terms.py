@@ -29,7 +29,8 @@ which checks its arguments and writes the fields and the attributes
 into the instance dict in one step; repr, match patterns, keyword
 construction and dataclasses.replace are the dataclass's own.  Objects
 are hash-consed (Filliatre-Conchon, 2006) through one weak-value table,
-so they compare and hash by identity; arrows compare by their fields.
+so they compare and hash by identity.  Arrows compare by their fields,
+from an explicit stack, so `==` has no depth limit either.
 
 A subterm is addressed by its path of child indices from the root; spine
 states that rule, once, and subterm_at and replace_subterm are built on it.
@@ -161,8 +162,12 @@ class ArrowTerm:
     Every node carries `domain`, `codomain`, `terminal_free`, `map` and
     `measure`, which its constructor writes into the instance dict
     together with the fields.  They are plain attributes, not dataclass
-    fields, so equality, hashing, repr and match patterns see only the
-    fields.
+    fields, so repr and match patterns see only the fields.
+
+    Two arrows are equal when they have the same class and equal fields,
+    as the dataclass `==` would find, but __eq__ walks from a stack.
+    Their hash reads only the root's class, type and map, which equal
+    arrows share.
 
     An identity, a projection or a terminal arrow maps its codomain's
     letters, in order, from its domain's letters at some position on; it
@@ -181,6 +186,30 @@ class ArrowTerm:
     terminal_free: bool
     map: Map
     measure: tuple[int, bool, bool, int]
+
+    def __eq__(self, other):
+        if not isinstance(other, ArrowTerm):
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            # Objects are interned, and the domain of a leaf determines its
+            # fields: it is the object of an identity or a terminal arrow,
+            # and the product of a projection's two objects.
+            if type(a) is not type(b) or a.domain is not b.domain or a.codomain is not b.codomain:
+                return False
+            if isinstance(a, Pair):
+                todo += ((a.first, b.first), (a.second, b.second))
+            elif isinstance(a, Compose):
+                if len(a.factors) != len(b.factors):
+                    return False
+                todo += zip(a.factors, b.factors)
+        return True
+
+    def __hash__(self):
+        return hash((type(self), self.domain, self.codomain, self.map))
 
     def __str__(self):
         from .syntax import print_arrow
@@ -203,7 +232,7 @@ def _arrows(*ts: ArrowTerm) -> None:
             raise TypeError(f"not an arrow term: {t!r}")
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Identity(ArrowTerm):
     obj: ObjectExpr
 
@@ -217,7 +246,7 @@ class Identity(ArrowTerm):
         d["measure"] = (3, False, False, obj.symbols)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Proj1(ArrowTerm):
     left: ObjectExpr
     right: ObjectExpr
@@ -233,7 +262,7 @@ class Proj1(ArrowTerm):
         d["measure"] = (3, False, False, left.symbols)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Proj2(ArrowTerm):
     left: ObjectExpr
     right: ObjectExpr
@@ -249,7 +278,7 @@ class Proj2(ArrowTerm):
         d["measure"] = (3, False, False, right.symbols)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Bang(ArrowTerm):
     """The unique arrow into the terminal object (cartesian mode only)."""
 
@@ -266,7 +295,7 @@ class Bang(ArrowTerm):
         d["measure"] = (2, False, False, 1)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Pair(ArrowTerm):
     first: ArrowTerm
     second: ArrowTerm
@@ -291,7 +320,7 @@ class Pair(ArrowTerm):
         d["measure"] = (g1 + g2 + 1, True, u1 or u2, b1 + b2)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Compose(ArrowTerm):
     """Flattened composition; factors[0] is applied first.
 

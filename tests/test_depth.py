@@ -1,11 +1,12 @@
 """Terms far deeper and longer than the recursion limit, built in a loop.
 
 A term's graph and degree are read off its root, an object is compared
-and hashed by identity, and the binary-products check, the redex search,
-the printers, read-back, letters_of, is_normal_form and
+and hashed by identity, and arrow `==`, the binary-products check, the
+redex search, the printers, read-back, letters_of, is_normal_form and
 substitute_all_letters walk from explicit stacks, so none of them has a
-depth limit; an object is copied and pickled through its text.  The terms are built directly, not parsed: the parser still
-recurses on arrows, though not on objects.
+depth limit; an object is copied and pickled through its text.  The
+terms are built directly, not parsed: the parser still recurses on
+arrows, though not on objects.
 """
 
 import copy
@@ -125,9 +126,12 @@ def test_printing_an_object_nested_deeper_than_the_recursion_limit(deep_object):
 
 
 def test_reading_back_a_pairing_nested_deeper_than_the_recursion_limit(deep_pairing):
-    # Terms are compared as printed text, since `==` on them recurses.
     nf = normal_form(deep_pairing)
     assert print_arrow(nf) == "<" * DEPTH + "bang{p*p}" + ", p1{p,p}>" * DEPTH
+    expected = Bang(pp)
+    for _ in range(DEPTH):
+        expected = Pair(expected, Proj1(p, p))
+    assert nf == expected
     assert is_normal_form(nf)
     assert not is_normal_form(nf, Mode.BINARY_PRODUCTS)
     # Under the pairings lies the composition id{p*p} . bang{p*p}.
@@ -151,6 +155,30 @@ def test_parsing_an_object_nested_deeper_than_the_recursion_limit():
     t = parse_arrow(f"p2{{{text},{text}}}")
     assert t.left is t.right
     assert print_arrow(t) == f"p2{{{text[1:-1]},{text[1:-1]}}}"
+
+
+def _nested_pairing(leaf, depth):
+    # <...<<leaf, id{A}>, id{A}>, ..., id{A}>, with `depth` pairings, A
+    # being the leaf's domain.
+    t = leaf
+    for _ in range(depth):
+        t = Pair(t, Identity(leaf.domain))
+    return t
+
+
+def test_pairings_built_twice_are_equal_at_any_depth():
+    depth = 2_000
+    assert depth > sys.getrecursionlimit()
+    a = _nested_pairing(Identity(p), depth)
+    b = _nested_pairing(Identity(p), depth)
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    # The same type and graph, but another innermost leaf.
+    c = _nested_pairing(Compose((Identity(p), Identity(p))), depth)
+    assert (c.domain, c.codomain, c.map) == (a.domain, a.codomain, a.map)
+    assert a != c and c != a
+    assert a != _nested_pairing(Identity(q), depth)
 
 
 def test_an_object_built_twice_is_one_object():

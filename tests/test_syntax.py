@@ -1,6 +1,10 @@
 import copy
 import dataclasses
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,12 +18,14 @@ from freecart import (
     Letter,
     LetterObj,
     Mode,
+    ModeViolation,
     Pair,
     ParseError,
     Product,
     Proj1,
     Proj2,
     Terminal,
+    TypeMismatch,
     assoc_l,
     assoc_r,
     compose,
@@ -37,6 +43,11 @@ from freecart import (
 )
 from freecart import syntax
 from termgen import random_arrow
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
+from cli_transcript import malformed_texts  # noqa: E402  (it puts bench/ on the path)
+from workloads import WORKLOADS, build  # noqa: E402
 
 p = LetterObj(Letter("p"))
 q = LetterObj(Letter("q"))
@@ -237,12 +248,32 @@ def test_scanner_matches_character_by_character_reference(text):
 SCAN_EDGE_CASES = [
     "", "  # only a comment", "# x\nid{p}\u3000# y\n", "p × q\x1c", "abc_9 T!", "<A",
     "p#c\nq", "×T#×\n×", "a\u3000!b", "#!\n!",
+    # Braced groups, and what may and may not stand in one.
+    "{}", "{ }", "{p,}", "{p}}", "{{p}", "{p#c\n}", "{p × q}", "{P}", "{_p}", "{p1}", "{p 1}",
 ]
 
 
 @pytest.mark.parametrize("text", SCAN_EDGE_CASES)
 def test_scanner_matches_reference_on_edge_cases(text):
     assert _scanned(text) == _reference_tokens(text)
+
+
+def _refines(text):
+    """Whether the _TOKEN tokens of the grouped tokens are those of the text."""
+    text = syntax._clean(text)
+    split = [tok for group in syntax._GROUPED.findall(text) for tok in syntax._TOKEN.findall(group)]
+    return split == syntax._TOKEN.findall(text)
+
+
+@given(_scan_texts)
+@settings(max_examples=400, deadline=None)
+def test_grouped_tokens_refine_tokens(text):
+    assert _refines(text)
+
+
+@pytest.mark.parametrize("text", SCAN_EDGE_CASES)
+def test_grouped_tokens_refine_tokens_on_edge_cases(text):
+    assert _refines(text)
 
 
 # ---------------------------------------------------------------------------
@@ -351,3 +382,117 @@ def test_shared_objects_normalize_and_round_trip(text, mode):
     t = parse_arrow(text, mode)
     assert normal_form(t, mode) == normalize(t, mode).result
     assert parse_arrow(print_arrow(t), mode) == t
+
+
+# ---------------------------------------------------------------------------
+# The grouped reading against the token-level one
+
+
+def _reading(text, token, mode):
+    """The term that one reading of a text gives, or what it raises."""
+    try:
+        term = syntax._read_arrow(text, token)
+        typecheck(term, mode)
+    except ParseError as exc:
+        return exc.diagnostic
+    except (TypeMismatch, ModeViolation) as exc:
+        return str(exc)
+    return term
+
+
+def _check_readings_agree(text, mode):
+    token = _reading(text, syntax._TOKEN, mode)
+    grouped = _reading(text, syntax._GROUPED, mode)
+    if isinstance(token, Diagnostic):
+        # A syntax error is reported as the token-level reader found it.
+        assert isinstance(grouped, Diagnostic), text
+        with pytest.raises(ParseError) as exc:
+            parse_arrow(text, mode)
+        assert exc.value.diagnostic == token, text
+    elif isinstance(token, str):
+        # A type or mode error arises at the same point of both readings.
+        assert grouped == token, text
+        with pytest.raises(ParseError) as exc:
+            parse_arrow(text, mode)
+        assert exc.value.diagnostic == Diagnostic((0, len(text)), token), text
+    else:
+        assert grouped == token and grouped.map == token.map, text
+        assert parse_arrow(text, mode) == token
+
+
+DIFFERENTIAL_SEED = 1
+
+
+def test_grouped_reading_agrees_on_the_corpora():
+    queries = [q for workload in WORKLOADS for q in build(workload, DIFFERENTIAL_SEED) if not q.deep]
+    assert len(queries) > 1000
+    for q in queries:
+        for text in q.texts:
+            _check_readings_agree(text, Mode(q.mode))
+
+
+def test_grouped_reading_agrees_on_malformed_texts():
+    for mode, texts in malformed_texts(DIFFERENTIAL_SEED).items():
+        for text in texts:
+            _check_readings_agree(text, Mode(mode))
+
+
+def test_grouped_reading_agrees_on_edge_cases():
+    for group in SCAN_EDGE_CASES + ["{p,q}", "{p*q, T}", "{(p*q)}", "{p*q*r}"]:
+        for name in ("id", "p1", "bang", "<id{p}, p2"):
+            for mode in Mode:
+                _check_readings_agree(name + group, mode)
+
+
+# ---------------------------------------------------------------------------
+# The memo of group texts
+
+
+def test_the_memo_keeps_at_most_its_bound():
+    assert syntax._group.cache_info().maxsize == syntax._GROUPS_KEPT
+    for i in range(syntax._GROUPS_KEPT + 10):
+        parse_arrow(f"id{{x{i}}}")
+    assert syntax._group.cache_info().currsize == syntax._GROUPS_KEPT
+
+
+def test_a_group_read_twice_gives_the_same_objects():
+    hits = syntax._group.cache_info().hits
+    first, second = parse_arrow("id{p*q}"), parse_arrow("id{p*q}")
+    assert first.obj is second.obj is Product(p, q)
+    assert syntax._group.cache_info().hits > hits
+
+
+def test_a_malformed_group_is_not_kept():
+    syntax._group.cache_clear()
+    for text in ("id{p,q}", "p1{p}", "p2{p,}", "bang{(p*q}"):
+        with pytest.raises(ParseError):
+            parse_arrow(text)
+    info = syntax._group.cache_info()
+    assert (info.misses, info.currsize) == (4, 0)
+
+
+# Texts on which a scan that backtracks takes far longer than linear
+# time: names that may be split anywhere, and long groups left open.
+LONG_SCANS = """
+import time
+from freecart.syntax import _GROUPED
+texts = ["{" + "a " * 500_000, "{a" * 200_000, "{" + "(a*" * 300_000 + "!", "{" + "a" * 500_000]
+start = time.perf_counter()
+for text in texts:
+    _GROUPED.findall(text)
+print(time.perf_counter() - start)
+"""
+
+
+def test_grouped_scanning_is_linear():
+    # In a subprocess, so that a scan that does not end is stopped.
+    done = subprocess.run(
+        [sys.executable, "-c", LONG_SCANS],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) < 5

@@ -24,6 +24,8 @@ from freecart import (
     delta,
     iter_subterms,
     letters_of,
+    parse_arrow,
+    print_arrow,
     product_of_arrows,
     replace_subterm,
     sigma,
@@ -255,6 +257,35 @@ def test_compose_constructor_flattens_nested():
     inner = Compose((Proj1(Product(p, q), r), Proj1(p, q)))
     outer = Compose((inner, Identity(p)))
     assert outer.factors == (Proj1(Product(p, q), r), Proj1(p, q), Identity(p))
+
+
+def test_arrow_equality_examples():
+    a = Compose((Identity(p), Pair(Identity(p), Bang(p))))
+    b = Compose((Identity(p), Pair(Identity(p), Bang(p))))
+    assert a == b and hash(a) == hash(b)
+    # Compositions of one type whose factor lists differ only in length.
+    two = Compose((Identity(p), Identity(p)))
+    three = Compose((Identity(p), Identity(p), Identity(p)))
+    assert two != three and three != two
+    assert Proj1(p, p) != Proj2(p, p)
+    assert Identity(p) != Identity(q)
+    assert Identity(p) != p and Identity(p) != "id{p}"
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_arrow_equality_agrees_with_printed_text(rng):
+    # Printing is injective on terms, so equal texts are the reference.
+    t = random_arrow(rng)
+    u = mutate_preserving(rng, t)
+    subterms = [s for _, s in iter_subterms(t)] + [s for _, s in iter_subterms(u)]
+    subterms.append(parse_arrow(print_arrow(t)))
+    texts = [print_arrow(s) for s in subterms]
+    for x, x_text in zip(subterms, texts):
+        for y, y_text in zip(subterms, texts):
+            assert (x == y) == (x_text == y_text)
+            if x == y:
+                assert hash(x) == hash(y)
 
 
 @given(st.randoms(use_true_random=False))

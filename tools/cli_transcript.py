@@ -6,7 +6,7 @@ For each seed, every query of both benchmark corpora (read from
 bench/workloads.py), the other subcommands on the same term files (see
 corpus_commands), MALFORMED_COMMANDS seeded `check` commands per mode on
 corpus terms with a few characters deleted, inserted or cut off (see
-malformed_commands), SYNTH_COMMANDS seeded `synth` commands per mode,
+malformed_texts), SYNTH_COMMANDS seeded `synth` commands per mode,
 and the fixed command lines of ARGV_VARIANTS on two corpus term files
 (see argv_commands) are run in process against the package in the
 directory SRC.  One line is printed per command: the argv as JSON, the
@@ -173,21 +173,31 @@ def _malform(rng, text: str) -> str:
     return text
 
 
-def malformed_commands(seed: int) -> list[list[str]]:
-    """`check` on malformed corpus terms, their files written to the working directory.
+def malformed_texts(seed: int) -> dict[str, list[str]]:
+    """MALFORMED_COMMANDS edited corpus terms per mode.
 
     The terms are those of both corpora in each mode, except the deep-
-    nesting ones, and most of the edited texts are parse errors, so the
-    transcript records the diagnostics' bytes.
+    nesting ones, and most of the edited texts are parse errors.
     """
     queries = [query for workload in WORKLOADS for query in build(workload, seed) if not query.deep]
-    commands = []
+    edited = {}
     for mode in MODES:
         texts = [text for query in queries if query.mode == mode for text in query.texts]
         rng = random.Random(f"malformed:{mode}:{seed}")
-        for i in range(MALFORMED_COMMANDS):
+        edited[mode] = [_malform(rng, rng.choice(texts)) for _ in range(MALFORMED_COMMANDS)]
+    return edited
+
+
+def malformed_commands(seed: int) -> list[list[str]]:
+    """`check` on malformed_texts, their files written to the working directory.
+
+    The transcript thus records the diagnostics' bytes.
+    """
+    commands = []
+    for mode, texts in malformed_texts(seed).items():
+        for i, text in enumerate(texts):
             name = f"s{seed}-malformed-{mode}-{i}.term"
-            Path(name).write_text(_malform(rng, rng.choice(texts)), encoding="utf-8")
+            Path(name).write_text(text, encoding="utf-8")
             commands.append(["--mode", mode, "check", name])
     return commands
 
