@@ -49,7 +49,6 @@ from .terms import (
     Bang,
     Compose,
     Identity,
-    Letter,
     LetterObj,
     Mode,
     ObjectExpr,

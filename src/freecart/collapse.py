@@ -18,7 +18,6 @@ from .graphs import Graph, graph_of
 from .rewrite import normalize
 from .terms import (
     ArrowTerm,
-    Letter,
     LetterObj,
     Mode,
     Product,
@@ -40,7 +39,7 @@ RHS_GRAPH = Graph(2, 1, (2,))
 
 @dataclass(frozen=True)
 class CollapseWitness:
-    letter: Letter
+    letter: LetterObj
     position: int
     f_subst: ArrowTerm
     g_subst: ArrowTerm
@@ -64,11 +63,10 @@ def collapse_witness(
         i + 1 for i, (a, b) in enumerate(zip(gf.map, gg.map)) if a != b
     )
     dom_letters = letters_of(ft.domain)
-    letter = dom_letters[0] if dom_letters else letters_of(ft.codomain)[0]
+    p = dom_letters[0] if dom_letters else letters_of(ft.codomain)[0]
 
-    f_subst = substitute_all_letters(f, letter)
-    g_subst = substitute_all_letters(g, letter)
-    p = LetterObj(letter)
+    f_subst = substitute_all_letters(f, p)
+    g_subst = substitute_all_letters(g, p)
     pp = Product(p, p)
 
     # Send the domain position that g reads at `position` to the second
@@ -86,7 +84,7 @@ def collapse_witness(
     # Both composites have type pp -> p, and their graphs are the two
     # projections', so their normal forms are the two projections.
     return CollapseWitness(
-        letter, position, f_subst, g_subst, h, j, Proj1(p, p), Proj2(p, p)
+        p, position, f_subst, g_subst, h, j, Proj1(p, p), Proj2(p, p)
     )
 
 
@@ -99,7 +97,6 @@ def verify_witness(w: CollapseWitness, mode: Mode = Mode.CARTESIAN) -> bool:
     is raised.
     """
     try:
-        p = LetterObj(w.letter)
         lhs = compose(w.h, w.f_subst, w.j)
         rhs = compose(w.h, w.g_subst, w.j)
         typecheck(lhs, mode)
@@ -107,10 +104,8 @@ def verify_witness(w: CollapseWitness, mode: Mode = Mode.CARTESIAN) -> bool:
         return (
             graph_of(lhs) == LHS_GRAPH
             and graph_of(rhs) == RHS_GRAPH
-            and normalize(lhs, mode).result == Proj1(p, p)
-            and normalize(rhs, mode).result == Proj2(p, p)
-            and w.lhs_normal == Proj1(p, p)
-            and w.rhs_normal == Proj2(p, p)
+            and normalize(lhs, mode).result == w.lhs_normal == Proj1(w.letter, w.letter)
+            and normalize(rhs, mode).result == w.rhs_normal == Proj2(w.letter, w.letter)
         )
     except (TypeMismatch, ModeViolation):
         return False

@@ -30,13 +30,17 @@ class Graph:
 
     def __post_init__(self):
         object.__setattr__(self, "map", tuple(self.map))
+        n = self.source_letters
+        # By exact type, so that a bool, which is an int to Python, is no count or entry.
+        if type(n) is not int or type(self.target_letters) is not int or n < 0:
+            raise ValueError(f"letter counts must be integers >= 0: {self}")
         if len(self.map) != self.target_letters:
             raise ValueError(
                 f"map has {len(self.map)} entries for {self.target_letters} targets"
             )
         for v in self.map:
-            if not 1 <= v <= self.source_letters:
-                raise ValueError(f"map entry {v} not in 1..{self.source_letters}")
+            if type(v) is not int or not 1 <= v <= n:
+                raise ValueError(f"map entry {v} not in 1..{n}")
 
 
 def graph_of(t: ArrowTerm) -> Graph:

@@ -59,7 +59,6 @@ from .terms import (
     Compose,
     DERIVED,
     Identity,
-    Letter,
     LetterObj,
     Mode,
     ObjectExpr,
@@ -151,7 +150,7 @@ class _Parser:
     The tokens are kept reversed, so the next one is last and reading it
     is a pop.  A diagnostic finds its token's span by counting: token k
     of _tokens is match k of _spans, since both scan the same cleaned
-    text.  Each letter name is checked and looked up once per parse.
+    text.
 
     With `token` _GROUPED, a braced group is one token, and its objects
     come from the memo _group; only the diagnostics of a _TOKEN reading
@@ -164,7 +163,6 @@ class _Parser:
         self.count = len(tokens)
         self.rest = tokens[::-1]
         self.next = self.rest.pop
-        self.letters: dict[str, LetterObj] = {}
 
     def expect(self, sym: str) -> None:
         tok = self.next()
@@ -192,9 +190,7 @@ class _Parser:
                 opened.append(None)
                 continue
             if "a" <= tok < "{":  # a name: it starts with a lowercase letter, and "{" follows "z"
-                obj = self.letters.get(tok)
-                if obj is None:
-                    obj = self.letters[tok] = LetterObj(Letter(tok))
+                obj = LetterObj(tok)
             elif tok == "T":
                 obj = Terminal()
             else:
@@ -325,7 +321,7 @@ def _render_object(a: ObjectExpr, sep: str, out: list[str]) -> None:
         if isinstance(node, str):
             append(node)
         elif isinstance(node, LetterObj):
-            append(node.letter.name)
+            append(node.name)
         elif isinstance(node, Product):
             append("(")
             push((")", node.right, sep, node.left))

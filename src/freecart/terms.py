@@ -1,9 +1,9 @@
 """Syntactic core of the free cartesian category over a set of letters.
 
 Objects are formulas built from letters, the terminal object and binary
-products.  Arrows are typed terms: identities, the two projections, the
-unique arrow into the terminal object, pairing, and composition.
-Composition is kept flat (a factor list in application order), so every
+products; a letter is its object, a LetterObj.  Arrows are typed terms:
+identities, the two projections, the unique arrow into the terminal
+object, pairing, and composition.  Composition is kept flat (a factor list in application order), so every
 term is a canonical representative of its associativity class.
 
 Types are intrinsic: every arrow node sets its `domain` and `codomain`
@@ -32,8 +32,11 @@ are hash-consed (Filliatre-Conchon, 2006) through one weak-value table,
 so they compare and hash by identity.  Arrows compare by their fields,
 from an explicit stack, so `==` has no depth limit either.
 
-A subterm is addressed by its path of child indices from the root; spine
-states that rule, once, and subterm_at and replace_subterm are built on it.
+The children of an arrow, in path order, are its `parts`, which every
+walk reads: (first, second) for a pairing, the factors for a composition
+and none for a leaf.  A subterm is addressed by its path of indices into
+them from the root; spine states that rule, once, and subterm_at and
+replace_subterm are built on it.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ Path = tuple[int, ...]
 Map = tuple[int, ...]
 
 _LETTER_NAME = re.compile(r"[a-z][a-z0-9_]*\Z")
-# The object of each formula alive, keyed by its letter or its two parts.
+# The object of each formula alive, keyed by its letter's name or its two parts.
 _OBJECTS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
@@ -62,21 +65,6 @@ class Mode(Enum):
 
     CARTESIAN = "cartesian"
     BINARY_PRODUCTS = "binary-products"
-
-
-@dataclass(frozen=True, init=False)
-class Letter:
-    """A generating object.  The terminal object is not a letter."""
-
-    name: str
-
-    def __init__(self, name: str):
-        if not _LETTER_NAME.match(name):
-            raise ValueError(f"invalid letter name: {name!r}")
-        self.__dict__["name"] = name
-
-    def __str__(self):
-        return self.name
 
 
 class ObjectExpr:
@@ -105,17 +93,22 @@ class ObjectExpr:
 
 @dataclass(frozen=True, eq=False, init=False)
 class LetterObj(ObjectExpr):
-    letter: Letter
+    """A generating object, one per name, which is checked when it is first seen."""
+
+    name: str
 
     letters, symbols, has_terminal = 1, 1, False
 
-    def __new__(cls, letter: Letter):
-        if not isinstance(letter, Letter):
-            raise TypeError(f"not a letter: {letter!r}")
-        obj = _OBJECTS.get(letter)
-        if obj is None:
-            obj = _OBJECTS[letter] = object.__new__(cls)
-            obj.__dict__["letter"] = letter
+    def __new__(cls, name: str):
+        obj = _OBJECTS.get(name)
+        # Only a name that is not a str can find a Product's key.
+        if type(obj) is not cls:
+            if not isinstance(name, str):
+                raise TypeError(f"not a letter name: {name!r}")
+            if not _LETTER_NAME.match(name):
+                raise ValueError(f"invalid letter name: {name!r}")
+            obj = _OBJECTS[name] = object.__new__(cls)
+            obj.__dict__["name"] = name
         return obj
 
 
@@ -162,10 +155,11 @@ class ArrowTerm:
     Every node carries `domain`, `codomain`, `terminal_free`, `map` and
     `measure`, which its constructor writes into the instance dict
     together with the fields.  They are plain attributes, not dataclass
-    fields, so repr and match patterns see only the fields.
+    fields, so repr and match patterns see only the fields.  So are the
+    `parts`, which a leaf reads from this class: it has none.
 
     Two arrows are equal when they have the same class and equal fields,
-    as the dataclass `==` would find, but __eq__ walks from a stack.
+    as the dataclass `==` would find, but __eq__ walks parts from a stack.
     Their hash reads only the root's class, type and map, which equal
     arrows share.
 
@@ -186,6 +180,7 @@ class ArrowTerm:
     terminal_free: bool
     map: Map
     measure: tuple[int, bool, bool, int]
+    parts: tuple[ArrowTerm, ...] = ()
 
     def __eq__(self, other):
         if not isinstance(other, ArrowTerm):
@@ -200,12 +195,10 @@ class ArrowTerm:
             # and the product of a projection's two objects.
             if type(a) is not type(b) or a.domain is not b.domain or a.codomain is not b.codomain:
                 return False
-            if isinstance(a, Pair):
-                todo += ((a.first, b.first), (a.second, b.second))
-            elif isinstance(a, Compose):
-                if len(a.factors) != len(b.factors):
+            if a.parts:
+                if len(a.parts) != len(b.parts):
                     return False
-                todo += zip(a.factors, b.factors)
+                todo += zip(a.parts, b.parts)
         return True
 
     def __hash__(self):
@@ -313,6 +306,7 @@ class Pair(ArrowTerm):
         d = self.__dict__
         d["first"] = first
         d["second"] = second
+        d["parts"] = (first, second)
         d["domain"] = dom
         d["codomain"] = Product(first.codomain, second.codomain)
         d["terminal_free"] = first.terminal_free and second.terminal_free
@@ -369,7 +363,7 @@ class Compose(ArrowTerm):
         if not pairing:
             beta = codomain.symbols
         d = self.__dict__
-        d["factors"] = tuple(flat)
+        d["factors"] = d["parts"] = tuple(flat)
         d["domain"] = flat[0].domain
         d["codomain"] = codomain
         d["terminal_free"] = terminal_free
@@ -401,7 +395,7 @@ class ArrowType:
         return f"{print_object(self.domain, spaced=True)} -> {print_object(self.codomain, spaced=True)}"
 
 
-def letters_of(a: ObjectExpr) -> tuple[Letter, ...]:
+def letters_of(a: ObjectExpr) -> tuple[LetterObj, ...]:
     """All letters of an object in left-to-right leaf order."""
     letters = []
     todo = [a]
@@ -410,7 +404,7 @@ def letters_of(a: ObjectExpr) -> tuple[Letter, ...]:
         if isinstance(node, Product):
             todo += (node.right, node.left)
         elif isinstance(node, LetterObj):
-            letters.append(node.letter)
+            letters.append(node)
         elif not isinstance(node, Terminal):
             raise TypeError(f"not an object: {node!r}")
     return tuple(letters)
@@ -432,11 +426,10 @@ def typecheck(t: ArrowTerm, mode: Mode = Mode.CARTESIAN) -> ArrowType:
     _arrows(t)
     if mode is Mode.BINARY_PRODUCTS and not t.terminal_free:
         path = []
-        while isinstance(t, (Pair, Compose)):
-            parts = (t.first, t.second) if isinstance(t, Pair) else t.factors
-            i = next(i for i, part in enumerate(parts) if not part.terminal_free)
+        while t.parts:
+            i = next(i for i, part in enumerate(t.parts) if not part.terminal_free)
             path.append(i)
-            t = parts[i]
+            t = t.parts[i]
         # t is a terminal arrow, or an identity or a projection whose
         # objects, which make up its domain, hold T.
         what = "terminal arrow" if isinstance(t, Bang) else "terminal object"
@@ -477,31 +470,25 @@ def iter_subterms(t: ArrowTerm) -> Iterator[tuple[Path, ArrowTerm]]:
     while stack:
         link, t = stack.pop()
         yield _unlink(link), t
-        if isinstance(t, Pair):
-            stack.append(((link, 1), t.second))
-            stack.append(((link, 0), t.first))
-        elif isinstance(t, Compose):
-            factors = t.factors
-            for i in reversed(range(len(factors))):
-                stack.append(((link, i), factors[i]))
+        i = len(t.parts)
+        while i:
+            i -= 1
+            stack.append(((link, i), t.parts[i]))
 
 
 def spine(t: ArrowTerm, path: Path) -> list[ArrowTerm]:
     """The nodes from t down to the subterm at `path`, t first.
 
-    This is the addressing rule, stated once: under a pairing the index
-    is 0 or 1, under a composition it is a factor's index (a negative
-    index would count from the end, so it is no address), and any other
-    index, or any index under a leaf, raises IndexError.
+    This is the addressing rule, stated once: index i is `parts[i]`, for
+    0 <= i < len(parts) (a negative index would count from the end, so it
+    is no address), and any other index, or any index under a leaf, which
+    has no parts, raises IndexError.
     """
     nodes = [t]
     for i in path:
-        if isinstance(t, Pair) and 0 <= i <= 1:
-            t = t.second if i else t.first
-        elif isinstance(t, Compose) and 0 <= i < len(t.factors):
-            t = t.factors[i]
-        else:
+        if not 0 <= i < len(t.parts):
             raise IndexError(f"no subterm at {path}")
+        t = t.parts[i]
         nodes.append(t)
     return nodes
 
@@ -514,11 +501,8 @@ def rebuild(nodes: list[ArrowTerm], path: Path, new: ArrowTerm) -> ArrowTerm:
     raises TypeMismatch when its parent is rebuilt.
     """
     for parent, i in zip(reversed(nodes[:-1]), reversed(path)):
-        if isinstance(parent, Pair):
-            new = Pair(parent.first, new) if i else Pair(new, parent.second)
-        else:
-            factors = parent.factors
-            new = Compose((*factors[:i], new, *factors[i + 1 :]))
+        parts = (*parent.parts[:i], new, *parent.parts[i + 1 :])
+        new = Pair(*parts) if isinstance(parent, Pair) else Compose(parts)
     return new
 
 
@@ -534,14 +518,16 @@ def replace_subterm(t: ArrowTerm, path: Path, new: ArrowTerm) -> ArrowTerm:
 # ---------------------------------------------------------------------------
 # Substitution and derived arrows
 
-def substitute_all_letters(t: ArrowTerm, p: Letter) -> ArrowTerm:
-    """Replace every letter occurring in the term's objects by `p`.
+def substitute_all_letters(t: ArrowTerm, letter: LetterObj) -> ArrowTerm:
+    """Replace every letter occurring in the term's objects by `letter`.
 
     Both walks keep their own stacks, as read-back does, so no depth
     reaches the recursion limit.  Each distinct object is rebuilt once
     per call.
     """
-    letter = LetterObj(p)
+    _arrows(t)
+    if not isinstance(letter, LetterObj):
+        raise TypeError(f"not a letter: {letter!r}")
     done: dict[ObjectExpr, ObjectExpr] = {_TERMINAL: _TERMINAL}
 
     def obj(a: ObjectExpr) -> ObjectExpr:
@@ -568,22 +554,16 @@ def substitute_all_letters(t: ArrowTerm, p: Letter) -> ArrowTerm:
         node = todo.pop()
         if isinstance(node, tuple):
             (node,) = node
-            pair = isinstance(node, Pair)
-            n = 2 if pair else len(node.factors)
-            parts = built[-n:]
-            del built[-n:]
-            built.append(Pair(*parts) if pair else Compose(tuple(parts)))
-        elif isinstance(node, Pair):
-            todo += ((node,), node.second, node.first)
-        elif isinstance(node, Compose):
+            parts = tuple(built[-len(node.parts) :])
+            del built[-len(node.parts) :]
+            built.append(Pair(*parts) if isinstance(node, Pair) else Compose(parts))
+        elif node.parts:
             todo.append((node,))
-            todo += reversed(node.factors)
+            todo += reversed(node.parts)
         elif isinstance(node, (Identity, Bang)):
             built.append(type(node)(obj(node.obj)))
-        elif isinstance(node, (Proj1, Proj2)):
-            built.append(type(node)(obj(node.left), obj(node.right)))
         else:
-            raise TypeError(f"not an arrow term: {node!r}")
+            built.append(type(node)(obj(node.left), obj(node.right)))
     return built[0]
 
 

@@ -15,7 +15,6 @@ from freecart import (
     Compose,
     Graph,
     Identity,
-    Letter,
     LetterObj,
     Mode,
     ObjectExpr,
@@ -31,7 +30,7 @@ from freecart import (
     subterm_at,
 )
 
-LETTERS = (Letter("p"), Letter("q"), Letter("r"))
+LETTERS = ("p", "q", "r")
 
 
 def random_object(
@@ -272,7 +271,7 @@ def random_codomain_and_graph(
 ) -> tuple[ObjectExpr, Graph]:
     """A random codomain whose letters all occur in dom, plus a compatible map."""
     dom_letters = letters_of(dom)
-    positions: dict[Letter, list[int]] = {}
+    positions: dict[LetterObj, list[int]] = {}
     for idx, letter in enumerate(dom_letters, start=1):
         positions.setdefault(letter, []).append(idx)
     available = sorted(positions, key=lambda l: l.name)
@@ -282,7 +281,7 @@ def random_codomain_and_graph(
             return Product(build(depth - 1), build(depth - 1))
         if not available or (mode is Mode.CARTESIAN and rng.random() < 0.2):
             return Terminal()
-        return LetterObj(rng.choice(available))
+        return rng.choice(available)
 
     cod = build(max_depth)
     mapping = tuple(rng.choice(positions[letter]) for letter in letters_of(cod))

@@ -180,7 +180,7 @@ def test_criterion_6_maximality_witnesses():
             for f, g in _distinct_graph_pairs(rng, mode, 300):
                 w = collapse_witness(f, g, mode)
                 assert verify_witness(w, mode)
-                pp = LetterObj(w.letter)
+                pp = w.letter
                 assert normalize(compose(w.h, w.f_subst, w.j), mode).result == Proj1(pp, pp)
                 assert normalize(compose(w.h, w.g_subst, w.j), mode).result == Proj2(pp, pp)
 

@@ -20,7 +20,6 @@ from freecart import (
     Graph,
     Identity,
     InvalidRedex,
-    Letter,
     LetterObj,
     Mode,
     ModeViolation,
@@ -39,6 +38,7 @@ from freecart import (
     normalize,
     replace_subterm,
     step,
+    substitute_all_letters,
     subterm_at,
     typecheck,
 )
@@ -78,6 +78,16 @@ def _sub_objects(a):
     if isinstance(a, Product):
         yield from _sub_objects(a.left)
         yield from _sub_objects(a.right)
+
+
+def _children(t):
+    """The children of a node in path order, read from its fields."""
+    match t:
+        case Pair(first, second):
+            return (first, second)
+        case Compose(factors):
+            return factors
+    return ()
 
 
 def _leaf_objects(t):
@@ -191,6 +201,9 @@ def test_cached_attributes_match_their_definitions(mode, rng):
                       for o in _sub_objects(top)}.values():
                 assert (a.letters, a.symbols, a.has_terminal) == (
                     _letters(a), _symbols(a), _has_t(a))
+            children = _children(sub)
+            assert type(sub.parts) is tuple and len(sub.parts) == len(children)
+            assert all(a is b for a, b in zip(sub.parts, children))
             assert sub.terminal_free == _terminal_free(sub)
             assert graph_of(sub) == Graph(*_graph(sub))
             gamma, pair, under, beta = sub.measure
@@ -270,8 +283,15 @@ def test_a_step_keeps_every_subterm_off_its_spine(mode, rng):
 # The binary-products check: a terminal-free term passes at once, and any
 # other is walked for its first violation
 
+def _preorder(t, path=()):
+    """(path, subterm) pairs in preorder, descending through the fields."""
+    yield path, t
+    for i, child in enumerate(_children(t)):
+        yield from _preorder(child, (*path, i))
+
+
 def _first_violation(t):
-    for path, sub in iter_subterms(t):
+    for path, sub in _preorder(t):
         if isinstance(sub, Bang):
             return "terminal arrow not available in binary-products mode", path
         if any(map(_has_t, _leaf_objects(sub))):
@@ -335,13 +355,13 @@ def test_binary_products_typecheck_finds_the_first_violation(rng, mode):
 # Constructors: keyword and positional arguments, dataclasses.replace,
 # and the errors raised on arguments that do not fit
 
-p, q, r = (LetterObj(Letter(name)) for name in "pqr")
+p, q, r = (LetterObj(name) for name in "pqr")
 pq = Product(p, q)
 
 # Each node class with the fields of two instances; the second differs
 # from the first in some fields, which replace() puts in.
 CONSTRUCTOR_CASES = {
-    LetterObj: ({"letter": Letter("p")}, {"letter": Letter("q")}),
+    LetterObj: ({"name": "p"}, {"name": "q"}),
     Product: ({"left": p, "right": q}, {"left": p, "right": Product(q, T)}),
     Identity: ({"obj": pq}, {"obj": Product(T, r)}),
     Proj1: ({"left": p, "right": q}, {"left": Product(q, T), "right": q}),
@@ -365,6 +385,8 @@ def _stored(node):
     """Every field and attribute that the constructor writes."""
     fields = {f.name for f in dataclasses.fields(node)}
     extra = ARROW_ATTRIBUTES if isinstance(node, ArrowTerm) else set()
+    if isinstance(node, (Pair, Compose)):
+        extra = ARROW_ATTRIBUTES | {"parts"}
     if isinstance(node, Product):
         extra = {"letters", "symbols", "has_terminal"}
     assert set(vars(node)) == fields | extra
@@ -400,7 +422,10 @@ NOT_OBJECT, NOT_ARROW = "not an object: ", "not an arrow term: "
 @pytest.mark.parametrize(
     ("build", "message"),
     [
-        (lambda: LetterObj("p"), "not a letter: 'p'"),
+        (lambda: LetterObj(3), "not a letter name: 3"),
+        (lambda: LetterObj(Identity(p)), "not a letter name: " + repr(Identity(p))),
+        # A pair of objects is the key of their product in the table of objects.
+        (lambda: LetterObj((p, q)), "not a letter name: " + repr((p, q))),
         (lambda: Product(p, "q"), NOT_OBJECT + "'q'"),
         (lambda: Product(1, p), NOT_OBJECT + "1"),
         (lambda: Product(left=p, right=None), NOT_OBJECT + "None"),
@@ -408,7 +433,7 @@ NOT_OBJECT, NOT_ARROW = "not an object: ", "not an arrow term: "
         (lambda: Identity(obj=Identity(p)), NOT_OBJECT + repr(Identity(p))),
         (lambda: Bang(None), NOT_OBJECT + "None"),
         (lambda: Proj1(p, 3), NOT_OBJECT + "3"),
-        (lambda: Proj1(Letter("p"), q), NOT_OBJECT + repr(Letter("p"))),
+        (lambda: Proj1("p", q), NOT_OBJECT + "'p'"),
         (lambda: Proj2("x", p), NOT_OBJECT + "'x'"),
         (lambda: Proj2(left=p, right=Identity(p)), NOT_OBJECT + repr(Identity(p))),
         (lambda: Pair(Identity(p), p), NOT_ARROW + repr(p)),
@@ -419,6 +444,8 @@ NOT_OBJECT, NOT_ARROW = "not an object: ", "not an arrow term: "
         (lambda: Compose(factors=(p, Identity(p))), NOT_ARROW + repr(p)),
         (lambda: letters_of("p"), NOT_OBJECT + "'p'"),
         (lambda: letters_of(Identity(p)), NOT_OBJECT + repr(Identity(p))),
+        (lambda: substitute_all_letters(p, q), NOT_ARROW + repr(p)),
+        (lambda: substitute_all_letters(Identity(p), pq), "not a letter: " + repr(pq)),
     ],
 )
 def test_non_objects_and_non_arrows_raise_type_error(build, message):

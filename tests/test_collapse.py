@@ -9,7 +9,6 @@ from freecart import (
     Graph,
     Identity,
     InternalError,
-    Letter,
     LetterObj,
     Mode,
     Pair,
@@ -31,13 +30,13 @@ from freecart import (
 from freecart import collapse
 from termgen import mutate_preserving, random_arrow, random_codomain_and_graph, random_object
 
-p = LetterObj(Letter("p"))
-q = LetterObj(Letter("q"))
+p = LetterObj("p")
+q = LetterObj("q")
 
 
 def test_minimal_counterexample():
     w = collapse_witness(Proj1(p, p), Proj2(p, p))
-    assert w.letter == Letter("p")
+    assert w.letter == LetterObj("p")
     assert w.position == 1
     assert graph_of(w.h) == Graph(2, 2, (1, 2))
     assert w.j == Identity(p)
@@ -81,15 +80,15 @@ def test_mixed_letter_pair():
     # Both have type (p*q)*p -> p but pick out different occurrences.
     w = collapse_witness(f, g)
     assert verify_witness(w)
-    assert w.letter == Letter("p")
+    assert w.letter == LetterObj("p")
     assert w.position == 1
     occurring = letters_of(w.f_subst.domain) + letters_of(w.f_subst.codomain)
-    assert all(l == Letter("p") for l in occurring)
+    assert all(l == LetterObj("p") for l in occurring)
 
 
 def test_substitution_neutrality():
     f = compose(Pair(Proj2(p, q), Proj1(p, q)), Proj2(q, p))
-    assert graph_of(substitute_all_letters(f, Letter("z"))) == graph_of(f)
+    assert graph_of(substitute_all_letters(f, LetterObj("z"))) == graph_of(f)
 
 
 @given(st.randoms(use_true_random=False))
@@ -109,8 +108,8 @@ def test_random_witnesses_verify(rng):
     g = mutate_preserving(rng, synth_from_graph(dom, cod, g2), rounds=2)
     w = collapse_witness(f, g)
     assert verify_witness(w)
-    assert w.lhs_normal == Proj1(LetterObj(w.letter), LetterObj(w.letter))
-    assert w.rhs_normal == Proj2(LetterObj(w.letter), LetterObj(w.letter))
+    assert w.lhs_normal == Proj1(w.letter, w.letter)
+    assert w.rhs_normal == Proj2(w.letter, w.letter)
 
 
 @given(st.randoms(use_true_random=False))

@@ -8,7 +8,6 @@ from freecart import (
     Graph,
     Identity,
     IncompatibleGraph,
-    Letter,
     LetterObj,
     Mode,
     ModeViolation,
@@ -39,8 +38,8 @@ from termgen import (
     random_object,
 )
 
-p = LetterObj(Letter("p"))
-q = LetterObj(Letter("q"))
+p = LetterObj("p")
+q = LetterObj("q")
 T = Terminal()
 
 

@@ -22,7 +22,6 @@ from freecart import (
     Degree,
     Graph,
     Identity,
-    Letter,
     LetterObj,
     Mode,
     ModeViolation,
@@ -46,8 +45,8 @@ from freecart import (
     typecheck,
 )
 
-p = LetterObj(Letter("p"))
-q = LetterObj(Letter("q"))
+p = LetterObj("p")
+q = LetterObj("q")
 pp = Product(p, p)
 T = Terminal()
 DEPTH = 10_000
@@ -141,8 +140,8 @@ def test_reading_back_a_pairing_nested_deeper_than_the_recursion_limit(deep_pair
 def test_the_letters_of_an_object_nested_deeper_than_the_recursion_limit(
     deep_object, deep_pairing
 ):
-    assert letters_of(deep_object) == (Letter("p"),) + (Letter("q"),) * DEPTH
-    assert letters_of(deep_pairing.codomain) == (Letter("p"),) * DEPTH
+    assert letters_of(deep_object) == (LetterObj("p"),) + (LetterObj("q"),) * DEPTH
+    assert letters_of(deep_pairing.codomain) == (LetterObj("p"),) * DEPTH
 
 
 def test_parsing_an_object_nested_deeper_than_the_recursion_limit():
@@ -204,12 +203,12 @@ _LETTER = re.compile(r"[a-z][a-z0-9_]*(?![a-z0-9_{(])")
 
 def test_substituting_letters_deeper_than_the_recursion_limit(deep_object, deep_pairing):
     t = Identity(deep_object)
-    s = substitute_all_letters(t, Letter("q"))
+    s = substitute_all_letters(t, LetterObj("q"))
     b = q
     for _ in range(DEPTH):
         b = Product(b, q)
     assert s.obj is b
     assert graph_of(s) == graph_of(t)
-    s = substitute_all_letters(deep_pairing, Letter("q"))
+    s = substitute_all_letters(deep_pairing, LetterObj("q"))
     assert graph_of(s) == graph_of(deep_pairing)
     assert set(_LETTER.findall(print_arrow(s))) == {"q"}

@@ -7,7 +7,6 @@ from freecart import (
     Graph,
     Identity,
     IncompatibleGraph,
-    Letter,
     LetterObj,
     Mode,
     Pair,
@@ -35,8 +34,8 @@ from termgen import (
     random_object,
 )
 
-p = LetterObj(Letter("p"))
-q = LetterObj(Letter("q"))
+p = LetterObj("p")
+q = LetterObj("q")
 T = Terminal()
 
 
@@ -72,7 +71,7 @@ def test_graph_compose_with_empty_target():
 
 def test_graph_compose_identity_law():
     # f: (p*q)*r -> r*p has the graph (3, 1).
-    r = LetterObj(Letter("r"))
+    r = LetterObj("r")
     f = Pair(Proj2(Product(p, q), r), compose(Proj1(Product(p, q), r), Proj1(p, q)))
     assert graph_of(f) == Graph(3, 2, (3, 1))
     assert graph_of(compose(Identity(f.domain), f)) == graph_of(f)
@@ -84,6 +83,30 @@ def test_graph_validation():
         Graph(1, 1, (2,))
     with pytest.raises(ValueError):
         Graph(1, 2, (1,))
+
+
+@pytest.mark.parametrize(
+    "source, target, entries",
+    [
+        (2, 1, (1.5,)),
+        (2, 1, (1.0,)),
+        (2, 1, (True,)),
+        (2.0, 1, (1,)),
+        (True, 1, (1,)),
+        (2, True, (1,)),
+        (-1, 0, ()),
+        (0, -1, ()),
+    ],
+)
+def test_graph_takes_integer_counts_and_entries_only(source, target, entries):
+    with pytest.raises(ValueError):
+        Graph(source, target, entries)
+
+
+def test_synth_reads_back_no_graph_with_a_fractional_entry():
+    # Read back, (1.5,) would answer for the graph (2,) of p2{p,q}.
+    with pytest.raises(ValueError):
+        synth_from_graph(Product(p, q), q, Graph(2, 1, (1.5,)))
 
 
 def test_graph_equal_eta_instance():
@@ -233,7 +256,7 @@ def _leaf_letters(a):
             return _leaf_letters(left) + _leaf_letters(right)
         case Terminal():
             return []
-    return [a.letter]
+    return [a.name]
 
 
 @pytest.mark.parametrize("mode", list(Mode))

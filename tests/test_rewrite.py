@@ -12,7 +12,6 @@ from freecart import (
     Identity,
     InternalError,
     InvalidRedex,
-    Letter,
     LetterObj,
     Mode,
     Pair,
@@ -38,8 +37,8 @@ from freecart import (
 )
 from termgen import mutate_preserving, random_arrow, random_normal_form, random_object
 
-p = LetterObj(Letter("p"))
-q = LetterObj(Letter("q"))
+p = LetterObj("p")
+q = LetterObj("q")
 T = Terminal()
 
 
@@ -53,7 +52,7 @@ def test_atomized_composition_recognition():
 
 
 def test_normal_form_clauses():
-    assert is_normal_form(assoc_r(p, q, LetterObj(Letter("r"))))
+    assert is_normal_form(assoc_r(p, q, LetterObj("r")))
     assert not is_normal_form(compose(dup(p), Pair(Proj1(p, p), Proj2(p, p))))
     assert is_normal_form(Bang(Product(p, T)))
     assert not is_normal_form(Bang(Product(p, T)), Mode.BINARY_PRODUCTS)

@@ -15,7 +15,6 @@ from freecart import (
     Compose,
     Diagnostic,
     Identity,
-    Letter,
     LetterObj,
     Mode,
     ModeViolation,
@@ -49,8 +48,8 @@ sys.path.insert(0, str(ROOT / "tools"))
 from cli_transcript import malformed_texts  # noqa: E402  (it puts bench/ on the path)
 from workloads import WORKLOADS, build  # noqa: E402
 
-p = LetterObj(Letter("p"))
-q = LetterObj(Letter("q"))
+p = LetterObj("p")
+q = LetterObj("q")
 T = Terminal()
 
 
@@ -359,8 +358,8 @@ def test_equal_objects_are_one_object(rng):
     match a:
         case Product(left, right):
             assert Product(left, right) is Product(left=left, right=right) is a
-        case LetterObj(letter):
-            assert LetterObj(Letter(letter.name)) is a
+        case LetterObj(name):
+            assert LetterObj(name) is LetterObj(name=name) is a
         case Terminal():
             assert Terminal() is a
     assert dataclasses.replace(a) is a

@@ -1,3 +1,8 @@
+import copy
+import dataclasses
+import pickle
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +12,6 @@ from freecart import (
     Bang,
     Compose,
     Identity,
-    Letter,
     LetterObj,
     Mode,
     Pair,
@@ -36,9 +40,9 @@ from freecart import (
 )
 from termgen import mutate_preserving, random_arrow, random_object
 
-p = LetterObj(Letter("p"))
-q = LetterObj(Letter("q"))
-r = LetterObj(Letter("r"))
+p = LetterObj("p")
+q = LetterObj("q")
+r = LetterObj("r")
 T = Terminal()
 
 # The running example object ((p*q)*p)*(T*p).
@@ -46,12 +50,23 @@ BIG = Product(Product(Product(p, q), p), Product(T, p))
 
 
 def test_letter_rejects_bad_names():
-    with pytest.raises(ValueError):
-        Letter("T")
-    with pytest.raises(ValueError):
-        Letter("")
-    with pytest.raises(ValueError):
-        Letter("1p")
+    for name in ("T", "", "1p"):
+        with pytest.raises(ValueError, match=re.escape(f"invalid letter name: {name!r}")):
+            LetterObj(name)
+
+
+def test_a_letter_is_its_one_object():
+    assert LetterObj("p") is p
+    assert LetterObj(name="p") is p
+    assert dataclasses.replace(p) is p
+    assert dataclasses.replace(q, name="p") is p
+    assert copy.copy(p) is p and copy.deepcopy(p) is p
+    assert pickle.loads(pickle.dumps(p)) is p
+    match p:
+        case LetterObj(name):
+            assert LetterObj(name) is p
+    assert letters_of(Product(p, q)) == (p, q)
+    assert (p.name, str(p), repr(p)) == ("p", "p", "LetterObj(name='p')")
 
 
 def test_typecheck_projection():
@@ -166,10 +181,9 @@ def test_symbol_length():
 
 
 def test_substitute_examples():
-    pl = Letter("p")
-    assert substitute_all_letters(Proj1(q, r), pl) == Proj1(p, p)
-    assert substitute_all_letters(Bang(Product(q, r)), pl) == Bang(Product(p, p))
-    assert substitute_all_letters(Pair(Proj2(q, r), Proj1(q, r)), pl) == Pair(
+    assert substitute_all_letters(Proj1(q, r), p) == Proj1(p, p)
+    assert substitute_all_letters(Bang(Product(q, r)), p) == Bang(Product(p, p))
+    assert substitute_all_letters(Pair(Proj2(q, r), Proj1(q, r)), p) == Pair(
         Proj2(p, p), Proj1(p, p)
     )
 
@@ -182,11 +196,11 @@ def _shape(t):
 @settings(max_examples=60, deadline=None)
 def test_substitute_preserves_shape_and_typing(rng):
     t = random_arrow(rng)
-    s = substitute_all_letters(t, Letter("z"))
+    s = substitute_all_letters(t, LetterObj("z"))
     assert _shape(s) == _shape(t)
     ty = typecheck(s)
     assert ty.domain == s.domain and ty.codomain == s.codomain
-    assert all(letter == Letter("z") for letter in letters_of(ty.domain))
+    assert all(letter == LetterObj("z") for letter in letters_of(ty.domain))
 
 
 def test_swap_is_pair_of_projections():
