@@ -91,9 +91,11 @@ def normal_form(t: ArrowTerm, mode: Mode = Mode.CARTESIAN) -> ArrowTerm:
 def _synth(dom: ObjectExpr, cod: ObjectExpr, g: Graph) -> ArrowTerm:
     # The letters of cod are met in leaf order, so they take the entries
     # of g.map in turn, and every object carries its letter count: the
-    # work is linear in the size of the result.  The walk keeps its own
-    # stack of nodes to visit, where None stands for "pair the last two
-    # terms built", so no depth of cod reaches the recursion limit.
+    # walk visits each node of the result once, but building is not
+    # linear, since a Pair concatenates its parts' maps and a Compose
+    # chases them (read-back of id{A} is cubic in the depth of A, ROADMAP
+    # item 10).  None on the walk's own stack stands for "pair the last
+    # two terms built", so no depth of cod reaches the recursion limit.
     sources = iter(g.map)
     built: list[ArrowTerm] = []
     todo: list[ObjectExpr | None] = [cod]

@@ -31,19 +31,21 @@ character, which is reported before any syntax error, and `findall`
 yields the token texts, which the parser compares.  Tokens carry no
 spans.  A diagnostic recomputes them with `finditer` over the same
 cleaned text, so its match k is the parser's token k.  The printers
-write from explicit stacks, so they have no depth limit.
+write from explicit stacks, so they have no depth limit; print_arrow
+takes the text of each object from a memo (_object_text) of the
+_GROUPS_KEPT objects written most recently.
 
 parse_arrow first reads a text with _GROUPED, under which a braced
 group of object syntax, such as "{p*q,T}", is one token.  Objects are
-interned, so a group's objects depend on its text alone, and a memo
-(_group) keeps those of the _GROUPS_KEPT group texts read most recently
-in the process: the same texts recur across terms, and a repeat costs
-one lookup.  The memo keeps those objects alive, and nothing else.  A
-reading that meets a syntax error is repeated with _TOKEN, one token
-per name or symbol, and that reading's diagnostic is reported, so
-every diagnostic is the token-level reader's.  Type and mode errors
-arise at the same point of both readings, which build the same terms
-in the same order.
+interned, so a name and its group's text fix the arrow name{...}: a
+memo (_braced) keeps the _GROUPS_KEPT arrows read most recently in the
+process, and a repeat costs one lookup.  Terms are immutable and the
+mode is checked on the whole term, so a shared leaf changes no
+verdict.  A reading that meets a syntax error is repeated with _TOKEN,
+one token per name or symbol, and that reading's diagnostic is
+reported, so every diagnostic is the token-level reader's.  Type and
+mode errors arise at the same point of both readings, which build
+equal terms in the same order.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ _VALID = re.compile(rf"(?:{_TOKEN.pattern}|\s+)*")
 # _TOKEN.  The possessive quantifiers never backtrack, so a scan stays
 # linear.
 _GROUPED = re.compile(rf"\{{(?:[a-z][a-z0-9_]*+|[T*(),]|\s)*+\}}|{_TOKEN.pattern}")
-# How many group texts the memo keeps.
+# How many arrows _braced keeps, and how many texts _object_text keeps.
 _GROUPS_KEPT = 4096
 
 
@@ -152,9 +154,9 @@ class _Parser:
     of _tokens is match k of _spans, since both scan the same cleaned
     text.
 
-    With `token` _GROUPED, a braced group is one token, and its objects
-    come from the memo _group; only the diagnostics of a _TOKEN reading
-    are reported (see parse_arrow).
+    With `token` _GROUPED, a braced group is one token, and a name
+    followed by one is an arrow from the memo _braced; only the
+    diagnostics of a _TOKEN reading are reported (see parse_arrow).
     """
 
     def __init__(self, text: str, token: re.Pattern = _TOKEN):
@@ -218,10 +220,6 @@ class _Parser:
     # -- arrows -----------------------------------------------------------
 
     def braced_objects(self, count: int) -> tuple[ObjectExpr, ...]:
-        group = self.rest[-1]
-        if group[:1] == "{" != group:
-            self.next()
-            return _group(group, count)
         self.expect("{")
         objs = [self.object_top()]
         while len(objs) < count:
@@ -244,6 +242,10 @@ class _Parser:
             return Pair(first, second)
         if "a" <= tok < "{":
             if tok in _BRACED:
+                group = self.rest[-1]
+                if group[:1] == "{" != group:
+                    self.next()
+                    return _braced(tok, group)
                 build, arity = _BRACED[tok]
                 return build(*self.braced_objects(arity))
             if tok == "prod":
@@ -269,12 +271,10 @@ class _Parser:
 
 
 @lru_cache(maxsize=_GROUPS_KEPT)
-def _group(group: str, count: int) -> tuple[ObjectExpr, ...]:
-    """The `count` objects of a group token, read token by token.
-
-    A malformed group raises ParseError, which is not cached.
-    """
-    return _Parser(group).braced_objects(count)
+def _braced(name: str, group: str) -> ArrowTerm:
+    """name{...}, its group read token by token; a ParseError is not cached."""
+    build, arity = _BRACED[name]
+    return build(*_Parser(group).braced_objects(arity))
 
 
 def parse_object(text: str) -> ObjectExpr:
@@ -306,14 +306,12 @@ def parse_arrow(text: str, mode: Mode = Mode.CARTESIAN) -> ArrowTerm:
     return term
 
 
-def _render_object(a: ObjectExpr, sep: str, out: list[str]) -> None:
-    """Append the text of `a` to `out`: parenthesized unless at the top.
-
-    The stack holds objects and the strings to write between them, the
-    next one last.
-    """
+def print_object(a: ObjectExpr, spaced: bool = False) -> str:
+    """The text of `a`, from a stack of objects and strings to write, the next last."""
     if not isinstance(a, ObjectExpr):
         raise TypeError(f"not an object: {a!r}")
+    sep = " * " if spaced else "*"
+    out: list[str] = []
     stack: list[ObjectExpr | str] = [a.right, sep, a.left] if isinstance(a, Product) else [a]
     append, push, pop = out.append, stack.extend, stack.pop
     while stack:
@@ -329,18 +327,19 @@ def _render_object(a: ObjectExpr, sep: str, out: list[str]) -> None:
             append("T")
         else:
             raise TypeError(f"not an object: {node!r}")
-
-
-def print_object(a: ObjectExpr, spaced: bool = False) -> str:
-    out: list[str] = []
-    _render_object(a, " * " if spaced else "*", out)
     return "".join(out)
+
+
+@lru_cache(maxsize=_GROUPS_KEPT)
+def _object_text(a: ObjectExpr) -> str:
+    """print_object(a), kept for the _GROUPS_KEPT objects written most recently."""
+    return print_object(a)
 
 
 def print_arrow(t: ArrowTerm) -> str:
     """Canonical rendering; parse_arrow(print_arrow(t)) returns t.
 
-    Like _render_object, it writes from a stack of terms and strings.
+    Like print_object, it writes from a stack of terms and strings.
     """
     if not isinstance(t, ArrowTerm):
         raise TypeError(f"not an arrow term: {t!r}")
@@ -360,16 +359,14 @@ def print_arrow(t: ArrowTerm) -> str:
             stack.append(factors[0])
             for f in factors[1:]:
                 push((" . ", f))
-        elif isinstance(node, (Identity, Bang)):
-            append("id{" if isinstance(node, Identity) else "bang{")
-            _render_object(node.obj, "*", out)
-            append("}")
-        elif isinstance(node, (Proj1, Proj2)):
-            append("p1{" if isinstance(node, Proj1) else "p2{")
-            _render_object(node.left, "*", out)
-            append(",")
-            _render_object(node.right, "*", out)
-            append("}")
+        elif isinstance(node, Identity):
+            append(f"id{{{_object_text(node.obj)}}}")
+        elif isinstance(node, Proj1):
+            append(f"p1{{{_object_text(node.left)},{_object_text(node.right)}}}")
+        elif isinstance(node, Proj2):
+            append(f"p2{{{_object_text(node.left)},{_object_text(node.right)}}}")
+        elif isinstance(node, Bang):
+            append(f"bang{{{_object_text(node.obj)}}}")
         else:
             raise TypeError(f"not an arrow term: {node!r}")
     return "".join(out)

@@ -7,7 +7,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 sys.path.insert(0, str(ROOT / "tools"))
-from bench_pairs import pair_line, summarize, summary_lines  # noqa: E402
+from bench_pairs import environment, failure_lines, failures, pair_line, summarize, summary_lines  # noqa: E402
 
 BENCH = {
     "workloads": [{"name": "decide"}],
@@ -18,12 +18,12 @@ BENCH = {
 }
 
 
-def _line(throughput, p50):
+def _line(throughput, p50, failed=4, correct=True):
     """A result line as bench/run.py prints it last."""
     return json.dumps({
-        "correct": True,
+        "correct": correct,
         "attempted": 1036,
-        "failed": 4,
+        "failed": failed,
         "metrics": {
             "throughput_ops_s": {"value": throughput, "unit": "1/s"},
             "latency_p50_ms": {"value": p50, "unit": "ms"},
@@ -86,3 +86,46 @@ def test_printed_lines_name_every_pair_and_metric():
     assert [line.split(" ")[1] for line in lines] == ["throughput_ops_s", "latency_p50_ms"]
     assert lines[0].endswith("within bound 0.25: yes, resolved: NO")
     assert lines[1].endswith("within bound 0.25: NO, resolved: yes")
+
+
+def _failing_pairs(changes):
+    """Pairs whose parent runs fail 4 of 1036 and whose change runs are `changes`."""
+    return [
+        {"seed": seed, "workload": "decide", "first": "parent", "parent": json.loads(_line(100, 1.0)),
+         "change": json.loads(_line(100, 1.0, *change))}
+        for seed, change in enumerate(changes)
+    ]
+
+
+def test_equal_failed_shares_are_not_flagged():
+    found = failures(BENCH, PAIRS)["decide"]
+    assert found["parent"] == found["change"] == {
+        "failed": 16, "attempted": 4144, "share": 16 / 4144, "incorrect_seeds": [],
+    }
+    assert not found["larger"]
+    assert failure_lines(failures(BENCH, PAIRS)) == [
+        "decide failed share: parent 0.003861 (16/4144), change 0.003861 (16/4144), larger: no, "
+        "runs not correct: parent none, change none"
+    ]
+
+
+def test_a_larger_failed_share_and_an_incorrect_run_are_flagged():
+    found = failures(BENCH, _failing_pairs([(4, True), (5, True), (4, False), (4, True)]))
+    assert found["decide"]["change"]["failed"] == 17
+    assert found["decide"]["change"]["incorrect_seeds"] == [2]
+    assert found["decide"]["larger"]
+    (line,) = failure_lines(found)
+    assert "larger: YES" in line and line.endswith("parent none, change [2]")
+
+
+def test_a_smaller_failed_share_is_not_flagged():
+    found = failures(BENCH, _failing_pairs([(0, True), (4, True)]))["decide"]
+    assert (found["change"]["failed"], found["parent"]["failed"]) == (4, 8)
+    assert not found["larger"]
+
+
+def test_the_environment_names_python_cpus_and_platform():
+    env = environment()
+    assert set(env) == {"python", "cpu_count", "platform"}
+    assert env["python"] == ".".join(map(str, sys.version_info[:3]))
+    assert json.loads(json.dumps(env)) == env

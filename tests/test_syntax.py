@@ -444,30 +444,93 @@ def test_grouped_reading_agrees_on_edge_cases():
 
 
 # ---------------------------------------------------------------------------
-# The memo of group texts
+# The memo of braced arrows
 
 
 def test_the_memo_keeps_at_most_its_bound():
-    assert syntax._group.cache_info().maxsize == syntax._GROUPS_KEPT
+    assert syntax._braced.cache_info().maxsize == syntax._GROUPS_KEPT
     for i in range(syntax._GROUPS_KEPT + 10):
         parse_arrow(f"id{{x{i}}}")
-    assert syntax._group.cache_info().currsize == syntax._GROUPS_KEPT
+    assert syntax._braced.cache_info().currsize == syntax._GROUPS_KEPT
 
 
 def test_a_group_read_twice_gives_the_same_objects():
-    hits = syntax._group.cache_info().hits
+    hits = syntax._braced.cache_info().hits
     first, second = parse_arrow("id{p*q}"), parse_arrow("id{p*q}")
-    assert first.obj is second.obj is Product(p, q)
-    assert syntax._group.cache_info().hits > hits
+    assert first is second
+    assert first.obj is Product(p, q)
+    assert syntax._braced.cache_info().hits > hits
 
 
 def test_a_malformed_group_is_not_kept():
-    syntax._group.cache_clear()
+    syntax._braced.cache_clear()
     for text in ("id{p,q}", "p1{p}", "p2{p,}", "bang{(p*q}"):
         with pytest.raises(ParseError):
             parse_arrow(text)
-    info = syntax._group.cache_info()
+    info = syntax._braced.cache_info()
     assert (info.misses, info.currsize) == (4, 0)
+
+
+def test_a_macro_is_kept_too():
+    syntax._braced.cache_clear()
+    first = parse_arrow("swap{p,q}")
+    assert parse_arrow("<swap{p,q}, id{p*q}>").first is first == swap(p, q)
+    info = syntax._braced.cache_info()
+    assert (info.hits, info.misses) == (1, 2)
+
+
+@pytest.mark.parametrize("text", ["bang{p}", "id{p*T}", "<id{p}, bang{p}>"])
+def test_an_arrow_kept_in_cartesian_mode_is_still_checked_in_the_other(text):
+    syntax._braced.cache_clear()
+    with pytest.raises(ParseError) as cold:
+        parse_arrow(text, Mode.BINARY_PRODUCTS)
+    syntax._braced.cache_clear()
+    parse_arrow(text, Mode.CARTESIAN)
+    hits = syntax._braced.cache_info().hits
+    with pytest.raises(ParseError) as kept:
+        parse_arrow(text, Mode.BINARY_PRODUCTS)
+    assert syntax._braced.cache_info().hits > hits
+    assert kept.value.diagnostic.render() == cold.value.diagnostic.render()
+
+
+# ---------------------------------------------------------------------------
+# The memo of object texts
+
+
+def _reference_text(t):
+    """print_arrow's text, written without its memo: each object by print_object."""
+    match t:
+        case Pair(first, second):
+            return f"<{_reference_text(first)}, {_reference_text(second)}>"
+        case Compose(factors):
+            return " . ".join(_reference_text(f) for f in reversed(factors))
+        case Identity(obj):
+            return f"id{{{print_object(obj)}}}"
+        case Proj1(left, right):
+            return f"p1{{{print_object(left)},{print_object(right)}}}"
+        case Proj2(left, right):
+            return f"p2{{{print_object(left)},{print_object(right)}}}"
+        case Bang(obj):
+            return f"bang{{{print_object(obj)}}}"
+
+
+def test_printing_agrees_with_the_memo_free_reference_on_the_corpora():
+    queries = [q for workload in WORKLOADS for q in build(workload, DIFFERENTIAL_SEED) if not q.deep]
+    for q in queries:
+        mode = Mode(q.mode)
+        for text in q.texts:
+            t = parse_arrow(text, mode)
+            for term in (t, normal_form(t, mode)):
+                printed = print_arrow(term)
+                assert printed == _reference_text(term), text
+                assert parse_arrow(printed, mode) == term, text
+
+
+def test_the_object_memo_keeps_at_most_its_bound():
+    assert syntax._object_text.cache_info().maxsize == syntax._GROUPS_KEPT
+    for i in range(syntax._GROUPS_KEPT + 10):
+        assert print_arrow(Proj1(LetterObj(f"y{i}"), T)) == f"p1{{y{i},T}}"
+    assert syntax._object_text.cache_info().currsize == syntax._GROUPS_KEPT
 
 
 # Texts on which a scan that backtracks takes far longer than linear

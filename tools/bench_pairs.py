@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -39,6 +41,23 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     if done.returncode != 0:
         raise SystemExit(f"{tree}: {' '.join(argv)} exited {done.returncode}\n{done.stderr}")
     return json.loads(done.stdout.splitlines()[-1])
+
+
+def tree_state(tree: Path) -> dict:
+    """The commit that `tree` is checked out at, and whether it is dirty."""
+
+    def git(*args: str) -> str | None:
+        done = subprocess.run(["git", "--no-optional-locks", *args], cwd=tree, capture_output=True, text=True)
+        return done.stdout.strip() if done.returncode == 0 else None
+
+    if git("rev-parse", "--show-toplevel") != str(tree.resolve()):
+        return {"commit": None, "dirty": None}
+    return {"commit": git("rev-parse", "HEAD"), "dirty": git("status", "--porcelain") != ""}
+
+
+def environment() -> dict:
+    """What ran both trees: the Python version, the CPU count and the platform."""
+    return {"python": platform.python_version(), "cpu_count": os.cpu_count(), "platform": platform.platform()}
 
 
 def spread(values: list[float]) -> dict:
@@ -77,6 +96,25 @@ def summarize(bench: dict, pairs: list[dict]) -> dict:
     return summary
 
 
+def failures(bench: dict, pairs: list[dict]) -> dict:
+    """Per workload and side, the share of failed operations and the runs not `correct`."""
+    found: dict = {}
+    for workload in (w["name"] for w in bench["workloads"]):
+        runs = [p for p in pairs if p["workload"] == workload]
+        sides = found[workload] = {}
+        for side in ("parent", "change"):
+            failed = sum(p[side]["failed"] for p in runs)
+            attempted = sum(p[side]["attempted"] for p in runs)
+            sides[side] = {
+                "failed": failed,
+                "attempted": attempted,
+                "share": failed / attempted if attempted else 0.0,
+                "incorrect_seeds": [p["seed"] for p in runs if not p[side]["correct"]],
+            }
+        sides["larger"] = sides["change"]["share"] > sides["parent"]["share"]
+    return found
+
+
 def pair_line(pair: dict) -> str:
     """The figures of one pair: each metric, parent -> change."""
     parent, change = pair["parent"], pair["change"]
@@ -105,6 +143,19 @@ def summary_lines(summary: dict) -> list[str]:
     return lines
 
 
+def failure_lines(found: dict) -> list[str]:
+    lines = []
+    for workload, sides in found.items():
+        old, new = sides["parent"], sides["change"]
+        lines.append(
+            f"{workload} failed share: parent {old['share']:.4g} ({old['failed']}/{old['attempted']}), "
+            f"change {new['share']:.4g} ({new['failed']}/{new['attempted']}), "
+            f"larger: {'YES' if sides['larger'] else 'no'}, "
+            f"runs not correct: parent {old['incorrect_seeds'] or 'none'}, change {new['incorrect_seeds'] or 'none'}"
+        )
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -114,6 +165,7 @@ def main(argv=None) -> int:
 
     bench = json.loads((args.parent / "BENCHMARK.json").read_text())
     trees = {"parent": args.parent, "change": args.change}
+    states = {side: tree_state(tree) for side, tree in trees.items()}
     pairs = []
     for k, seed in enumerate(args.seeds):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
@@ -123,9 +175,18 @@ def main(argv=None) -> int:
                 pair[side] = run_bench(trees[side], workload, seed, bench["run_seconds"])
             pairs.append(pair)
             print(pair_line(pair), flush=True)
-    summary = summarize(bench, pairs)
-    print("\n".join(summary_lines(summary)))
-    print(json.dumps({"seeds": args.seeds, "seconds": bench["run_seconds"], "pairs": pairs, "summary": summary}))
+    summary, found = summarize(bench, pairs), failures(bench, pairs)
+    print("\n".join(summary_lines(summary) + failure_lines(found)))
+    record = {
+        "seeds": args.seeds,
+        "seconds": bench["run_seconds"],
+        "trees": states,
+        "environment": environment(),
+        "pairs": pairs,
+        "summary": summary,
+        "failures": found,
+    }
+    print(json.dumps(record))
     return 0
 
 
