@@ -35,7 +35,7 @@ import sys
 from .collapse import LHS_GRAPH, RHS_GRAPH, CollapseWitness, collapse_witness, verify_witness
 from .decide import equal_in_cart, equal_via_normal_forms, normal_form, synth_from_graph
 from .errors import AlreadyEqual, FreecartError, InternalError
-from .graphs import graph_from_json_dict, graph_of, graph_to_json_dict
+from .graphs import Graph, graph_of, graph_to_json_dict
 from .rewrite import ReductionTrace, normalize
 from .syntax import ParseError, parse_arrow, parse_object, print_arrow
 from .terms import Mode, typecheck
@@ -284,9 +284,11 @@ def _dispatch(args, mode: Mode) -> int:
     except (json.JSONDecodeError, RecursionError) as exc:
         # Nesting too deep for the decoder is malformed input too.
         raise FreecartError(f"map is not valid JSON: {exc}") from exc
-    shape = {"source_letters": dom.letters, "target_letters": cod.letters}
+    # By exact type: a JSON boolean loads as a bool, which is an int to Python.
+    if type(positions) is not list or any(type(v) is not int for v in positions):
+        raise FreecartError("map must be a JSON list of integers")
     try:
-        g = graph_from_json_dict({**shape, "map": positions})
+        g = Graph(dom.letters, cod.letters, positions)
     except ValueError as exc:
         raise FreecartError(str(exc)) from exc
     term = synth_from_graph(dom, cod, g, mode)

@@ -10,7 +10,7 @@ A term's graph is read off its root: each node's constructor sets its
 map, a plain tuple, from its children's (terms.ArrowTerm), and the letter
 counts come from its type.  Typed construction already guarantees that
 the map fits them; the Graph constructor validates, for the graphs that
-come in from callers and from JSON.
+come in from callers and from the command line.
 """
 
 from __future__ import annotations
@@ -22,25 +22,31 @@ from .terms import ArrowTerm, Map, _arrows
 
 @dataclass(frozen=True)
 class Graph:
-    """A target-position to source-position map, 1-based on both sides."""
+    """A target-position to source-position map, 1-based on both sides.
+
+    The counts and the entries must be ints, and the map a list or a
+    tuple, which is stored as a tuple; anything else raises ValueError.
+    """
 
     source_letters: int
     target_letters: int
     map: Map
 
     def __post_init__(self):
-        object.__setattr__(self, "map", tuple(self.map))
         n = self.source_letters
         # By exact type, so that a bool, which is an int to Python, is no count or entry.
         if type(n) is not int or type(self.target_letters) is not int or n < 0:
             raise ValueError(f"letter counts must be integers >= 0: {self}")
+        if type(self.map) not in (list, tuple):
+            raise ValueError(f"map must be a list or a tuple: {self.map!r}")
+        object.__setattr__(self, "map", tuple(self.map))
         if len(self.map) != self.target_letters:
             raise ValueError(
                 f"map has {len(self.map)} entries for {self.target_letters} targets"
             )
         for v in self.map:
             if type(v) is not int or not 1 <= v <= n:
-                raise ValueError(f"map entry {v} not in 1..{n}")
+                raise ValueError(f"map entry {v!r} not in 1..{n}")
 
 
 def graph_of(t: ArrowTerm) -> Graph:
@@ -56,22 +62,3 @@ def graph_to_json_dict(g: Graph) -> dict:
         "target_letters": g.target_letters,
         "map": list(g.map),
     }
-
-
-def _integer(v) -> bool:
-    # A JSON boolean loads as a bool, which is an int to Python.
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def graph_from_json_dict(d: dict) -> Graph:
-    """A graph from its JSON shape, checked as it comes in.
-
-    The letter counts and the map's entries must be integers, and not
-    booleans; the Graph constructor then checks the map against the counts.
-    """
-    counts = (d["source_letters"], d["target_letters"])
-    if not all(map(_integer, counts)):
-        raise ValueError("letter counts must be integers")
-    if not isinstance(d["map"], list) or not all(map(_integer, d["map"])):
-        raise ValueError("map must be a JSON list of integers")
-    return Graph(*counts, tuple(d["map"]))

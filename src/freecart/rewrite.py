@@ -21,11 +21,13 @@ rewrites it along one descent (terms.spine); they share one test for
 the redexes in a window of composition factors and one for terminal
 atomization.
 
-Rewriting is the certifying route: every step is recorded and checked
-to decrease the degree.  It serves `normalize --trace`,
-`equal --method normalize|both` and verify_witness.  Where no trace is
-wanted (`normalize` without `--trace`), decide.normal_form reads the
-same normal form back from the term's graph instead.
+Rewriting is the certifying route: every step is checked to decrease
+the degree and recorded as its rule, place and degrees, the certificate
+that `normalize --trace` prints; only the current term is kept.  It
+serves `normalize --trace`, `equal --method normalize|both` and
+verify_witness.  Where no trace is wanted (`normalize` without
+`--trace`), decide.normal_form reads the same normal form back from the
+term's graph instead.
 """
 
 from __future__ import annotations
@@ -78,9 +80,10 @@ class RedexKind(Enum):
 
 @dataclass(frozen=True)
 class ReductionStep:
+    """The rule applied, where, and the degrees; `step` rebuilds the term."""
+
     kind: RedexKind
     path: Path
-    after: ArrowTerm
     degree_before: Degree
     degree_after: Degree
 
@@ -250,7 +253,7 @@ def step(t: ArrowTerm, path: Path, kind: RedexKind) -> ArrowTerm:
 
 
 def normalize(t: ArrowTerm, mode: Mode = Mode.CARTESIAN) -> ReductionTrace:
-    """Reduce to normal form, recording every step.
+    """Reduce to normal form, recording every step but only the last term.
 
     Every step must strictly decrease the well-founded degree (alpha,
     beta, gamma); that check is what ends the loop, and a step that
@@ -269,7 +272,7 @@ def normalize(t: ArrowTerm, mode: Mode = Mode.CARTESIAN) -> ReductionTrace:
                 f"degree did not decrease at step {len(steps) + 1}: "
                 f"{current_degree} -> {next_degree} ({kind.value} at {path})"
             )
-        steps.append(ReductionStep(kind, path, nxt, current_degree, next_degree))
+        steps.append(ReductionStep(kind, path, current_degree, next_degree))
         current = nxt
         current_degree = next_degree
     return ReductionTrace(tuple(steps), current)

@@ -24,9 +24,12 @@ from freecart import (
     Proj2,
     Terminal,
     compose,
+    degree,
     iter_subterms,
     letters_of,
+    normalize,
     replace_subterm,
+    step,
     subterm_at,
 )
 
@@ -328,3 +331,23 @@ def random_normal_form(
         random_normal_form(rng, dom, mode, depth - 1),
         random_normal_form(rng, dom, mode, depth - 1),
     )
+
+
+# ---------------------------------------------------------------------------
+# Replaying a reduction
+
+def trace_states(t: ArrowTerm, mode: Mode = Mode.CARTESIAN) -> list[ArrowTerm]:
+    """[t, s1, ..., result]: the trace of normalize, replayed with step.
+
+    The replay checks the trace as a certificate: each state has the
+    degrees recorded for it, they decrease, and the last state is the
+    trace's result.
+    """
+    trace = normalize(t, mode)
+    states = [t]
+    for s in trace.steps:
+        assert degree(states[-1]) == s.degree_before
+        states.append(step(states[-1], s.path, s.kind))
+        assert degree(states[-1]) == s.degree_after < s.degree_before
+    assert states[-1] == trace.result
+    return states

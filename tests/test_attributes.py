@@ -35,14 +35,13 @@ from freecart import (
     graph_of,
     iter_subterms,
     letters_of,
-    normalize,
     replace_subterm,
     step,
     substitute_all_letters,
     subterm_at,
     typecheck,
 )
-from termgen import LETTERS, mutate_preserving, random_arrow
+from termgen import LETTERS, mutate_preserving, random_arrow, trace_states
 
 T = Terminal()
 
@@ -185,7 +184,7 @@ def _reference_measure(t, factor):
 def _states(rng, mode):
     """A random term, mutated, and the first terms on its way to normal form."""
     t = mutate_preserving(rng, random_arrow(rng, mode=mode), mode=mode)
-    return [t] + [s.after for s in normalize(t, mode).steps[:4]]
+    return trace_states(t, mode)[:5]
 
 
 # ---------------------------------------------------------------------------

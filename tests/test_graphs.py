@@ -16,11 +16,9 @@ from freecart import (
     Terminal,
     compose,
     dup,
-    graph_from_json_dict,
     graph_of,
     graph_to_json_dict,
     iter_subterms,
-    normalize,
     product_of_arrows,
     swap,
     synth_from_graph,
@@ -32,6 +30,7 @@ from termgen import (
     random_arrow_from,
     random_arrow_to_terminal,
     random_object,
+    trace_states,
 )
 
 p = LetterObj("p")
@@ -83,6 +82,10 @@ def test_graph_validation():
         Graph(1, 1, (2,))
     with pytest.raises(ValueError):
         Graph(1, 2, (1,))
+    # An entry is written as it came in: the string "1" is no position 1.
+    with pytest.raises(ValueError, match=r"^map entry '1' not in 1\.\.2$"):
+        Graph(2, 1, ("1",))
+    assert Graph(2, 1, [2]).map == (2,)
 
 
 @pytest.mark.parametrize(
@@ -96,6 +99,12 @@ def test_graph_validation():
         (2, True, (1,)),
         (-1, 0, ()),
         (0, -1, ()),
+        (2, 2, (1, "2")),
+        (2, "1", (1,)),
+        # The map is a list or a tuple: not the keys of a dict, nor the
+        # characters of a string.
+        (2, 2, {1: "x", 2: "y"}),
+        (2, 1, "1"),
     ],
 )
 def test_graph_takes_integer_counts_and_entries_only(source, target, entries):
@@ -149,24 +158,7 @@ def test_graph_json_round_trip():
     g = Graph(3, 2, (3, 1))
     d = graph_to_json_dict(g)
     assert d == {"source_letters": 3, "target_letters": 2, "map": [3, 1]}
-    assert graph_from_json_dict(d) == g
-
-
-@pytest.mark.parametrize(
-    "source, target, entries",
-    [
-        (2, 1, [1.5]),
-        (2, 1, [True]),
-        (2, 1, [1, "2"]),
-        (2, 1, (1,)),
-        (True, 1, [1]),
-        (2.0, 1, [1]),
-        (2, "1", [1]),
-    ],
-)
-def test_graph_from_json_dict_takes_integers_only(source, target, entries):
-    with pytest.raises(ValueError):
-        graph_from_json_dict({"source_letters": source, "target_letters": target, "map": entries})
+    assert Graph(**d) == g
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +257,7 @@ def _leaf_letters(a):
 def test_graph_of_builds_valid_graphs(mode, rng):
     t = random_arrow(rng, mode=mode)
     u = mutate_preserving(rng, t, mode=mode)
-    for top in (t, u, *(s.after for s in normalize(u, mode).steps[:4])):
+    for top in (t, *trace_states(u, mode)[:5]):
         for _, sub in iter_subterms(top):
             g = graph_of(sub)
             sources = _leaf_letters(sub.domain)

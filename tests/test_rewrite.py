@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -35,7 +37,7 @@ from freecart import (
     subterm_at,
     typecheck,
 )
-from termgen import mutate_preserving, random_arrow, random_normal_form, random_object
+from termgen import mutate_preserving, random_arrow, random_normal_form, random_object, trace_states
 
 p = LetterObj("p")
 q = LetterObj("q")
@@ -182,6 +184,26 @@ def test_normalize_stops_when_a_step_does_not_decrease_the_degree(monkeypatch):
         normalize(compose(Identity(p), Identity(p)))
 
 
+def test_normalize_keeps_no_intermediate_term(monkeypatch):
+    # A trace records each step's rule, place and degrees, not its term:
+    # every term that step builds is freed once the next one is.
+    built = []
+
+    def spy(t, path, kind):
+        u = step(t, path, kind)
+        built.append(weakref.ref(u))
+        return u
+
+    monkeypatch.setattr(freecart.rewrite, "step", spy)
+    pq, qp = Product(p, q), Product(q, p)
+    swaps = [Identity(pq), Pair(Proj2(p, q), Proj1(p, q)), Identity(qp), Pair(Proj2(q, p), Proj1(q, p))]
+    trace = normalize(compose(*swaps * 5))
+    assert len(built) == len(trace.steps) >= 20
+    gc.collect()
+    kept = {id(sub) for _, sub in iter_subterms(trace.result)}
+    assert all(id(u) in kept for u in (ref() for ref in built) if u is not None)
+
+
 def test_normalize_bang_on_terminal_is_already_normal():
     trace = normalize(Bang(T))
     assert trace.steps == ()
@@ -194,18 +216,17 @@ def test_reduction_preserves_type_and_graph(rng):
     t = random_arrow(rng, depth=4)
     ty = typecheck(t)
     g = graph_of(t)
-    trace = normalize(t)
-    for s in trace.steps:
-        assert typecheck(s.after) == ty
-        assert graph_of(s.after) == g
-        assert s.degree_after < s.degree_before
-    assert is_normal_form(trace.result)
+    states = trace_states(t)  # checks the recorded degrees as it replays
+    for state in states[1:]:
+        assert typecheck(state) == ty
+        assert graph_of(state) == g
+    assert is_normal_form(states[-1])
 
 
 def _term_and_first_steps(rng, mode):
     """A random term and the first terms on its way to normal form."""
     t = random_arrow(rng, mode=mode, depth=4)
-    return [t] + [s.after for s in normalize(t, mode).steps[:3]]
+    return trace_states(t, mode)[:4]
 
 
 @given(st.randoms(use_true_random=False), st.sampled_from(list(Mode)))
@@ -430,7 +451,7 @@ def _every_state(rng, mode):
     t = random_arrow(rng, mode=mode, depth=3)
     states = []
     for u in (t, mutate_preserving(rng, t, mode=mode, rounds=2)):
-        states += [u] + [s.after for s in normalize(u, mode).steps]
+        states += trace_states(u, mode)
     return states
 
 

@@ -1,0 +1,56 @@
+"""Smoke test of tools/stress.py at small sizes, and of how it runs one cell."""
+
+import importlib.util
+import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _stress():
+    spec = importlib.util.spec_from_file_location("stress", ROOT / "tools" / "stress.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_stress_answers_every_cell_at_small_sizes():
+    done = subprocess.run(
+        [sys.executable, "tools/stress.py", "src", "1", "20"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    lines = done.stdout.splitlines()
+    cells = json.loads(lines[-1])["cells"]
+    assert len(lines) == len(cells) + 1
+    assert [(c["family"], c["size"], c["command"]) for c in cells] == [
+        (family, n, command)
+        for family in ("id-nested", "id-chain")
+        for n in (1, 20)
+        for command in ("normalize --trace", "equal")
+    ]
+    for c in cells:
+        assert (c["exit"], c["stderr"]) == (0, "")
+        assert c["peak_rss_mb"] > 0 and c["stdout_bytes"] > 0
+
+
+def test_a_cell_is_capped_in_the_child_only_and_killed_on_timeout(tmp_path, monkeypatch):
+    stress = _stress()
+    limit = resource.getrlimit(resource.RLIMIT_AS)
+    show = "import resource; print(resource.getrlimit(resource.RLIMIT_AS))"
+    cell = stress.run_cell([sys.executable, "-c", show], tmp_path, dict(os.environ))
+    cap = stress.CAP_MB * 2**20
+    assert cell["exit"] == 0
+    assert (tmp_path / "stdout").read_text() == f"({cap}, {cap})\n"
+    assert resource.getrlimit(resource.RLIMIT_AS) == limit
+    monkeypatch.setattr(stress, "WALL_S", 0.5)
+    cell = stress.run_cell([sys.executable, "-c", "import time; time.sleep(30)"], tmp_path, dict(os.environ))
+    assert cell["exit"] == "timeout"
+    assert cell["wall_s"] < 10

@@ -1,0 +1,130 @@
+"""Deep and long inputs, one `freecart` command per fresh process.
+
+    python3 tools/stress.py SRC [--family NAME]... SIZE [SIZE ...]
+
+Each cell is a family, a size and a command, run as
+`python -m freecart.cli` with the directory SRC on PYTHONPATH, one cell
+at a time.  The families (all by default) are
+  id-nested  id{A}, with A = ((p*q)*q)...*q holding SIZE products;
+  id-chain   id{p*q} . id{p*q} . ... . id{p*q}, SIZE factors.
+The commands are `normalize --trace FILE` and the default `equal FILE
+FILE2`, the two files holding the same text.  Exit codes 0 and 1 are
+answers; what else a cell ends with is recorded, not raised.
+
+A cell gets WALL_S seconds of wall time and, set in the child only, an
+address space of CAP_MB (RLIMIT_AS); on timeout it is killed and
+reaped.  Per cell one line gives the exit code ("timeout" when killed),
+the wall time, the child's own peak RSS (from os.wait4, not the running
+maximum over all children), and the first line of stderr; stdout is
+kept as its length and SHA-256.  The last line is one JSON object with
+every cell.  The script imports nothing from SRC.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import resource
+import subprocess
+import sys
+import tempfile
+import threading
+import time
+from pathlib import Path
+
+WALL_S = 60
+CAP_MB = 2048
+
+
+def id_nested(n: int) -> str:
+    # The outermost product is written without parentheses.
+    obj = "(" * (n - 1) + "p" + "*q)" * (n - 1) + "*q" if n else "p"
+    return f"id{{{obj}}}"
+
+
+def id_chain(n: int) -> str:
+    return " . ".join(["id{p*q}"] * n)
+
+
+FAMILIES = {"id-nested": id_nested, "id-chain": id_chain}
+# The operands name the two term files, in the cells' working directory.
+COMMANDS = {"normalize --trace": ["normalize", "--trace", "a.term"], "equal": ["equal", "a.term", "b.term"]}
+
+
+def _cap_address_space() -> None:
+    cap = CAP_MB * 2**20
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+def run_cell(argv: list[str], work: Path, env: dict) -> dict:
+    """Run one command to its end or its time limit: what it left and what it cost."""
+    out_path, err_path = work / "stdout", work / "stderr"
+    with open(out_path, "wb") as out, open(err_path, "wb") as err:
+        start = time.perf_counter()
+        child = subprocess.Popen(
+            argv, cwd=work, env=env, stdout=out, stderr=err, preexec_fn=_cap_address_space
+        )
+        # wait4 has no timeout, so it waits in a thread; the rusage is this child's alone.
+        waited: list = []
+        waiter = threading.Thread(target=lambda: waited.append(os.wait4(child.pid, 0)))
+        waiter.start()
+        waiter.join(WALL_S)
+        timed_out = waiter.is_alive()
+        if timed_out:
+            child.kill()
+            waiter.join()
+        wall = time.perf_counter() - start
+    _, status, usage = waited[0]
+    child.returncode = os.waitstatus_to_exitcode(status)  # reaped above, not by Popen
+    stdout = out_path.read_bytes()
+    stderr = err_path.read_text(encoding="utf-8", errors="replace").splitlines()
+    return {
+        "exit": "timeout" if timed_out else child.returncode,
+        "wall_s": round(wall, 3),
+        "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),
+        "stderr": stderr[0] if stderr else "",
+        "stdout_bytes": len(stdout),
+        "stdout_sha256": hashlib.sha256(stdout).hexdigest(),
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Run freecart commands on deep and long inputs.")
+    parser.add_argument("src", type=Path)
+    parser.add_argument("--family", action="append", choices=list(FAMILIES))
+    parser.add_argument("sizes", type=int, nargs="+", metavar="SIZE")
+    args = parser.parse_args(argv)
+    env = {**os.environ, "PYTHONPATH": str(args.src.resolve())}
+    cells = []
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for family in args.family or list(FAMILIES):
+            for n in args.sizes:
+                text = FAMILIES[family](n) + "\n"
+                for name in ("a.term", "b.term"):
+                    (work / name).write_text(text, encoding="utf-8")
+                for command, operands in COMMANDS.items():
+                    cli = [sys.executable, "-m", "freecart.cli", *operands]
+                    cell = {"family": family, "size": n, "command": command, **run_cell(cli, work, env)}
+                    cells.append(cell)
+                    print(
+                        f"{family:>9} {n:>6} {command:<17} exit {cell['exit']!s:>7} "
+                        f"{cell['wall_s']:8.2f} s {cell['peak_rss_mb']:8.1f} MB  {cell['stderr']}",
+                        flush=True,
+                    )
+    record = {
+        "src": str(args.src),
+        "wall_limit_s": WALL_S,
+        "address_space_cap_mb": CAP_MB,
+        "environment": {"python": platform.python_version(), "cpu_count": os.cpu_count(), "platform": platform.platform()},
+        "cells": cells,
+    }
+    print(json.dumps(record, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
