@@ -17,7 +17,7 @@ from .errors import (
     TypeMismatch,
     Unrealizable,
 )
-from .graphs import Graph, graph_of, graph_to_json_dict
+from .graphs import graph_of, graph_to_json_dict
 from .rewrite import (
     Degree,
     RedexKind,

@@ -32,10 +32,10 @@ import functools
 import json
 import sys
 
-from .collapse import LHS_GRAPH, RHS_GRAPH, CollapseWitness, collapse_witness, verify_witness
+from .collapse import CollapseWitness, collapse_witness, verify_witness
 from .decide import equal_in_cart, equal_via_normal_forms, normal_form, synth_from_graph
 from .errors import AlreadyEqual, FreecartError, InternalError
-from .graphs import Graph, graph_of, graph_to_json_dict
+from .graphs import graph_to_json_dict
 from .rewrite import ReductionTrace, normalize
 from .syntax import ParseError, parse_arrow, parse_object, print_arrow
 from .terms import Mode, typecheck
@@ -73,7 +73,8 @@ def _render_trace(trace: ReductionTrace) -> list[str]:
 
 
 def witness_to_json_dict(w: CollapseWitness) -> dict:
-    # Only verified witnesses get here, so the composite graphs are known.
+    # Only verified witnesses get here, so the composites' normal forms
+    # are lhs_normal and rhs_normal, and so are their types and graphs.
     return {
         "letter": w.letter.name,
         "position": w.position,
@@ -83,8 +84,8 @@ def witness_to_json_dict(w: CollapseWitness) -> dict:
         "j": print_arrow(w.j),
         "lhs_normal": print_arrow(w.lhs_normal),
         "rhs_normal": print_arrow(w.rhs_normal),
-        "lhs_graph": graph_to_json_dict(LHS_GRAPH),
-        "rhs_graph": graph_to_json_dict(RHS_GRAPH),
+        "lhs_graph": graph_to_json_dict(w.lhs_normal),
+        "rhs_graph": graph_to_json_dict(w.rhs_normal),
     }
 
 
@@ -232,10 +233,9 @@ def _dispatch(args, mode: Mode) -> int:
 
     if args.command == "graph":
         term = _load_arrow(args.term_file, mode)
-        g = graph_of(term)
         _emit_json(
-            graph_to_json_dict(g),
-            f"{g.source_letters} source letter(s), {g.target_letters} target letter(s)",
+            graph_to_json_dict(term),
+            f"{term.domain.letters} source letter(s), {term.codomain.letters} target letter(s)",
         )
         return 0
 
@@ -287,11 +287,7 @@ def _dispatch(args, mode: Mode) -> int:
     # By exact type: a JSON boolean loads as a bool, which is an int to Python.
     if type(positions) is not list or any(type(v) is not int for v in positions):
         raise FreecartError("map must be a JSON list of integers")
-    try:
-        g = Graph(dom.letters, cod.letters, positions)
-    except ValueError as exc:
-        raise FreecartError(str(exc)) from exc
-    term = synth_from_graph(dom, cod, g, mode)
+    term = synth_from_graph(dom, cod, positions, mode)
     print(print_arrow(term))
     return 0
 

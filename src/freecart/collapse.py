@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .decide import synth_from_graph
 from .errors import AlreadyEqual, InternalError, ModeViolation, TypeMismatch
-from .graphs import Graph, graph_of
+from .graphs import graph_of
 from .rewrite import normalize
 from .terms import (
     ArrowTerm,
@@ -31,10 +31,10 @@ from .terms import (
 )
 
 
-# The graphs of the two composites h . f_subst . j and h . g_subst . j:
-# the first and the second projection of p * p onto p.
-LHS_GRAPH = Graph(2, 1, (1,))
-RHS_GRAPH = Graph(2, 1, (2,))
+# The graphs of the two composites h . f_subst . j and h . g_subst . j,
+# of type p * p -> p: the first and the second projection's.
+LHS_GRAPH = (1,)
+RHS_GRAPH = (2,)
 
 
 @dataclass(frozen=True)
@@ -59,11 +59,10 @@ def collapse_witness(
     if gf == gg:
         raise AlreadyEqual("the arrows are equal; no collapse witness exists")
 
-    position = next(
-        i + 1 for i, (a, b) in enumerate(zip(gf.map, gg.map)) if a != b
-    )
-    dom_letters = letters_of(ft.domain)
-    p = dom_letters[0] if dom_letters else letters_of(ft.codomain)[0]
+    position = next(i + 1 for i, (a, b) in enumerate(zip(gf, gg)) if a != b)
+    # Two distinct maps of one type have an entry, and an entry names a
+    # letter of the domain, so the domain has one.
+    p = letters_of(ft.domain)[0]
 
     f_subst = substitute_all_letters(f, p)
     g_subst = substitute_all_letters(g, p)
@@ -71,10 +70,10 @@ def collapse_witness(
 
     # Send the domain position that g reads at `position` to the second
     # component of pp, and every other one, f's included, to the first.
-    spread = [1] * gf.source_letters
-    spread[gg.map[position - 1] - 1] = 2
-    h = synth_from_graph(pp, f_subst.domain, Graph(2, gf.source_letters, tuple(spread)), mode)
-    j = synth_from_graph(f_subst.codomain, p, Graph(gf.target_letters, 1, (position,)), mode)
+    spread = [1] * ft.domain.letters
+    spread[gg[position - 1] - 1] = 2
+    h = synth_from_graph(pp, f_subst.domain, spread, mode)
+    j = synth_from_graph(f_subst.codomain, p, (position,), mode)
 
     if (
         graph_of(compose(h, f_subst, j)) != LHS_GRAPH
@@ -83,9 +82,7 @@ def collapse_witness(
         raise InternalError("collapse composites have unexpected graphs")
     # Both composites have type pp -> p, and their graphs are the two
     # projections', so their normal forms are the two projections.
-    return CollapseWitness(
-        p, position, f_subst, g_subst, h, j, Proj1(p, p), Proj2(p, p)
-    )
+    return CollapseWitness(p, position, f_subst, g_subst, h, j, Proj1(p, p), Proj2(p, p))
 
 
 def verify_witness(w: CollapseWitness, mode: Mode = Mode.CARTESIAN) -> bool:

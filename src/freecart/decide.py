@@ -1,11 +1,13 @@
 """Deciding equality of arrows, and rebuilding a normal form from a graph.
 
-Equality of two same-typed arrows holds exactly when their graphs agree,
-so the decision procedure is a graph comparison.  The alternative route
-normalizes both sides and compares syntax.  Synthesis goes the other
-way: given a graph whose letter counts fit a domain and a codomain, it
-produces the unique normal form with that graph.  The one walk that
-builds the term also checks that the graph joins only equal letters.
+An arrow is determined by its type and its graph, so equality of two
+same-typed arrows is a comparison of their maps, and the alternative
+route normalizes both sides and compares syntax.  Synthesis goes the
+other way: given a domain, a codomain and a map, it produces the unique
+normal form with that type and that graph.  It is the one place where a
+map from outside is checked: a list or a tuple of ints, one per letter
+of the codomain, each naming a letter of the domain; the one walk that
+builds the term also checks that the map joins only equal letters.
 
 Synthesis after graph_of is normalization by evaluation: normal_form
 reads a term's normal form back from its graph, with no rewriting.
@@ -17,13 +19,13 @@ rewriting system in rewrite.py stays the certifying route, for
 from __future__ import annotations
 
 from .errors import IncompatibleGraph, ModeViolation, Unrealizable
-from .graphs import Graph, graph_of
+from .graphs import graph_of
 from .rewrite import normalize
 from .terms import (
     ArrowTerm,
-    Compose,
     Identity,
     LetterObj,
+    Map,
     Mode,
     ObjectExpr,
     Pair,
@@ -32,14 +34,16 @@ from .terms import (
     Proj2,
     Terminal,
     Bang,
+    _binary_products,
     _objects,
     common_type,
+    compose,
     typecheck,
 )
 
 
 def equal_in_cart(f: ArrowTerm, g: ArrowTerm, mode: Mode = Mode.CARTESIAN) -> bool:
-    """Decide commutation by comparing graphs."""
+    """Decide commutation by comparing graphs, once the types agree."""
     common_type(f, g, mode)
     return graph_of(f) == graph_of(g)
 
@@ -53,24 +57,30 @@ def equal_via_normal_forms(
 
 
 def synth_from_graph(
-    dom: ObjectExpr, cod: ObjectExpr, g: Graph, mode: Mode = Mode.CARTESIAN
+    dom: ObjectExpr, cod: ObjectExpr, map: Map | list[int], mode: Mode = Mode.CARTESIAN
 ) -> ArrowTerm:
-    """The normal form dom -> cod whose graph is g.
+    """The normal form dom -> cod whose graph is map.
 
-    The codomain is taken apart: terminal targets become terminal
-    arrows, product targets become pairings, and letter targets become
-    either an identity or the projection chain from the root of dom to
-    the mapped leaf, which must hold the same letter.  The
-    binary-products checks come after that walk.
+    The map must be a list or a tuple with one entry per letter of cod,
+    each an int that names a letter of dom; any other map raises
+    IncompatibleGraph.  The codomain is taken apart: terminal targets
+    become terminal arrows, product targets become pairings, and letter
+    targets become either an identity or the projection chain from the
+    root of dom to the mapped leaf, which must hold the same letter.
+    The binary-products checks come after that walk.
     """
     _objects(dom, cod)
-    if g.source_letters != dom.letters or g.target_letters != cod.letters:
-        raise IncompatibleGraph(
-            f"graph {g.source_letters}->{g.target_letters} does not fit "
-            f"|dom|={dom.letters}, |cod|={cod.letters}"
-        )
-    term = _synth(dom, cod, g)
-    if mode is Mode.BINARY_PRODUCTS:
+    if type(map) not in (list, tuple):
+        raise IncompatibleGraph(f"map must be a list or a tuple: {map!r}")
+    if len(map) != cod.letters:
+        raise IncompatibleGraph(f"map has {len(map)} entries for {cod.letters} targets")
+    n = dom.letters
+    for v in map:
+        # By exact type, so that a bool, which is an int to Python, is no entry.
+        if type(v) is not int or not 1 <= v <= n:
+            raise IncompatibleGraph(f"map entry {v!r} not in 1..{n}")
+    term = _synth(dom, cod, map)
+    if _binary_products(mode):
         if cod.has_terminal:
             raise Unrealizable("terminal codomain cannot be realized in binary-products mode")
         if dom.has_terminal:
@@ -88,15 +98,15 @@ def normal_form(t: ArrowTerm, mode: Mode = Mode.CARTESIAN) -> ArrowTerm:
     return synth_from_graph(arrow_type.domain, arrow_type.codomain, graph_of(t), mode)
 
 
-def _synth(dom: ObjectExpr, cod: ObjectExpr, g: Graph) -> ArrowTerm:
+def _synth(dom: ObjectExpr, cod: ObjectExpr, map: Map | list[int]) -> ArrowTerm:
     # The letters of cod are met in leaf order, so they take the entries
-    # of g.map in turn, and every object carries its letter count: the
+    # of the map in turn, and every object carries its letter count: the
     # walk visits each node of the result once, but building is not
     # linear, since a Pair concatenates its parts' maps and a Compose
     # chases them (read-back of id{A} is cubic in the depth of A, ROADMAP
     # item 10).  None on the walk's own stack stands for "pair the last
     # two terms built", so no depth of cod reaches the recursion limit.
-    sources = iter(g.map)
+    sources = iter(map)
     built: list[ArrowTerm] = []
     todo: list[ObjectExpr | None] = [cod]
     while todo:
@@ -116,7 +126,7 @@ def _synth(dom: ObjectExpr, cod: ObjectExpr, g: Graph) -> ArrowTerm:
 
 
 def _projection_chain(dom: ObjectExpr, position: int, target: LetterObj) -> ArrowTerm:
-    # The graph is valid and its counts fit dom, so the descent ends at a letter.
+    # The map was checked against dom, so the descent ends at a letter.
     factors: list[ArrowTerm] = []
     node = dom
     j = position
@@ -131,8 +141,4 @@ def _projection_chain(dom: ObjectExpr, position: int, target: LetterObj) -> Arro
             node = node.right
     if node is not target:
         raise IncompatibleGraph("graph connects distinct letters")
-    if not factors:
-        return Identity(dom)
-    if len(factors) == 1:
-        return factors[0]
-    return Compose(tuple(factors))
+    return compose(*factors) if factors else Identity(dom)

@@ -51,6 +51,7 @@ from .terms import (
     Terminal,
     _Link,
     _arrows,
+    _binary_products,
     _unlink,
     compose,
     rebuild,
@@ -111,6 +112,7 @@ def is_atomized_k_composition(t: ArrowTerm) -> bool:
 
 def is_normal_form(t: ArrowTerm, mode: Mode = Mode.CARTESIAN) -> bool:
     # Pairs are walked from an explicit stack, first component first.
+    binary = _binary_products(mode)
     todo = [t]
     while todo:
         node = todo.pop()
@@ -120,7 +122,7 @@ def is_normal_form(t: ArrowTerm, mode: Mode = Mode.CARTESIAN) -> bool:
             if not isinstance(node.obj, LetterObj):
                 return False
         elif isinstance(node, Bang):
-            if mode is not Mode.CARTESIAN:
+            if binary:
                 return False
         elif not is_atomized_k_composition(node):
             return False

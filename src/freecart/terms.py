@@ -19,7 +19,7 @@ letter count `letters`, its symbol count `symbols` and whether it
 contains the terminal object (`has_terminal`).  An arrow knows, beside
 its type, whether it is `terminal_free` (no terminal arrow, and no
 terminal object in the object of an identity or a projection), the
-`map` of its graph (graphs.graph_of adds the type's letter counts) and
+`map` of its graph (the letter counts are its type's) and
 the termination `measure` that rewrite.degree reads.  They are plain
 attributes, not dataclass fields, and nodes are immutable, so they
 never go stale, and reading one never walks the term.
@@ -65,6 +65,13 @@ class Mode(Enum):
 
     CARTESIAN = "cartesian"
     BINARY_PRODUCTS = "binary-products"
+
+
+def _binary_products(mode: Mode) -> bool:
+    """Whether mode is binary-products: the one reading of a mode argument."""
+    if not isinstance(mode, Mode):
+        raise TypeError(f"not a mode: {mode!r}")
+    return mode is Mode.BINARY_PRODUCTS
 
 
 class ObjectExpr:
@@ -424,7 +431,7 @@ def typecheck(t: ArrowTerm, mode: Mode = Mode.CARTESIAN) -> ArrowType:
     one is reached by stepping into the first part that is not.
     """
     _arrows(t)
-    if mode is Mode.BINARY_PRODUCTS and not t.terminal_free:
+    if _binary_products(mode) and not t.terminal_free:
         path = []
         while t.parts:
             i = next(i for i, part in enumerate(t.parts) if not part.terminal_free)

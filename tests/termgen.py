@@ -13,7 +13,6 @@ from freecart import (
     ArrowTerm,
     Bang,
     Compose,
-    Graph,
     Identity,
     LetterObj,
     Mode,
@@ -271,7 +270,7 @@ def mutate_preserving(
 
 def random_codomain_and_graph(
     rng: random.Random, dom: ObjectExpr, mode: Mode = Mode.CARTESIAN, max_depth: int = 2
-) -> tuple[ObjectExpr, Graph]:
+) -> tuple[ObjectExpr, tuple[int, ...]]:
     """A random codomain whose letters all occur in dom, plus a compatible map."""
     dom_letters = letters_of(dom)
     positions: dict[LetterObj, list[int]] = {}
@@ -288,7 +287,7 @@ def random_codomain_and_graph(
 
     cod = build(max_depth)
     mapping = tuple(rng.choice(positions[letter]) for letter in letters_of(cod))
-    return cod, Graph(dom.letters, cod.letters, mapping)
+    return cod, mapping
 
 
 def _descent_chain(dom: ObjectExpr, position: int) -> ArrowTerm:

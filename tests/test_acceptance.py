@@ -13,7 +13,6 @@ import time
 
 from freecart import (
     Bang,
-    Graph,
     Identity,
     Mode,
     Pair,

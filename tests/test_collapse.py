@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from freecart import (
     AlreadyEqual,
-    Graph,
     Identity,
     InternalError,
     LetterObj,
@@ -38,7 +37,7 @@ def test_minimal_counterexample():
     w = collapse_witness(Proj1(p, p), Proj2(p, p))
     assert w.letter == LetterObj("p")
     assert w.position == 1
-    assert graph_of(w.h) == Graph(2, 2, (1, 2))
+    assert (w.h.domain.letters, w.h.codomain.letters, graph_of(w.h)) == (2, 2, (1, 2))
     assert w.j == Identity(p)
     assert w.lhs_normal == Proj1(p, p)
     assert w.rhs_normal == Proj2(p, p)
@@ -58,7 +57,8 @@ def test_witness_requires_same_type():
 def test_already_equal_after_dup():
     lhs = compose(dup(p), Proj1(p, p))
     rhs = compose(dup(p), Proj2(p, p))
-    assert graph_of(lhs) == graph_of(rhs) == Graph(1, 1, (1,))
+    assert lhs.domain.letters == lhs.codomain.letters == 1
+    assert graph_of(lhs) == graph_of(rhs) == (1,)
     with pytest.raises(AlreadyEqual):
         collapse_witness(lhs, rhs)
 

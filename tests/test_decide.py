@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from freecart import (
     Bang,
     Compose,
-    Graph,
     Identity,
     IncompatibleGraph,
     LetterObj,
@@ -73,46 +72,48 @@ def test_reflexivity():
 
 
 def test_synth_projection():
-    assert synth_from_graph(Product(p, q), q, Graph(2, 1, (2,))) == Proj2(p, q)
+    assert synth_from_graph(Product(p, q), q, (2,)) == Proj2(p, q)
 
 
 def test_synth_dup():
-    assert synth_from_graph(p, Product(p, p), Graph(1, 2, (1, 1))) == dup(p)
+    assert synth_from_graph(p, Product(p, p), (1, 1)) == dup(p)
 
 
 def test_synth_bang():
-    assert synth_from_graph(Product(p, q), T, Graph(2, 0, ())) == Bang(Product(p, q))
+    assert synth_from_graph(Product(p, q), T, ()) == Bang(Product(p, q))
 
 
 def test_synth_deep_chain():
     dom = Product(Product(p, q), p)
-    got = synth_from_graph(dom, q, Graph(3, 1, (2,)))
+    got = synth_from_graph(dom, q, (2,))
     assert got == Compose((Proj1(Product(p, q), p), Proj2(p, q)))
 
 
 def test_synth_rejects_letter_mismatch():
     with pytest.raises(IncompatibleGraph):
-        synth_from_graph(Product(p, q), p, Graph(2, 1, (2,)))
-    with pytest.raises(IncompatibleGraph):
-        synth_from_graph(Product(p, q), p, Graph(3, 1, (1,)))
+        synth_from_graph(Product(p, q), p, (2,))
+    with pytest.raises(IncompatibleGraph, match=r"^map has 2 entries for 1 targets$"):
+        synth_from_graph(Product(p, q), p, (1, 1))
+    with pytest.raises(IncompatibleGraph, match=r"^map entry 3 not in 1\.\.2$"):
+        synth_from_graph(Product(p, q), p, (3,))
 
 
 def test_synth_unrealizable_in_binary_products_mode():
     with pytest.raises(Unrealizable):
-        synth_from_graph(p, T, Graph(1, 0, ()), Mode.BINARY_PRODUCTS)
+        synth_from_graph(p, T, (), Mode.BINARY_PRODUCTS)
     # Distinct letters are named before the terminal codomain.
     with pytest.raises(IncompatibleGraph, match="distinct letters"):
-        synth_from_graph(p, Product(T, q), Graph(1, 1, (1,)), Mode.BINARY_PRODUCTS)
+        synth_from_graph(p, Product(T, q), (1,), Mode.BINARY_PRODUCTS)
 
 
 def test_synth_rejects_terminal_domain_in_binary_products_mode():
     pt = Product(p, T)
-    assert synth_from_graph(pt, p, Graph(1, 1, (1,))) == Proj1(p, T)
+    assert synth_from_graph(pt, p, (1,)) == Proj1(p, T)
     with pytest.raises(ModeViolation, match="terminal object not available"):
-        synth_from_graph(pt, p, Graph(1, 1, (1,)), Mode.BINARY_PRODUCTS)
+        synth_from_graph(pt, p, (1,), Mode.BINARY_PRODUCTS)
     # A terminal codomain is named first.
     with pytest.raises(Unrealizable):
-        synth_from_graph(pt, T, Graph(1, 0, ()), Mode.BINARY_PRODUCTS)
+        synth_from_graph(pt, T, (), Mode.BINARY_PRODUCTS)
 
 
 @given(st.randoms(use_true_random=False))

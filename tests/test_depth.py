@@ -20,7 +20,6 @@ from freecart import (
     Bang,
     Compose,
     Degree,
-    Graph,
     Identity,
     LetterObj,
     Mode,
@@ -74,7 +73,7 @@ def deep_object():
 def test_a_pairing_nested_deeper_than_the_recursion_limit(deep_pairing):
     assert DEPTH > sys.getrecursionlimit()
     t = deep_pairing
-    assert graph_of(t) == Graph(2, DEPTH, (1,) * DEPTH)
+    assert (t.domain.letters, t.codomain.letters, graph_of(t)) == (2, DEPTH, (1,) * DEPTH)
     # gamma: 3 * 2 at the bottom, then 3 + 1 per pairing; beta: 1 symbol
     # for the bottom and for each projection.
     assert degree(t) == Degree(0, DEPTH + 1, 6 + 4 * DEPTH)
@@ -92,7 +91,7 @@ def test_a_composition_of_many_factors_built_in_one_call():
     beta_pairs = [Pair(Identity(p), Identity(p)), Proj1(p, p)] * (n - 1)
     t = Compose((*beta_pairs, Pair(Identity(p), Bang(p)), Proj1(p, T)))
     assert len(t.factors) == LENGTH
-    assert graph_of(t) == Graph(1, 1, (1,))
+    assert (t.domain.letters, t.codomain.letters, graph_of(t)) == (1, 1, (1,))
     # gamma: 7 * 3 per beta pair, and 6 * 3 for the last; every pairing
     # is a factor, so alpha is gamma, and each pairing counts beta 2.
     gamma = 21 ** (n - 1) * 18

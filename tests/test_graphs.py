@@ -1,10 +1,9 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from freecart import (
     Bang,
-    Graph,
     Identity,
     IncompatibleGraph,
     LetterObj,
@@ -18,7 +17,9 @@ from freecart import (
     dup,
     graph_of,
     graph_to_json_dict,
+    is_normal_form,
     iter_subterms,
+    letters_of,
     product_of_arrows,
     swap,
     synth_from_graph,
@@ -29,6 +30,7 @@ from termgen import (
     random_arrow,
     random_arrow_from,
     random_arrow_to_terminal,
+    random_codomain_and_graph,
     random_object,
     trace_states,
 )
@@ -38,26 +40,31 @@ q = LetterObj("q")
 T = Terminal()
 
 
+def _graph(t):
+    """A term's graph with its letter counts, which are its type's."""
+    return t.domain.letters, t.codomain.letters, graph_of(t)
+
+
 def test_graph_of_bang():
-    assert graph_of(Bang(Product(p, q))) == Graph(2, 0, ())
+    assert _graph(Bang(Product(p, q))) == (2, 0, ())
 
 
 def test_graph_of_identity():
-    assert graph_of(Identity(Product(p, q))) == Graph(2, 2, (1, 2))
+    assert _graph(Identity(Product(p, q))) == (2, 2, (1, 2))
 
 
 def test_graph_of_swap():
-    assert graph_of(swap(p, q)) == Graph(2, 2, (2, 1))
+    assert _graph(swap(p, q)) == (2, 2, (2, 1))
 
 
 def test_graph_of_dup():
-    assert graph_of(dup(p)) == Graph(1, 2, (1, 1))
+    assert _graph(dup(p)) == (1, 2, (1, 1))
 
 
 def test_graph_identity_trivia():
-    assert graph_of(Identity(T)) == Graph(0, 0, ())
-    assert graph_of(Identity(p)) == Graph(1, 1, (1,))
-    assert graph_of(Identity(Product(p, Product(T, Product(q, p))))) == Graph(3, 3, (1, 2, 3))
+    assert _graph(Identity(T)) == (0, 0, ())
+    assert _graph(Identity(p)) == (1, 1, (1,))
+    assert _graph(Identity(Product(p, Product(T, Product(q, p))))) == (3, 3, (1, 2, 3))
 
 
 def test_graph_compose_swap_twice_is_identity():
@@ -65,57 +72,125 @@ def test_graph_compose_swap_twice_is_identity():
 
 
 def test_graph_compose_with_empty_target():
-    assert graph_of(compose(swap(p, q), Bang(Product(q, p)))) == Graph(2, 0, ())
+    assert _graph(compose(swap(p, q), Bang(Product(q, p)))) == (2, 0, ())
 
 
 def test_graph_compose_identity_law():
     # f: (p*q)*r -> r*p has the graph (3, 1).
     r = LetterObj("r")
     f = Pair(Proj2(Product(p, q), r), compose(Proj1(Product(p, q), r), Proj1(p, q)))
-    assert graph_of(f) == Graph(3, 2, (3, 1))
+    assert _graph(f) == (3, 2, (3, 1))
     assert graph_of(compose(Identity(f.domain), f)) == graph_of(f)
     assert graph_of(compose(f, Identity(f.codomain))) == graph_of(f)
 
 
+# ---------------------------------------------------------------------------
+# synth_from_graph is the one place where a map from outside is checked:
+# a list or a tuple, one entry per letter of the codomain, each an int
+# (by exact type) that names a letter of the domain.
+
+_MISFITS = ("long", "short", "zero", "past", "bool", "float", "str", "not a list or tuple")
+
+
+@st.composite
+def _maps(draw):
+    """(dom, cod, map, the message that rejects map, or None if it fits)."""
+    rng = draw(st.randoms(use_true_random=False))
+    dom = random_object(rng)
+    n = dom.letters
+    if n and rng.random() < 0.3:
+        # Entries drawn at random, so the map may join distinct letters.
+        cod = random_object(rng)
+        m = tuple(rng.randint(1, n) for _ in range(cod.letters))
+    else:
+        cod, m = random_codomain_and_graph(rng, dom)
+    if rng.random() < 0.5:
+        m = list(m)
+    kind = draw(st.sampled_from(("fits",) + _MISFITS))
+    if kind == "fits":
+        return dom, cod, m, None
+    if kind == "long":
+        m = type(m)((*m, 1))
+        return dom, cod, m, f"map has {len(m)} entries for {cod.letters} targets"
+    if kind == "not a list or tuple":
+        m = rng.choice([None, 1, "1", set(m), dict.fromkeys(m), iter(m), range(1, len(m) + 1)])
+        return dom, cod, m, f"map must be a list or a tuple: {m!r}"
+    assume(m)
+    if kind == "short":
+        m = m[:-1]
+        return dom, cod, m, f"map has {len(m)} entries for {cod.letters} targets"
+    v = {"zero": 0, "past": n + 1, "bool": True, "float": 1.0, "str": "1"}[kind]
+    i = rng.randrange(len(m))
+    m = type(m)((*m[:i], v, *m[i + 1 :]))
+    return dom, cod, m, f"map entry {v!r} not in 1..{n}"
+
+
+@given(_maps())
+# The fixed inputs are the three tests below.
+@settings(max_examples=300, deadline=None)
+def test_synth_rejects_exactly_the_maps_that_do_not_fit(case):
+    dom, cod, m, message = case
+    if message is not None:
+        with pytest.raises(IncompatibleGraph) as exc:
+            synth_from_graph(dom, cod, m)
+        assert str(exc.value) == message
+        return
+    agree = all(letters_of(dom)[v - 1] is c for v, c in zip(m, letters_of(cod)))
+    if not agree:
+        with pytest.raises(IncompatibleGraph, match="^graph connects distinct letters$"):
+            synth_from_graph(dom, cod, m)
+        return
+    t = synth_from_graph(dom, cod, m)
+    assert (t.domain, t.codomain) == (dom, cod)
+    assert is_normal_form(t)
+    assert graph_of(t) == tuple(m)
+
+
 def test_graph_validation():
-    with pytest.raises(ValueError):
-        Graph(1, 1, (2,))
-    with pytest.raises(ValueError):
-        Graph(1, 2, (1,))
+    with pytest.raises(IncompatibleGraph, match=r"^map entry 2 not in 1\.\.1$"):
+        synth_from_graph(p, p, (2,))
+    with pytest.raises(IncompatibleGraph, match=r"^map has 1 entries for 2 targets$"):
+        synth_from_graph(p, Product(p, p), (1,))
     # An entry is written as it came in: the string "1" is no position 1.
-    with pytest.raises(ValueError, match=r"^map entry '1' not in 1\.\.2$"):
-        Graph(2, 1, ("1",))
-    assert Graph(2, 1, [2]).map == (2,)
+    with pytest.raises(IncompatibleGraph, match=r"^map entry '1' not in 1\.\.2$"):
+        synth_from_graph(Product(p, q), q, ("1",))
+    assert graph_of(synth_from_graph(Product(p, q), q, [2])) == (2,)
+
+
+# An object with 1 or with 2 letters: a map's counts are its type's.
+_OBJECTS = {1: q, 2: Product(p, q)}
 
 
 @pytest.mark.parametrize(
-    "source, target, entries",
+    "source, target, entries, message",
     [
-        (2, 1, (1.5,)),
-        (2, 1, (1.0,)),
-        (2, 1, (True,)),
-        (2.0, 1, (1,)),
-        (True, 1, (1,)),
-        (2, True, (1,)),
-        (-1, 0, ()),
-        (0, -1, ()),
-        (2, 2, (1, "2")),
-        (2, "1", (1,)),
+        (2, 1, (1.5,), "map entry 1.5 not in 1..2"),
+        (2, 1, (1.0,), "map entry 1.0 not in 1..2"),
+        (2, 1, (True,), "map entry True not in 1..2"),
+        (2, 1, (0,), "map entry 0 not in 1..2"),
+        (2, 1, (3,), "map entry 3 not in 1..2"),
+        (2, 1, (None,), "map entry None not in 1..2"),
+        (2, 1, (), "map has 0 entries for 1 targets"),
+        (2, 1, (1, 2), "map has 2 entries for 1 targets"),
+        (2, 2, (1, "2"), "map entry '2' not in 1..2"),
+        (2, 2, (1, -1), "map entry -1 not in 1..2"),
         # The map is a list or a tuple: not the keys of a dict, nor the
-        # characters of a string.
-        (2, 2, {1: "x", 2: "y"}),
-        (2, 1, "1"),
+        # characters of a string, nor a range.
+        (2, 2, {1: "x", 2: "y"}, "map must be a list or a tuple: {1: 'x', 2: 'y'}"),
+        (2, 1, "1", "map must be a list or a tuple: '1'"),
+        (2, 2, range(1, 3), "map must be a list or a tuple: range(1, 3)"),
     ],
 )
-def test_graph_takes_integer_counts_and_entries_only(source, target, entries):
-    with pytest.raises(ValueError):
-        Graph(source, target, entries)
+def test_graph_takes_integer_counts_and_entries_only(source, target, entries, message):
+    with pytest.raises(IncompatibleGraph) as exc:
+        synth_from_graph(_OBJECTS[source], _OBJECTS[target], entries)
+    assert str(exc.value) == message
 
 
 def test_synth_reads_back_no_graph_with_a_fractional_entry():
     # Read back, (1.5,) would answer for the graph (2,) of p2{p,q}.
-    with pytest.raises(ValueError):
-        synth_from_graph(Product(p, q), q, Graph(2, 1, (1.5,)))
+    with pytest.raises(IncompatibleGraph, match=r"^map entry 1\.5 not in 1\.\.2$"):
+        synth_from_graph(Product(p, q), q, (1.5,))
 
 
 def test_graph_equal_eta_instance():
@@ -129,36 +204,40 @@ def test_graph_equal_distinguishes_projections():
 
 
 def test_letter_compatible():
-    # synth_from_graph reads a graph back only if it joins equal letters.
+    # synth_from_graph reads a map back only if it joins equal letters.
     compatible = [
-        (Product(p, q), Product(q, p), Graph(2, 2, (2, 1))),
-        (Product(p, q), T, Graph(2, 0, ())),
+        (Product(p, q), Product(q, p), (2, 1)),
+        (Product(p, q), T, ()),
     ]
     for dom, cod, g in compatible:
         assert graph_of(synth_from_graph(dom, cod, g)) == g
     with pytest.raises(IncompatibleGraph, match="graph connects distinct letters"):
-        synth_from_graph(Product(p, q), q, Graph(2, 1, (1,)))
-    with pytest.raises(IncompatibleGraph, match="does not fit"):
-        synth_from_graph(Product(p, q), q, Graph(3, 1, (1,)))
+        synth_from_graph(Product(p, q), q, (1,))
+    # A map of the wrong length, and an entry past the domain's letters.
+    with pytest.raises(IncompatibleGraph, match=r"^map has 2 entries for 1 targets$"):
+        synth_from_graph(Product(p, q), q, (2, 2))
+    with pytest.raises(IncompatibleGraph, match=r"^map entry 3 not in 1\.\.2$"):
+        synth_from_graph(Product(p, q), q, (3,))
 
 
 def test_letter_compatible_rejects_joining_distinct_letters():
     dom = Product(Product(p, q), p)
     cod = Product(p, Product(q, q))
-    g = Graph(3, 3, (3, 2, 2))
+    g = (3, 2, 2)
     assert graph_of(synth_from_graph(dom, cod, g)) == g
     # The last q of cod drawn from the first p of dom.
     with pytest.raises(IncompatibleGraph, match="graph connects distinct letters"):
-        synth_from_graph(dom, cod, Graph(3, 3, (3, 2, 1)))
+        synth_from_graph(dom, cod, (3, 2, 1))
     with pytest.raises(IncompatibleGraph, match="graph connects distinct letters"):
-        synth_from_graph(p, q, Graph(1, 1, (1,)))
+        synth_from_graph(p, q, (1,))
 
 
 def test_graph_json_round_trip():
-    g = Graph(3, 2, (3, 1))
-    d = graph_to_json_dict(g)
+    r = LetterObj("r")
+    f = Pair(Proj2(Product(p, q), r), compose(Proj1(Product(p, q), r), Proj1(p, q)))
+    d = graph_to_json_dict(f)
     assert d == {"source_letters": 3, "target_letters": 2, "map": [3, 1]}
-    assert Graph(**d) == g
+    assert graph_to_json_dict(synth_from_graph(f.domain, f.codomain, d["map"])) == d
 
 
 # ---------------------------------------------------------------------------
@@ -211,15 +290,15 @@ def test_graph_of_compose_is_graph_composition(rng):
     g = random_arrow_from(rng, f.codomain, 2, Mode.CARTESIAN)
     gf, gg = graph_of(f), graph_of(g)
     # Target letter i of the composite is chased back through g, then f.
-    expected = Graph(gf.source_letters, gg.target_letters, tuple(gf.map[j - 1] for j in gg.map))
-    assert graph_of(compose(f, g)) == expected
+    expected = (f.domain.letters, g.codomain.letters, tuple(gf[j - 1] for j in gg))
+    assert _graph(compose(f, g)) == expected
 
 
 @given(st.randoms(use_true_random=False))
 @settings(max_examples=40, deadline=None)
 def test_graph_of_identity_is_identity_graph(rng):
     a = random_object(rng)
-    assert graph_of(Identity(a)) == Graph(a.letters, a.letters, tuple(range(1, a.letters + 1)))
+    assert _graph(Identity(a)) == (a.letters, a.letters, tuple(range(1, a.letters + 1)))
 
 
 @given(st.randoms(use_true_random=False))
@@ -228,11 +307,11 @@ def test_graph_of_product_is_block_sum(rng):
     f = random_arrow(rng, depth=2)
     g = random_arrow(rng, depth=2)
     gf, gg = graph_of(f), graph_of(g)
-    got = graph_of(product_of_arrows(f, g))
-    expected = Graph(
-        gf.source_letters + gg.source_letters,
-        gf.target_letters + gg.target_letters,
-        gf.map + tuple(v + gf.source_letters for v in gg.map),
+    got = _graph(product_of_arrows(f, g))
+    expected = (
+        f.domain.letters + g.domain.letters,
+        f.codomain.letters + g.codomain.letters,
+        gf + tuple(v + f.domain.letters for v in gg),
     )
     assert got == expected
 
@@ -262,6 +341,6 @@ def test_graph_of_builds_valid_graphs(mode, rng):
             g = graph_of(sub)
             sources = _leaf_letters(sub.domain)
             targets = _leaf_letters(sub.codomain)
-            assert len(g.map) == len(targets)
-            assert all(1 <= j <= len(sources) for j in g.map)
-            assert [sources[j - 1] for j in g.map] == targets
+            assert type(g) is tuple and len(g) == len(targets)
+            assert all(type(j) is int and 1 <= j <= len(sources) for j in g)
+            assert [sources[j - 1] for j in g] == targets

@@ -21,6 +21,10 @@ from freecart import (
     Terminal,
     TypeMismatch,
     ModeViolation,
+    collapse_witness,
+    equal_in_cart,
+    equal_via_normal_forms,
+    is_normal_form,
     assoc_l,
     assoc_r,
     compose,
@@ -28,6 +32,8 @@ from freecart import (
     delta,
     iter_subterms,
     letters_of,
+    normal_form,
+    normalize,
     parse_arrow,
     print_arrow,
     product_of_arrows,
@@ -36,7 +42,9 @@ from freecart import (
     substitute_all_letters,
     subterm_at,
     swap,
+    synth_from_graph,
     typecheck,
+    verify_witness,
 )
 from termgen import mutate_preserving, random_arrow, random_object
 
@@ -317,3 +325,26 @@ def test_letter_length_is_additive(rng):
     a = random_object(rng)
     b = random_object(rng)
     assert Product(a, b).letters == a.letters + b.letters
+
+
+@pytest.mark.parametrize("mode", ["binary-products", "cartesian", None])
+def test_every_function_that_takes_a_mode_rejects_what_is_not_one(mode):
+    # A mode is read in one place, so no function takes a string or None
+    # for one mode or the other.
+    bang, pt = Bang(p), Product(p, Terminal())
+    witness = collapse_witness(Proj1(p, p), Proj2(p, p))
+    calls = (
+        lambda: parse_arrow("bang{p}", mode),
+        lambda: typecheck(bang, mode),
+        lambda: normalize(bang, mode),
+        lambda: is_normal_form(bang, mode),
+        lambda: normal_form(bang, mode),
+        lambda: synth_from_graph(pt, p, (1,), mode),
+        lambda: equal_in_cart(bang, bang, mode),
+        lambda: equal_via_normal_forms(bang, bang, mode),
+        lambda: collapse_witness(Proj1(p, p), Proj2(p, p), mode),
+        lambda: verify_witness(witness, mode),
+    )
+    for call in calls:
+        with pytest.raises(TypeError, match=f"^not a mode: {re.escape(repr(mode))}$"):
+            call()

@@ -1,15 +1,18 @@
 """Deep and long inputs, one `freecart` command per fresh process.
 
-    python3 tools/stress.py SRC [--family NAME]... SIZE [SIZE ...]
+    python3 tools/stress.py SRC [--family NAME]... [--command NAME]... SIZE [SIZE ...]
 
 Each cell is a family, a size and a command, run as
 `python -m freecart.cli` with the directory SRC on PYTHONPATH, one cell
 at a time.  The families (all by default) are
   id-nested  id{A}, with A = ((p*q)*q)...*q holding SIZE products;
-  id-chain   id{p*q} . id{p*q} . ... . id{p*q}, SIZE factors.
-The commands are `normalize --trace FILE` and the default `equal FILE
-FILE2`, the two files holding the same text.  Exit codes 0 and 1 are
-answers; what else a cell ends with is recorded, not raised.
+  id-chain   id{p*q} . id{p*q} . ... . id{p*q}, SIZE factors;
+  pairing    <<...<id{p}, id{p}>, ...>, id{p}>, SIZE pairings nested
+             on the left.
+The commands (all by default) are `normalize --trace FILE`, the default
+`equal FILE FILE2`, `check FILE`, `graph FILE` and `equal --method graph
+FILE FILE2`, the two files holding the same text.  Exit codes 0 and 1
+are answers; what else a cell ends with is recorded, not raised.
 
 A cell gets WALL_S seconds of wall time and, set in the child only, an
 address space of CAP_MB (RLIMIT_AS); on timeout it is killed and
@@ -49,9 +52,19 @@ def id_chain(n: int) -> str:
     return " . ".join(["id{p*q}"] * n)
 
 
-FAMILIES = {"id-nested": id_nested, "id-chain": id_chain}
+def pairing(n: int) -> str:
+    return "<" * n + "id{p}" + ", id{p}>" * n
+
+
+FAMILIES = {"id-nested": id_nested, "id-chain": id_chain, "pairing": pairing}
 # The operands name the two term files, in the cells' working directory.
-COMMANDS = {"normalize --trace": ["normalize", "--trace", "a.term"], "equal": ["equal", "a.term", "b.term"]}
+COMMANDS = {
+    "normalize --trace": ["normalize", "--trace", "a.term"],
+    "equal": ["equal", "a.term", "b.term"],
+    "check": ["check", "a.term"],
+    "graph": ["graph", "a.term"],
+    "equal --method graph": ["equal", "--method", "graph", "a.term", "b.term"],
+}
 
 
 def _cap_address_space() -> None:
@@ -95,6 +108,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Run freecart commands on deep and long inputs.")
     parser.add_argument("src", type=Path)
     parser.add_argument("--family", action="append", choices=list(FAMILIES))
+    parser.add_argument("--command", action="append", choices=list(COMMANDS))
     parser.add_argument("sizes", type=int, nargs="+", metavar="SIZE")
     args = parser.parse_args(argv)
     env = {**os.environ, "PYTHONPATH": str(args.src.resolve())}
@@ -106,12 +120,12 @@ def main(argv=None) -> int:
                 text = FAMILIES[family](n) + "\n"
                 for name in ("a.term", "b.term"):
                     (work / name).write_text(text, encoding="utf-8")
-                for command, operands in COMMANDS.items():
-                    cli = [sys.executable, "-m", "freecart.cli", *operands]
+                for command in args.command or list(COMMANDS):
+                    cli = [sys.executable, "-m", "freecart.cli", *COMMANDS[command]]
                     cell = {"family": family, "size": n, "command": command, **run_cell(cli, work, env)}
                     cells.append(cell)
                     print(
-                        f"{family:>9} {n:>6} {command:<17} exit {cell['exit']!s:>7} "
+                        f"{family:>9} {n:>6} {command:<20} exit {cell['exit']!s:>7} "
                         f"{cell['wall_s']:8.2f} s {cell['peak_rss_mb']:8.1f} MB  {cell['stderr']}",
                         flush=True,
                     )
