@@ -61,14 +61,12 @@ def _emit_json(payload: dict, summary: str) -> None:
 
 
 def _render_trace(trace: ReductionTrace) -> list[str]:
-    lines = []
+    # A step's degree before is the last one's after, which is written once.
+    lines, shown, text = [], None, ""
     for idx, s in enumerate(trace.steps, start=1):
-        db = s.degree_before
-        da = s.degree_after
-        lines.append(
-            f"step {idx}: {s.kind.value} at {list(s.path)} degree "
-            f"({db.alpha},{db.beta},{db.gamma}) -> ({da.alpha},{da.beta},{da.gamma})"
-        )
+        before = text if s.degree_before is shown else str(s.degree_before)
+        shown, text = s.degree_after, str(s.degree_after)
+        lines.append(f"step {idx}: {s.kind.value} at {list(s.path)} degree {before} -> {text}")
     return lines
 
 

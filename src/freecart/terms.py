@@ -232,6 +232,35 @@ def _arrows(*ts: ArrowTerm) -> None:
             raise TypeError(f"not an arrow term: {t!r}")
 
 
+# The rules by which a pairing's or a composition's constructor sets its
+# `measure` from its parts': rewrite.normalize applies them too, to the
+# composition it contracts in place and to that one's ancestors.
+
+def _pair_measure(first: tuple, second: tuple) -> tuple:
+    """A pairing's measure from its components' (the rule is symmetric)."""
+    g1, _, u1, b1 = first
+    g2, _, u2, b2 = second
+    return (g1 + g2 + 1, True, u1 or u2, b1 + b2)
+
+
+def _as_factor(measure: tuple) -> tuple[int, bool, int]:
+    """A factor's share in its composition's measure: gamma, pairing, beta.
+
+    A pairing in a factor is a pairing under the composition, and as a
+    factor a pairing-free node counts nothing toward beta.
+    """
+    g, p, _, b = measure
+    return g, p, b if p else 0
+
+
+def _composite_measure(gamma: int, pairing: bool, beta: int, codomain: ObjectExpr) -> tuple:
+    """A composition's measure from its factors' shares, multiplied, or-ed and summed.
+
+    A pairing-free composition counts its own target length toward beta.
+    """
+    return (gamma, pairing, pairing, beta if pairing else codomain.symbols)
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class Identity(ArrowTerm):
     obj: ObjectExpr
@@ -308,8 +337,6 @@ class Pair(ArrowTerm):
             raise TypeMismatch(
                 f"pair components must share a domain: {dom} vs {second.domain}"
             )
-        g1, _, u1, b1 = first.measure
-        g2, _, u2, b2 = second.measure
         d = self.__dict__
         d["first"] = first
         d["second"] = second
@@ -318,7 +345,7 @@ class Pair(ArrowTerm):
         d["codomain"] = Product(first.codomain, second.codomain)
         d["terminal_free"] = first.terminal_free and second.terminal_free
         d["map"] = first.map + second.map
-        d["measure"] = (g1 + g2 + 1, True, u1 or u2, b1 + b2)
+        d["measure"] = _pair_measure(first.measure, second.measure)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -359,23 +386,21 @@ class Compose(ArrowTerm):
             else:
                 flat.append(f)
             terminal_free = terminal_free and f.terminal_free
+            # _as_factor's rule, inline, so that building a composition (as
+            # parsing and read-back do) makes no call per factor.
             g, p, _, b = f.measure
             gamma *= g
-            # As a factor, a pairing-free node counts nothing toward beta,
-            # and a pairing in a factor is a pairing under this composition.
             if p:
                 pairing, beta = True, beta + b
         if len(flat) < 2:
             raise ValueError("composition needs at least two factors")
-        if not pairing:
-            beta = codomain.symbols
         d = self.__dict__
         d["factors"] = d["parts"] = tuple(flat)
         d["domain"] = flat[0].domain
         d["codomain"] = codomain
         d["terminal_free"] = terminal_free
         d["map"] = chased
-        d["measure"] = (gamma, pairing, pairing, beta)
+        d["measure"] = _composite_measure(gamma, pairing, beta, codomain)
 
 
 def compose(*factors: ArrowTerm) -> ArrowTerm:

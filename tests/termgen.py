@@ -21,15 +21,19 @@ from freecart import (
     Product,
     Proj1,
     Proj2,
+    ReductionStep,
+    ReductionTrace,
     Terminal,
     compose,
     degree,
+    find_redex,
     iter_subterms,
     letters_of,
     normalize,
     replace_subterm,
     step,
     subterm_at,
+    typecheck,
 )
 
 LETTERS = ("p", "q", "r")
@@ -334,6 +338,26 @@ def random_normal_form(
 
 # ---------------------------------------------------------------------------
 # Replaying a reduction
+
+def reference_normalize(t: ArrowTerm, mode: Mode = Mode.CARTESIAN) -> ReductionTrace:
+    """normalize's strategy from the public find_redex, step and degree alone.
+
+    Each step searches from the root, rebuilds the term along one
+    descent and reads the degree off the new root: the loop that
+    normalize's contraction in place must agree with, step for step.
+    """
+    typecheck(t, mode)
+    steps = []
+    current, before = t, degree(t)
+    while (found := find_redex(current)) is not None:
+        path, kind = found
+        current = step(current, path, kind)
+        after = degree(current)
+        assert after < before, (kind, path)
+        steps.append(ReductionStep(kind, path, before, after))
+        before = after
+    return ReductionTrace(tuple(steps), current)
+
 
 def trace_states(t: ArrowTerm, mode: Mode = Mode.CARTESIAN) -> list[ArrowTerm]:
     """[t, s1, ..., result]: the trace of normalize, replayed with step.

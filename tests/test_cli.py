@@ -11,8 +11,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from freecart import Mode, print_arrow, run_cli
-from freecart.cli import _build_parser, _plain_args
+from freecart import (
+    Degree,
+    Identity,
+    LetterObj,
+    Mode,
+    RedexKind,
+    ReductionStep,
+    ReductionTrace,
+    print_arrow,
+    run_cli,
+)
+from freecart.cli import _build_parser, _plain_args, _render_trace
 from termgen import random_arrow
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -83,6 +93,24 @@ def test_normalize_with_trace(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[-1] == "<p1{p,q}, p2{p,q}>"
     assert out.splitlines()[0].startswith("step 1: atomize-product at []")
+
+
+def test_a_trace_prints_degrees_past_the_interpreters_digit_limit():
+    # 3**10000 has 4772 digits; str() of an int refuses more than
+    # sys.get_int_max_str_digits(), 4300 by default.
+    gamma = 3**10000
+    limit = sys.get_int_max_str_digits()
+    degrees = Degree(gamma, 2, gamma), Degree(0, 2, gamma // 3)
+    step = ReductionStep(RedexKind.IDENTITY_RIGHT, (0,), *degrees)
+    (line,) = _render_trace(ReductionTrace((step,), Identity(LetterObj("p"))))
+    assert sys.get_int_max_str_digits() == limit
+    try:
+        sys.set_int_max_str_digits(0)
+        digits, third = str(gamma), str(gamma // 3)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(digits) == 4772
+    assert line == f"step 1: identity-right at [0] degree ({digits},2,{digits}) -> (0,2,{third})"
 
 
 def test_equal_verdicts(tmp_path, capsys):

@@ -88,6 +88,7 @@ ENTRY_POINTS = {
     "subterm_at": "the tests read the subterm at a path that a redex names",
     "replace_subterm": "the tests rewrite at a path, against step",
     "is_normal_form": "the tests' specification of a normal form, against find_redex",
+    "find_redex": "the checked search that the tests replay normalize's strategy with",
 }
 
 

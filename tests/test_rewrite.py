@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import weakref
 
 import pytest
@@ -23,6 +24,7 @@ from freecart import (
     RedexKind,
     Terminal,
     assoc_r,
+    collapse_witness,
     compose,
     degree,
     dup,
@@ -35,9 +37,19 @@ from freecart import (
     replace_subterm,
     step,
     subterm_at,
+    swap,
+    synth_from_graph,
     typecheck,
 )
-from termgen import mutate_preserving, random_arrow, random_normal_form, random_object, trace_states
+from termgen import (
+    mutate_preserving,
+    random_arrow,
+    random_codomain_and_graph,
+    random_normal_form,
+    random_object,
+    reference_normalize,
+    trace_states,
+)
 
 p = LetterObj("p")
 q = LetterObj("q")
@@ -177,28 +189,58 @@ def test_normalize_eta_after_dup():
     assert trace.result == dup(p)
 
 
-def test_normalize_stops_when_a_step_does_not_decrease_the_degree(monkeypatch):
+@pytest.mark.parametrize(
+    "t, kind, path",
+    [
+        # A contraction in place, in the composition at the root.
+        (compose(Identity(p), Identity(p)), "identity-right", (0,)),
+        # An atomization, by step on the whole term.
+        (Identity(Product(p, q)), "atomize-product", ()),
+    ],
+)
+def test_normalize_stops_when_a_step_does_not_decrease_the_degree(monkeypatch, t, kind, path):
     # The per-step degree check is the only guard against a rewriting loop.
-    monkeypatch.setattr(freecart.rewrite, "degree", lambda t: Degree(0, 0, 0))
-    with pytest.raises(InternalError, match="degree did not decrease at step 1: "):
-        normalize(compose(Identity(p), Identity(p)))
+    # Every degree that normalize records is read off a measure by
+    # _degree_of, whichever way the step was taken.
+    monkeypatch.setattr(freecart.rewrite, "_degree_of", lambda measure: Degree(0, 0, 0))
+    message = f"degree did not decrease at step 1: (0,0,0) -> (0,0,0) ({kind} at {path})"
+    with pytest.raises(InternalError, match=re.escape(message)):
+        normalize(t)
+
+
+def test_normalize_checks_every_step_of_a_contraction_in_place(monkeypatch):
+    # From the fourth degree read on (the third step's), every degree is
+    # the third: the guard must stop the focus in the middle of a chain.
+    real, read = freecart.rewrite._degree_of, []
+
+    def stuck(measure):
+        read.append(real(measure))
+        return read[min(len(read), 3) - 1]
+
+    monkeypatch.setattr(freecart.rewrite, "_degree_of", stuck)
+    message = "degree did not decrease at step 3: (0,3,81) -> (0,3,81)"
+    with pytest.raises(InternalError, match=re.escape(message)):
+        normalize(compose(*[Identity(Product(p, q))] * 6))
 
 
 def test_normalize_keeps_no_intermediate_term(monkeypatch):
     # A trace records each step's rule, place and degrees, not its term:
-    # every term that step builds is freed once the next one is.
+    # every arrow that normalize builds, the terms it steps through and
+    # what it contracts in place alike, is freed unless the result holds it.
     built = []
+    for cls in (Identity, Proj1, Proj2, Bang, Pair, Compose):
 
-    def spy(t, path, kind):
-        u = step(t, path, kind)
-        built.append(weakref.ref(u))
-        return u
+        def spy(self, *args, _original=cls.__init__):
+            _original(self, *args)
+            built.append(weakref.ref(self))
 
-    monkeypatch.setattr(freecart.rewrite, "step", spy)
+        monkeypatch.setattr(cls, "__init__", spy)
     pq, qp = Product(p, q), Product(q, p)
     swaps = [Identity(pq), Pair(Proj2(p, q), Proj1(p, q)), Identity(qp), Pair(Proj2(q, p), Proj1(q, p))]
-    trace = normalize(compose(*swaps * 5))
-    assert len(built) == len(trace.steps) >= 20
+    t = compose(*swaps * 5)
+    built.clear()
+    trace = normalize(t)
+    assert len(trace.steps) >= 20 and len(built) >= 20
     gc.collect()
     kept = {id(sub) for _, sub in iter_subterms(trace.result)}
     assert all(id(u) in kept for u in (ref() for ref in built) if u is not None)
@@ -496,3 +538,73 @@ def test_addressing_matches_a_recursive_walk(mode, rng):
             for kind in RedexKind:
                 with pytest.raises(IndexError):
                     step(t, path, kind)
+
+
+# ---------------------------------------------------------------------------
+# normalize, which contracts in place and resumes its search at the focus,
+# against the reference loop of find_redex, step and degree
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_normalize_takes_the_reference_steps(mode, rng):
+    t = random_arrow(rng, mode=mode, depth=4)
+    for u in (t, mutate_preserving(rng, t, mode=mode, rounds=2)):
+        assert normalize(u, mode) == reference_normalize(u, mode)
+
+
+def _chains():
+    pq, qp = Product(p, q), Product(q, p)
+    yield compose(*[Identity(pq)] * 300)
+    yield compose(Proj1(pq, q), *[Identity(pq)] * 50, Proj2(p, q), Identity(q))
+    for n in (1, 2, 3, 40, 41):
+        yield compose(*[swap(p, q), swap(q, p)] * n)
+        yield compose(*[swap(p, q), Identity(qp), swap(q, p), Identity(pq)] * n, Proj1(p, q))
+    # A focus under a pairing, itself the first factor of a composition
+    # without a window redex: each step's degree is lifted through both.
+    inner = compose(*[Identity(pq)] * 5, swap(p, q), swap(q, p))
+    yield compose(Pair(inner, compose(Identity(pq), Proj2(p, q))), Bang(Product(pq, q)))
+
+
+@pytest.mark.parametrize("t", list(_chains()), ids=lambda t: f"{len(t.parts)}-factors")
+def test_normalize_takes_the_reference_steps_on_chains(t):
+    assert normalize(t) == reference_normalize(t)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_normalize_takes_the_reference_steps_on_collapse_composites(mode, rng):
+    dom = random_object(rng, allow_terminal=mode is Mode.CARTESIAN)
+    cod, first = random_codomain_and_graph(rng, dom, mode)
+    for _ in range(20):
+        other_cod, second = random_codomain_and_graph(rng, dom, mode)
+        if other_cod == cod and second != first:
+            break
+    else:
+        return
+    f, g = (synth_from_graph(dom, cod, m, mode) for m in (first, second))
+    f, g = (mutate_preserving(rng, u, mode, 2) for u in (f, g))
+    w = collapse_witness(f, g, mode)
+    for middle in (w.f_subst, w.g_subst):
+        composite = compose(w.h, middle, w.j)
+        assert normalize(composite, mode) == reference_normalize(composite, mode)
+
+
+@pytest.mark.parametrize("n", [2000, 4000])
+def test_normalizing_an_identity_chain_builds_compositions_of_linear_total_size(monkeypatch, n):
+    # Rebuilding the chain at every step passes n - 1, n - 2, ... factors
+    # to Compose: about n * n / 2 in all.
+    t = Compose((Identity(Product(p, q)),) * n)
+    passed = []
+    original = Compose.__init__
+
+    def counted(self, factors):
+        passed.append(len(factors))
+        original(self, factors)
+
+    monkeypatch.setattr(Compose, "__init__", counted)
+    trace = normalize(t)
+    assert len(trace.steps) == n + 2
+    assert sum(passed) <= n

@@ -54,3 +54,29 @@ def test_a_cell_is_capped_in_the_child_only_and_killed_on_timeout(tmp_path, monk
     cell = stress.run_cell([sys.executable, "-c", "import time; time.sleep(30)"], tmp_path, dict(os.environ))
     assert cell["exit"] == "timeout"
     assert cell["wall_s"] < 10
+
+
+def test_growth_is_fitted_on_answered_series_of_three_sizes_or_more():
+    stress = _stress()
+    sizes = [10, 20, 40, 80]
+    assert abs(stress.growth_exponent(sizes, [0.3 * n**2 for n in sizes]) - 2) < 1e-9
+    assert abs(stress.growth_exponent([100, 300, 900], [5.0, 5.0, 5.0])) < 1e-9
+
+    def cell(family, command, size, wall, exit=0):
+        return {"family": family, "command": command, "size": size, "wall_s": wall, "exit": exit}
+
+    cells = [
+        cell("id-chain", "equal", 100, 0.1),
+        cell("id-chain", "equal", 200, 0.2, exit=1),
+        cell("id-chain", "equal", 400, 0.4),
+        cell("id-chain", "equal", 800, 60.0, exit="timeout"),
+        cell("id-chain", "check", 100, 0.1),
+        cell("id-chain", "check", 200, 0.4),
+        cell("id-chain", "check", 400, 60.0, exit="timeout"),
+        cell("pairing", "graph", 10, 0.01),
+        cell("pairing", "graph", 10, 0.02),
+        cell("pairing", "graph", 20, 0.04, exit=3),
+    ]
+    (fit,) = stress.growth(cells)
+    assert (fit["family"], fit["command"], fit["sizes"]) == ("id-chain", "equal", [100, 200, 400])
+    assert fit["exponent"] == 1.0

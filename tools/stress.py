@@ -20,7 +20,11 @@ reaped.  Per cell one line gives the exit code ("timeout" when killed),
 the wall time, the child's own peak RSS (from os.wait4, not the running
 maximum over all children), and the first line of stderr; stdout is
 kept as its length and SHA-256.  The last line is one JSON object with
-every cell.  The script imports nothing from SRC.
+every cell and, for each family and command answered (exit 0 or 1) at 3
+sizes or more, the growth exponent of its wall time: the least-squares
+slope of log wall time on log size.  A cell killed at its limit says
+only that its time exceeds the limit, so it is left out of the fit.  The
+script imports nothing from SRC.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import platform
 import resource
@@ -104,6 +109,34 @@ def run_cell(argv: list[str], work: Path, env: dict) -> dict:
     }
 
 
+def growth_exponent(sizes: list[int], seconds: list[float]) -> float:
+    """The least-squares slope of log(seconds) on log(size)."""
+    xs = [math.log(n) for n in sizes]
+    ys = [math.log(t) for t in seconds]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
+
+
+def growth(cells: list[dict]) -> list[dict]:
+    """A growth exponent per family and command answered at 3 sizes or more."""
+    series: dict[tuple[str, str], list[dict]] = {}
+    for c in cells:
+        if c["exit"] in (0, 1):
+            series.setdefault((c["family"], c["command"]), []).append(c)
+    return [
+        {
+            "family": family,
+            "command": command,
+            "sizes": [c["size"] for c in answered],
+            "exponent": round(
+                growth_exponent([c["size"] for c in answered], [c["wall_s"] for c in answered]), 3
+            ),
+        }
+        for (family, command), answered in series.items()
+        if len({c["size"] for c in answered}) >= 3
+    ]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Run freecart commands on deep and long inputs.")
     parser.add_argument("src", type=Path)
@@ -135,6 +168,7 @@ def main(argv=None) -> int:
         "address_space_cap_mb": CAP_MB,
         "environment": {"python": platform.python_version(), "cpu_count": os.cpu_count(), "platform": platform.platform()},
         "cells": cells,
+        "growth": growth(cells),
     }
     print(json.dumps(record, sort_keys=True))
     return 0
