@@ -31,6 +31,7 @@ import dataclasses
 import functools
 import json
 import sys
+from collections.abc import Iterator
 
 from .collapse import CollapseWitness, collapse_witness, verify_witness
 from .decide import equal_in_cart, equal_via_normal_forms, normal_form, synth_from_graph
@@ -60,14 +61,14 @@ def _emit_json(payload: dict, summary: str) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
-def _render_trace(trace: ReductionTrace) -> list[str]:
+def _render_trace(trace: ReductionTrace) -> Iterator[str]:
+    """The trace's lines, each made as it is asked for, so that one is held at a time."""
     # A step's degree before is the last one's after, which is written once.
-    lines, shown, text = [], None, ""
+    shown, text = None, ""
     for idx, s in enumerate(trace.steps, start=1):
         before = text if s.degree_before is shown else str(s.degree_before)
         shown, text = s.degree_after, str(s.degree_after)
-        lines.append(f"step {idx}: {s.kind.value} at {list(s.path)} degree {before} -> {text}")
-    return lines
+        yield f"step {idx}: {s.kind.value} at {list(s.path)} degree {before} -> {text}"
 
 
 def witness_to_json_dict(w: CollapseWitness) -> dict:

@@ -26,26 +26,28 @@ whole arrow once it has been read.
 
 A text is scanned once it is cleaned: each comment blanked with as
 many spaces and the product sign read as "*", edits that keep every
-offset.  One regular-expression match then finds the first unexpected
-character, which is reported before any syntax error, and `findall`
-yields the token texts, which the parser compares.  Tokens carry no
-spans.  A diagnostic recomputes them with `finditer` over the same
-cleaned text, so its match k is the parser's token k.  The printers
-write from explicit stacks, so they have no depth limit; print_arrow
-takes the text of each object from a memo (_object_text) of the
-_GROUPS_KEPT objects written most recently.
+offset.  `findall` yields the token texts, which the parser compares,
+and a text holds an unexpected character exactly when its tokens miss
+one of its characters that is not space; only then does one
+regular-expression match (_VALID) find the first, which is reported
+before any syntax error.  Tokens carry no spans.  A diagnostic
+recomputes them with `finditer` over the same cleaned text, so its
+match k is the parser's token k.  The printers write from explicit
+stacks, so they have no depth limit; print_arrow takes the text of each
+object from a memo (_object_text) of the _GROUPS_KEPT objects written
+most recently.
 
-parse_arrow first reads a text with _GROUPED, under which a braced
-group of object syntax, such as "{p*q,T}", is one token.  Objects are
-interned, so a name and its group's text fix the arrow name{...}: a
-memo (_braced) keeps the _GROUPS_KEPT arrows read most recently in the
-process, and a repeat costs one lookup.  Terms are immutable and the
-mode is checked on the whole term, so a shared leaf changes no
-verdict.  A reading that meets a syntax error is repeated with _TOKEN,
-one token per name or symbol, and that reading's diagnostic is
-reported, so every diagnostic is the token-level reader's.  Type and
-mode errors arise at the same point of both readings, which build
-equal terms in the same order.
+parse_arrow first reads a text with _GROUPED, under which a whole leaf
+name{...}, such as "p1{p*q,T}", is one token, and so is a braced group
+that follows no name.  Objects are interned, so a leaf's text fixes its
+arrow: a memo (_braced) keeps the _GROUPS_KEPT arrows read most
+recently in the process, and a repeat costs one lookup.  Terms are
+immutable and the mode is checked on the whole term, so a shared leaf
+changes no verdict.  A reading that meets a syntax error is repeated
+with _TOKEN, one token per name or symbol, and that reading's
+diagnostic is reported, so every diagnostic is the token-level
+reader's.  Type and mode errors arise at the same point of both
+readings, which build equal terms in the same order.
 """
 
 from __future__ import annotations
@@ -100,13 +102,14 @@ _TOKEN = re.compile(r"[a-z][a-z0-9_]*|[{}()<>,.*T]")
 _COMMENT = re.compile(r"#[^\n]*")
 # The longest prefix of a cleaned text made of tokens and space ends at
 # its first unexpected character.  \s is exactly str.isspace() on str
-# patterns.
+# patterns, at which str.split() splits.
 _VALID = re.compile(rf"(?:{_TOKEN.pattern}|\s+)*")
 # A braced group of names, T, "*", parentheses, commas and space is one
-# token; a "{" that starts no such group is a token of its own, as in
-# _TOKEN.  The possessive quantifiers never backtrack, so a scan stays
+# token, together with the name before it if there is one: a leaf
+# name{...}.  A "{" that starts no such group is a token of its own, as
+# in _TOKEN.  The possessive quantifiers never backtrack, so a scan stays
 # linear.
-_GROUPED = re.compile(rf"\{{(?:[a-z][a-z0-9_]*+|[T*(),]|\s)*+\}}|{_TOKEN.pattern}")
+_GROUPED = re.compile(rf"(?:[a-z][a-z0-9_]*+\s*+)?+\{{(?:[a-z][a-z0-9_]*+|[T*(),]|\s)*+\}}|{_TOKEN.pattern}")
 # How many arrows _braced keeps, and how many texts _object_text keeps.
 _GROUPS_KEPT = 4096
 
@@ -131,10 +134,12 @@ def _tokens(text: str, token: re.Pattern = _TOKEN) -> list[str]:
     The first unexpected character is reported before anything else.
     """
     text = _clean(text)
-    i = _VALID.match(text).end()
-    if i < len(text):
-        raise ParseError(Diagnostic((i, i + 1), f"unexpected character {text[i]!r}"))
     tokens = token.findall(text)
+    # Tokens are disjoint parts of the text, so they hold all of its
+    # characters that are not space exactly when they hold as many.
+    if len("".join(text.split())) != len("".join("".join(tokens).split())):
+        i = _VALID.match(text).end()
+        raise ParseError(Diagnostic((i, i + 1), f"unexpected character {text[i]!r}"))
     tokens.append("")
     return tokens
 
@@ -154,9 +159,9 @@ class _Parser:
     of _tokens is match k of _spans, since both scan the same cleaned
     text.
 
-    With `token` _GROUPED, a braced group is one token, and a name
-    followed by one is an arrow from the memo _braced; only the
-    diagnostics of a _TOKEN reading are reported (see parse_arrow).
+    With `token` _GROUPED, a leaf name{...} is one token and an arrow
+    from the memo _braced; only the diagnostics of a _TOKEN reading are
+    reported (see parse_arrow).
     """
 
     def __init__(self, text: str, token: re.Pattern = _TOKEN):
@@ -191,7 +196,9 @@ class _Parser:
             if tok == "(":
                 opened.append(None)
                 continue
-            if "a" <= tok < "{":  # a name: it starts with a lowercase letter, and "{" follows "z"
+            # A name starts with a lowercase letter, "{" follows "z", and a
+            # leaf name{...} of the grouped reading is no name.
+            if "a" <= tok < "{" and tok[-1] != "}":
                 obj = LetterObj(tok)
             elif tok == "T":
                 obj = Terminal()
@@ -228,53 +235,53 @@ class _Parser:
         self.expect("}")
         return tuple(objs)
 
-    def arrow_item(self) -> ArrowTerm:
-        tok = self.next()
-        if tok == "(":
-            inner = self.arrow()
-            self.expect(")")
-            return inner
-        if tok == "<":
-            first = self.arrow()
-            self.expect(",")
-            second = self.arrow()
-            self.expect(">")
-            return Pair(first, second)
-        if "a" <= tok < "{":
-            if tok in _BRACED:
-                group = self.rest[-1]
-                if group[:1] == "{" != group:
-                    self.next()
-                    return _braced(tok, group)
-                build, arity = _BRACED[tok]
-                return build(*self.braced_objects(arity))
-            if tok == "prod":
-                self.expect("(")
+    def arrow(self) -> ArrowTerm:
+        """A composition of items, or one item.
+
+        The items are read in a loop, and only "<", "(" and "prod("
+        recurse, so each level of nesting costs one call.
+        """
+        read, rest = self.next, self.rest
+        items: list[ArrowTerm] = []
+        while True:
+            tok = read()
+            if tok == "(":
+                item = self.arrow()
+                self.expect(")")
+            elif tok == "<":
                 first = self.arrow()
                 self.expect(",")
                 second = self.arrow()
-                self.expect(")")
-                return product_of_arrows(first, second)
-            self.fail(f"unknown arrow form {tok!r}", 1)
-        self.fail("expected an arrow", 1)
-
-    def arrow(self) -> ArrowTerm:
-        item = self.arrow_item()
-        if self.rest[-1] != ".":
-            return item
-        items = [item]
-        while self.rest[-1] == ".":
-            self.next()
-            items.append(self.arrow_item())
-        # Written order is display order: the rightmost item applies first.
-        return Compose(items[::-1])
+                self.expect(">")
+                item = Pair(first, second)
+            elif "a" <= tok < "{":
+                if tok[-1] == "}":
+                    item = _braced(tok)
+                elif tok in _BRACED:
+                    build, arity = _BRACED[tok]
+                    item = build(*self.braced_objects(arity))
+                elif tok == "prod":
+                    self.expect("(")
+                    first = self.arrow()
+                    self.expect(",")
+                    second = self.arrow()
+                    self.expect(")")
+                    item = product_of_arrows(first, second)
+                else:
+                    self.fail(f"unknown arrow form {tok!r}", 1)
+            else:
+                self.fail("expected an arrow", 1)
+            items.append(item)
+            if rest[-1] != ".":
+                # Written order is display order: the rightmost item applies first.
+                return Compose(items[::-1]) if len(items) > 1 else item
+            read()
 
 
 @lru_cache(maxsize=_GROUPS_KEPT)
-def _braced(name: str, group: str) -> ArrowTerm:
-    """name{...}, its group read token by token; a ParseError is not cached."""
-    build, arity = _BRACED[name]
-    return build(*_Parser(group).braced_objects(arity))
+def _braced(leaf: str) -> ArrowTerm:
+    """The arrow of a leaf token name{...}, read token by token; a ParseError is not cached."""
+    return _Parser(leaf).arrow()
 
 
 def parse_object(text: str) -> ObjectExpr:

@@ -6,13 +6,19 @@ redex search, the printers, read-back, letters_of, is_normal_form and
 substitute_all_letters walk from explicit stacks, so none of them has a
 depth limit; an object is copied and pickled through its text.  The
 terms are built directly, not parsed: the parser still recurses on
-arrows, though not on objects.
+arrows, one call per level of pairing or parentheses, though not on
+objects.  How deep it reads is checked on the command line, in a fresh
+process, whose stack holds no test runner's frames.
 """
 
 import copy
+import json
+import os
 import pickle
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -213,3 +219,34 @@ def test_substituting_letters_deeper_than_the_recursion_limit(deep_object, deep_
     s = substitute_all_letters(deep_pairing, LetterObj("q"))
     assert graph_of(s) == graph_of(deep_pairing)
     assert set(_LETTER.findall(print_arrow(s))) == {"q"}
+
+
+NESTED_TEXTS = {
+    "pairing": lambda n: "<" * n + "id{p}" + ", id{p}>" * n,
+    "parens": lambda n: "(" * n + "id{p}" + ")" * n,
+}
+
+
+@pytest.mark.parametrize("family", NESTED_TEXTS)
+def test_every_command_reads_arrows_nested_900_deep(family, tmp_path):
+    depth = 900
+    text = NESTED_TEXTS[family](depth)
+    (tmp_path / "a.term").write_text(text + "\n", encoding="utf-8")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def cli(*argv):
+        done = subprocess.run(
+            [sys.executable, "-m", "freecart.cli", *argv], cwd=tmp_path, env=env, capture_output=True, text=True
+        )
+        assert (done.returncode, done.stderr) == (0, ""), argv
+        return done.stdout
+
+    domain, codomain = cli("check", "a.term").rstrip("\n").split(" -> ")
+    assert domain == "p" and codomain.count("p") == (depth + 1 if family == "pairing" else 1)
+    assert json.loads(cli("graph", "a.term"))["map"] == [1] * codomain.count("p")
+    # Both terms are normal already: the trace has no step, and the
+    # pairing is printed as it is written, the parentheses dropped.
+    assert cli("normalize", "--trace", "a.term") == (text if family == "pairing" else "id{p}") + "\n"
+    assert cli("equal", "--method", "graph", "a.term", "a.term") == "equal\n"
+    assert cli("equal", "a.term", "a.term") == "equal\n"

@@ -32,7 +32,7 @@ def test_stress_answers_every_cell_at_small_sizes():
     assert len(lines) == len(cells) + 1
     assert [(c["family"], c["size"], c["command"]) for c in cells] == [
         (family, n, command)
-        for family in ("id-nested", "id-chain", "pairing")
+        for family in ("id-nested", "id-chain", "pairing", "parens")
         for n in (1, 20)
         for command in ("normalize --trace", "equal", "check", "graph", "equal --method graph")
     ]

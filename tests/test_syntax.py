@@ -436,11 +436,66 @@ def test_grouped_reading_agrees_on_malformed_texts():
             _check_readings_agree(text, Mode(mode))
 
 
+# Whole texts around a leaf token: space and comments between a name and
+# its group, names that name no leaf, groups that hold a brace or an
+# unexpected character, a leaf where an object is due, and characters
+# after a leaf that are space (no-break space, file separator) or not
+# (zero-width space).
+LEAF_EDGE_CASES = [
+    "id {p}", "id\n{p}", "id # c\n{p}", "xid{p}", "prod{p}", "id{p{q}}", "id{id{p}}", "id{p$}", "id{p} $",
+    "p1{p×q,q}", "id{p}\u00a0", "id{p}\u200b", "id{p}\x1c", "id{p} . id {p}", "<p1 # c\n{p,q}, p2\n{p,q}>",
+]
+
+
 def test_grouped_reading_agrees_on_edge_cases():
     for group in SCAN_EDGE_CASES + ["{p,q}", "{p*q, T}", "{(p*q)}", "{p*q*r}"]:
         for name in ("id", "p1", "bang", "<id{p}, p2"):
             for mode in Mode:
                 _check_readings_agree(name + group, mode)
+    for text in LEAF_EDGE_CASES:
+        for mode in Mode:
+            _check_readings_agree(text, mode)
+
+
+# Texts made of whole leaves, names, symbols, space and comments, with a
+# few characters that no token holds, so that both readings meet every
+# kind of token next to every other.  Most of them are malformed, so
+# arrows nested from leaves are drawn too, whole or with one piece put
+# in at some point.
+_LEAVES = ["id{p}", "id {q}", "p1{p, q}", "p2 # c\n{p*q,T}", "bang\n{q}", "swap{p,q}", "dup{p×q}"]
+_READING_PIECES = _LEAVES + [
+    "id", "p1", "bang", "prod", "xid", "p", "q", "T", "{", "}", "(", ")", "<", ">", ",", ".", "*", "×",
+    " ", "\n", "# c\n", "$", "1", "\u00a0", "\u200b", "\x1c",
+]
+_nested_arrows = st.recursive(
+    st.sampled_from(_LEAVES),
+    lambda inner: st.one_of(
+        st.tuples(inner, inner).map("<{0[0]}, {0[1]}>".format),
+        st.tuples(inner, inner).map("{0[0]} . {0[1]}".format),
+        st.tuples(inner, inner).map("prod({0[0]}, {0[1]})".format),
+        inner.map("({})".format),
+    ),
+    max_leaves=6,
+)
+
+
+def _put_in(text_at_piece):
+    text, at, piece = text_at_piece
+    at %= len(text) + 1
+    return text[:at] + piece + text[at:]
+
+
+_reading_texts = st.one_of(
+    st.lists(st.sampled_from(_READING_PIECES), max_size=14).map("".join),
+    _nested_arrows,
+    st.tuples(_nested_arrows, st.integers(min_value=0), st.sampled_from(_READING_PIECES)).map(_put_in),
+)
+
+
+@given(_reading_texts, st.sampled_from(list(Mode)))
+@settings(max_examples=400, deadline=None)
+def test_grouped_reading_agrees_on_random_texts(text, mode):
+    _check_readings_agree(text, mode)
 
 
 # ---------------------------------------------------------------------------

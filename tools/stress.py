@@ -8,7 +8,8 @@ at a time.  The families (all by default) are
   id-nested  id{A}, with A = ((p*q)*q)...*q holding SIZE products;
   id-chain   id{p*q} . id{p*q} . ... . id{p*q}, SIZE factors;
   pairing    <<...<id{p}, id{p}>, ...>, id{p}>, SIZE pairings nested
-             on the left.
+             on the left;
+  parens     ((...(id{p})...)), id{p} inside SIZE parentheses.
 The commands (all by default) are `normalize --trace FILE`, the default
 `equal FILE FILE2`, `check FILE`, `graph FILE` and `equal --method graph
 FILE FILE2`, the two files holding the same text.  Exit codes 0 and 1
@@ -61,7 +62,11 @@ def pairing(n: int) -> str:
     return "<" * n + "id{p}" + ", id{p}>" * n
 
 
-FAMILIES = {"id-nested": id_nested, "id-chain": id_chain, "pairing": pairing}
+def parens(n: int) -> str:
+    return "(" * n + "id{p}" + ")" * n
+
+
+FAMILIES = {"id-nested": id_nested, "id-chain": id_chain, "pairing": pairing, "parens": parens}
 # The operands name the two term files, in the cells' working directory.
 COMMANDS = {
     "normalize --trace": ["normalize", "--trace", "a.term"],
