@@ -17,7 +17,7 @@ from .errors import (
     TypeMismatch,
     Unrealizable,
 )
-from .graphs import graph_of, graph_to_json_dict
+from .graphs import TypedGraph, graph_of, graph_to_json_dict
 from .rewrite import (
     Degree,
     RedexKind,
@@ -34,6 +34,7 @@ from .syntax import (
     Diagnostic,
     ParseError,
     parse_arrow,
+    parse_graph,
     parse_object,
     print_arrow,
     print_object,

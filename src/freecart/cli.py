@@ -7,8 +7,14 @@ Exit codes:
   3  an unexpected internal failure, such as a RecursionError on deeply
      nested input, reported as one line on stderr.
 
-`normalize` reads the normal form back from the term's graph; with
-`--trace` it rewrites step by step instead, printing each step.
+An arrow is fixed by its type and its graph, so `check`, `graph`,
+`equal --method graph` and `normalize` read their files with
+parse_graph, which builds no term: `normalize` reads the normal form
+back from the type and the graph (decide.synth_from_graph).  The
+commands that rewrite or substitute still build terms, with
+parse_arrow: `normalize --trace`, which rewrites step by step and
+prints each step, `equal --method normalize|both`, `collapse`; and
+`synth` builds the normal form that it prints.
 
 How argv is read: the grammar is stated once, in _MODE and _COMMANDS,
 in argparse's own terms.  An option is its flag and the keyword
@@ -34,22 +40,23 @@ import sys
 from collections.abc import Iterator
 
 from .collapse import CollapseWitness, collapse_witness, verify_witness
-from .decide import equal_in_cart, equal_via_normal_forms, normal_form, synth_from_graph
+from .decide import equal_graphs, equal_in_cart, equal_via_normal_forms, synth_from_graph
 from .errors import AlreadyEqual, FreecartError, InternalError
 from .graphs import graph_to_json_dict
 from .rewrite import ReductionTrace, normalize
-from .syntax import ParseError, parse_arrow, parse_object, print_arrow
-from .terms import Mode, typecheck
+from .syntax import ParseError, parse_arrow, parse_graph, parse_object, print_arrow
+from .terms import ArrowType, Mode
 
 
-def _load_arrow(path: str, mode: Mode):
+def _load_arrow(path: str, mode: Mode, parse=parse_arrow):
+    """The arrow in a file, read by `parse`: parse_arrow, or parse_graph for its type and graph alone."""
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise FreecartError(f"cannot read {path}: {exc}") from exc
     try:
-        return parse_arrow(text, mode)
+        return parse(text, mode)
     except ParseError as exc:
         message = f"{path}: {exc.diagnostic.message}"
         raise ParseError(dataclasses.replace(exc.diagnostic, message=message)) from exc
@@ -226,34 +233,36 @@ def run_cli(argv) -> int:
 
 def _dispatch(args, mode: Mode) -> int:
     if args.command == "check":
-        term = _load_arrow(args.term_file, mode)
-        print(typecheck(term, mode))
+        arrow = _load_arrow(args.term_file, mode, parse_graph)
+        print(ArrowType(arrow.domain, arrow.codomain))
         return 0
 
     if args.command == "graph":
-        term = _load_arrow(args.term_file, mode)
+        arrow = _load_arrow(args.term_file, mode, parse_graph)
         _emit_json(
-            graph_to_json_dict(term),
-            f"{term.domain.letters} source letter(s), {term.codomain.letters} target letter(s)",
+            graph_to_json_dict(arrow),
+            f"{arrow.domain.letters} source letter(s), {arrow.codomain.letters} target letter(s)",
         )
         return 0
 
+    if args.command == "normalize" and not args.trace:
+        arrow = _load_arrow(args.term_file, mode, parse_graph)
+        print(print_arrow(synth_from_graph(arrow.domain, arrow.codomain, arrow.map, mode)))
+        return 0
+
     if args.command == "normalize":
-        term = _load_arrow(args.term_file, mode)
-        if not args.trace:
-            print(print_arrow(normal_form(term, mode)))
-            return 0
-        trace = normalize(term, mode)
+        trace = normalize(_load_arrow(args.term_file, mode), mode)
         for line in _render_trace(trace):
             print(line)
         print(print_arrow(trace.result))
         return 0
 
     if args.command == "equal":
-        lhs = _load_arrow(args.lhs_file, mode)
-        rhs = _load_arrow(args.rhs_file, mode)
+        parse = parse_graph if args.method == "graph" else parse_arrow
+        lhs = _load_arrow(args.lhs_file, mode, parse)
+        rhs = _load_arrow(args.rhs_file, mode, parse)
         if args.method == "graph":
-            verdict = equal_in_cart(lhs, rhs, mode)
+            verdict = equal_graphs(lhs, rhs)
         elif args.method == "normalize":
             verdict = equal_via_normal_forms(lhs, rhs, mode)
         else:

@@ -10,10 +10,14 @@ of the codomain, each naming a letter of the domain; the one walk that
 builds the term also checks that the map joins only equal letters.
 
 Synthesis after graph_of is normalization by evaluation: normal_form
-reads a term's normal form back from its graph, with no rewriting.
-That read-back route serves `normalize` without `--trace`.  The
-rewriting system in rewrite.py stays the certifying route, for
-`normalize --trace`, `equal --method normalize|both` and verify_witness.
+reads a term's normal form back from its graph, with no rewriting, and
+stays the API that takes a term.  The command line's read-back, for
+`normalize` without `--trace`, starts from syntax.parse_graph instead,
+which reads a text into its type and its graph without building the
+term, and hands both to synth_from_graph; equal_graphs likewise decides
+`equal --method graph` from what parse_graph reads.  The rewriting
+system in rewrite.py stays the certifying route, for `normalize
+--trace`, `equal --method normalize|both` and verify_witness.
 """
 
 from __future__ import annotations
@@ -38,14 +42,26 @@ from .terms import (
     _objects,
     common_type,
     compose,
+    same_type,
     typecheck,
 )
 
 
 def equal_in_cart(f: ArrowTerm, g: ArrowTerm, mode: Mode = Mode.CARTESIAN) -> bool:
     """Decide commutation by comparing graphs, once the types agree."""
-    common_type(f, g, mode)
-    return graph_of(f) == graph_of(g)
+    typecheck(f, mode)
+    typecheck(g, mode)
+    return equal_graphs(f, g)
+
+
+def equal_graphs(f, g) -> bool:
+    """Decide commutation of two arrows already checked against the mode.
+
+    f and g are arrow terms or TypedGraphs, as parse_arrow and
+    parse_graph return them: once the types agree, the maps decide.
+    """
+    same_type(f, g)
+    return f.map == g.map
 
 
 def equal_via_normal_forms(

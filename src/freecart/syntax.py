@@ -37,17 +37,26 @@ stacks, so they have no depth limit; print_arrow takes the text of each
 object from a memo (_object_text) of the _GROUPS_KEPT objects written
 most recently.
 
-parse_arrow first reads a text with _GROUPED, under which a whole leaf
-name{...}, such as "p1{p*q,T}", is one token, and so is a braced group
-that follows no name.  Objects are interned, so a leaf's text fixes its
-arrow: a memo (_braced) keeps the _GROUPS_KEPT arrows read most
-recently in the process, and a repeat costs one lookup.  Terms are
-immutable and the mode is checked on the whole term, so a shared leaf
-changes no verdict.  A reading that meets a syntax error is repeated
-with _TOKEN, one token per name or symbol, and that reading's
-diagnostic is reported, so every diagnostic is the token-level
-reader's.  Type and mode errors arise at the same point of both
-readings, which build equal terms in the same order.
+parse_arrow and parse_graph first read a text with _GROUPED, under
+which a whole leaf name{...}, such as "p1{p*q,T}", is one token, and so
+is a braced group that follows no name.  Objects are interned, so a
+leaf's text fixes its arrow: a memo (_braced) keeps the _GROUPS_KEPT
+arrows read most recently in the process, and a repeat costs one
+lookup.  Terms are immutable and the mode is checked on the whole
+arrow, so a shared leaf changes no verdict.
+
+One parser loop (_Parser.arrow) serves two builders, which join the
+items it reads into pairings, compositions and prod(f, g): parse_arrow
+builds terms with the constructors themselves (_TERMS), and parse_graph
+builds graphs.TypedGraphs (_GRAPHS), a type and a map by the same rules,
+since an arrow is fixed by its type and its graph.  Leaves are terms in
+both.  A grouped reading builds no diagnostic: on a syntax error the
+text is read again with _TOKEN, one token per name or symbol, as a term,
+and that reading's diagnostic is reported.  A graph reading that meets
+parts that do not fit, or an arrow that is not terminal-free in
+binary-products mode, hands the text to the grouped term reading.  So
+every error reported is a term reading's, and a text is read at most
+twice; type and mode errors arise at the same point of every reading.
 """
 
 from __future__ import annotations
@@ -57,6 +66,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import FreecartError, ModeViolation, TypeMismatch
+from .graphs import TypedGraph, compose_graph, pair_graph, product_graph
 from .terms import (
     ArrowTerm,
     Bang,
@@ -71,6 +81,7 @@ from .terms import (
     Proj1,
     Proj2,
     Terminal,
+    _binary_products,
     product_of_arrows,
     typecheck,
 )
@@ -128,16 +139,19 @@ def _clean(text: str) -> str:
     return text
 
 
-def _tokens(text: str, token: re.Pattern = _TOKEN) -> list[str]:
+def _tokens(text: str, token: re.Pattern = _TOKEN, reports: bool = True) -> list[str]:
     """The token texts of a text, "" standing for its end.
 
-    The first unexpected character is reported before anything else.
+    The first unexpected character is raised before anything else, and
+    only placed if the reading `reports`.
     """
     text = _clean(text)
     tokens = token.findall(text)
     # Tokens are disjoint parts of the text, so they hold all of its
     # characters that are not space exactly when they hold as many.
     if len("".join(text.split())) != len("".join("".join(tokens).split())):
+        if not reports:
+            raise ParseError(_UNREPORTED)
         i = _VALID.match(text).end()
         raise ParseError(Diagnostic((i, i + 1), f"unexpected character {text[i]!r}"))
     tokens.append("")
@@ -151,22 +165,33 @@ def _spans(text: str) -> list[tuple[int, int]]:
     return spans
 
 
+# A reading's builders: what joins the values read into a pairing, a
+# composition (given in application order) and a prod(f, g).
+_TERMS = (Pair, Compose, product_of_arrows)
+_GRAPHS = (pair_graph, compose_graph, product_graph)
+
+# What a reading that does not report raises at a syntax error (see _parse).
+_UNREPORTED = Diagnostic((0, 0), "not reported")
+
+
 class _Parser:
     """Recursive descent over the token texts of one text.
 
     The tokens are kept reversed, so the next one is last and reading it
     is a pop.  A diagnostic finds its token's span by counting: token k
     of _tokens is match k of _spans, since both scan the same cleaned
-    text.
+    text.  A parser made with `reports` false raises
+    ParseError(_UNREPORTED) instead, and builds no span.
 
     With `token` _GROUPED, a leaf name{...} is one token and an arrow
-    from the memo _braced; only the diagnostics of a _TOKEN reading are
-    reported (see parse_arrow).
+    from the memo _braced.  `build` holds the reading's builders.
     """
 
-    def __init__(self, text: str, token: re.Pattern = _TOKEN):
+    def __init__(self, text: str, token: re.Pattern = _TOKEN, build: tuple = _TERMS, reports: bool = True):
         self.text = text
-        tokens = _tokens(text, token)
+        self.build = build
+        self.reports = reports
+        tokens = _tokens(text, token, reports)
         self.count = len(tokens)
         self.rest = tokens[::-1]
         self.next = self.rest.pop
@@ -178,6 +203,8 @@ class _Parser:
 
     def fail(self, message: str, back: int = 0):
         """Raise at the next token, or at the one read `back` tokens ago."""
+        if not self.reports:
+            raise ParseError(_UNREPORTED)
         span = _spans(self.text)[self.count - len(self.rest) - back]
         raise ParseError(Diagnostic(span, message))
 
@@ -235,14 +262,15 @@ class _Parser:
         self.expect("}")
         return tuple(objs)
 
-    def arrow(self) -> ArrowTerm:
+    def arrow(self):
         """A composition of items, or one item.
 
         The items are read in a loop, and only "<", "(" and "prod("
         recurse, so each level of nesting costs one call.
         """
         read, rest = self.next, self.rest
-        items: list[ArrowTerm] = []
+        pair, compose, prod = self.build
+        items = []
         while True:
             tok = read()
             if tok == "(":
@@ -253,7 +281,7 @@ class _Parser:
                 self.expect(",")
                 second = self.arrow()
                 self.expect(">")
-                item = Pair(first, second)
+                item = pair(first, second)
             elif "a" <= tok < "{":
                 if tok[-1] == "}":
                     item = _braced(tok)
@@ -266,7 +294,7 @@ class _Parser:
                     self.expect(",")
                     second = self.arrow()
                     self.expect(")")
-                    item = product_of_arrows(first, second)
+                    item = prod(first, second)
                 else:
                     self.fail(f"unknown arrow form {tok!r}", 1)
             else:
@@ -274,14 +302,17 @@ class _Parser:
             items.append(item)
             if rest[-1] != ".":
                 # Written order is display order: the rightmost item applies first.
-                return Compose(items[::-1]) if len(items) > 1 else item
+                return compose(items[::-1]) if len(items) > 1 else item
             read()
 
 
 @lru_cache(maxsize=_GROUPS_KEPT)
 def _braced(leaf: str) -> ArrowTerm:
-    """The arrow of a leaf token name{...}, read token by token; a ParseError is not cached."""
-    return _Parser(leaf).arrow()
+    """The arrow of a leaf token name{...}, read token by token.
+
+    It is part of a grouped reading, so it does not report.
+    """
+    return _Parser(leaf, reports=False).arrow()
 
 
 def parse_object(text: str) -> ObjectExpr:
@@ -292,25 +323,48 @@ def parse_object(text: str) -> ObjectExpr:
     return obj
 
 
-def _read_arrow(text: str, token: re.Pattern) -> ArrowTerm:
-    parser = _Parser(text, token)
-    term = parser.arrow()
-    if parser.rest[-1]:
-        parser.fail("unexpected trailing input")
-    return term
-
-
 def parse_arrow(text: str, mode: Mode = Mode.CARTESIAN) -> ArrowTerm:
-    try:
+    return _parse(text, mode, _TERMS)
+
+
+def parse_graph(text: str, mode: Mode = Mode.CARTESIAN) -> ArrowTerm | TypedGraph:
+    """The type and graph of what parse_arrow reads: a TypedGraph, or a leaf's term.
+
+    A text that does not read raises what parse_arrow raises.
+    """
+    return _parse(text, mode, _GRAPHS)
+
+
+def _parse(text: str, mode: Mode, build: tuple):
+    """A whole text read with `build`, from its grouped tokens.
+
+    A syntax error moves to the token-level term reading, which reports
+    it; a graph reading's type or mode failure moves to the grouped term
+    reading; a term reading's type or mode error is reported, spanning
+    the whole text.  Every reading starts in this one frame, so no path
+    to the parser's recursion is deeper than another.
+    """
+    token = _GROUPED
+    while True:
         try:
-            term = _read_arrow(text, _GROUPED)
+            parser = _Parser(text, token, build, reports=token is _TOKEN)
+            arrow = parser.arrow()
+            if parser.rest[-1]:
+                parser.fail("unexpected trailing input")
+            if build is _TERMS:
+                typecheck(arrow, mode)
+                return arrow
+            if not _binary_products(mode) or arrow.terminal_free:
+                return arrow
+            build = _TERMS
         except ParseError:
-            # The token-level reading raises the diagnostic to report.
-            term = _read_arrow(text, _TOKEN)
-        typecheck(term, mode)
-    except (TypeMismatch, ModeViolation) as exc:
-        raise ParseError(Diagnostic((0, len(text)), str(exc))) from exc
-    return term
+            if token is _TOKEN:
+                raise
+            token, build = _TOKEN, _TERMS
+        except (TypeMismatch, ModeViolation) as exc:
+            if build is _TERMS:
+                raise ParseError(Diagnostic((0, len(text)), str(exc))) from exc
+            build = _TERMS
 
 
 def print_object(a: ObjectExpr, spaced: bool = False) -> str:

@@ -470,9 +470,20 @@ def typecheck(t: ArrowTerm, mode: Mode = Mode.CARTESIAN) -> ArrowType:
 
 
 def common_type(f: ArrowTerm, g: ArrowTerm, mode: Mode = Mode.CARTESIAN) -> ArrowType:
-    """The type shared by f and g, rejecting arrows of different types."""
-    ft = typecheck(f, mode)
-    gt = typecheck(g, mode)
+    """The type shared by f and g, checked against the mode."""
+    typecheck(f, mode)
+    typecheck(g, mode)
+    return same_type(f, g)
+
+
+def same_type(f, g) -> ArrowType:
+    """The type of f and g, rejecting arrows of different types.
+
+    f and g are arrow terms or anything else that carries `domain` and
+    `codomain`, such as the TypedGraphs that syntax.parse_graph reads.
+    """
+    ft = ArrowType(f.domain, f.codomain)
+    gt = ArrowType(g.domain, g.codomain)
     if ft != gt:
         raise TypeMismatch(f"arrows have different types: {ft} vs {gt}")
     return ft

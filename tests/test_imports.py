@@ -89,6 +89,7 @@ ENTRY_POINTS = {
     "replace_subterm": "the tests rewrite at a path, against step",
     "is_normal_form": "the tests' specification of a normal form, against find_redex",
     "find_redex": "the checked search that the tests replay normalize's strategy with",
+    "normal_form": "read-back from a term; the command line reads back from parse_graph",
 }
 
 

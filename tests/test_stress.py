@@ -34,7 +34,7 @@ def test_stress_answers_every_cell_at_small_sizes():
         (family, n, command)
         for family in ("id-nested", "id-chain", "pairing", "parens")
         for n in (1, 20)
-        for command in ("normalize --trace", "equal", "check", "graph", "equal --method graph")
+        for command in ("normalize --trace", "equal", "check", "graph", "equal --method graph", "normalize")
     ]
     for c in cells:
         assert (c["exit"], c["stderr"]) == (0, "")

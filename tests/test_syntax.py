@@ -390,7 +390,11 @@ def test_shared_objects_normalize_and_round_trip(text, mode):
 def _reading(text, token, mode):
     """The term that one reading of a text gives, or what it raises."""
     try:
-        term = syntax._read_arrow(text, token)
+        # Both readings report here, so that either one's diagnostic can be compared.
+        parser = syntax._Parser(text, token)
+        term = parser.arrow()
+        if parser.rest[-1]:
+            parser.fail("unexpected trailing input")
         typecheck(term, mode)
     except ParseError as exc:
         return exc.diagnostic

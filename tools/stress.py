@@ -11,8 +11,8 @@ at a time.  The families (all by default) are
              on the left;
   parens     ((...(id{p})...)), id{p} inside SIZE parentheses.
 The commands (all by default) are `normalize --trace FILE`, the default
-`equal FILE FILE2`, `check FILE`, `graph FILE` and `equal --method graph
-FILE FILE2`, the two files holding the same text.  Exit codes 0 and 1
+`equal FILE FILE2`, `check FILE`, `graph FILE`, `equal --method graph
+FILE FILE2` and `normalize FILE`, the two files holding the same text.  Exit codes 0 and 1
 are answers; what else a cell ends with is recorded, not raised.
 
 A cell gets WALL_S seconds of wall time and, set in the child only, an
@@ -74,6 +74,7 @@ COMMANDS = {
     "check": ["check", "a.term"],
     "graph": ["graph", "a.term"],
     "equal --method graph": ["equal", "--method", "graph", "a.term", "b.term"],
+    "normalize": ["normalize", "a.term"],
 }
 
 
