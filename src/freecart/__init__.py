@@ -6,7 +6,7 @@ witnesses showing that any extra equation collapses models to preorders.
 """
 
 from .collapse import CollapseWitness, collapse_witness, verify_witness
-from .decide import equal_in_cart, equal_via_normal_forms, normal_form, synth_from_graph
+from .decide import equal_in_cart, equal_via_normal_forms, normal_form, normal_form_text, synth_from_graph
 from .errors import (
     AlreadyEqual,
     FreecartError,

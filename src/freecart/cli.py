@@ -4,17 +4,18 @@ Exit codes:
   0  success, and true verdicts;
   1  false verdicts (`equal` on unequal arrows, `collapse` on equal ones);
   2  usage, parse and type errors, and every other error of this library;
-  3  an unexpected internal failure, such as a RecursionError on deeply
-     nested input, reported as one line on stderr.
+  3  an unexpected internal failure, reported as one line on stderr; a
+     RecursionError on deeply nested input always reads "internal error:
+     RecursionError: maximum recursion depth exceeded".
 
-An arrow is fixed by its type and its graph, so `check`, `graph`,
-`equal --method graph` and `normalize` read their files with
-parse_graph, which builds no term: `normalize` reads the normal form
-back from the type and the graph (decide.synth_from_graph).  The
-commands that rewrite or substitute still build terms, with
-parse_arrow: `normalize --trace`, which rewrites step by step and
-prints each step, `equal --method normalize|both`, `collapse`; and
-`synth` builds the normal form that it prints.
+An arrow is fixed by its type and its graph, and so is the text of its
+normal form.  So `check`, `graph`, `equal --method graph` and
+`normalize` read their files with parse_graph, which builds no term,
+and `normalize` and `synth` write the normal form's text straight from
+a type and a map (decide.normal_form_text), building no arrow node.  The
+commands that rewrite or substitute still build terms, with parse_arrow:
+`normalize --trace`, which rewrites step by step and prints each step,
+`equal --method normalize|both` and `collapse`.
 
 How argv is read: the grammar is stated once, in _MODE and _COMMANDS,
 in argparse's own terms.  An option is its flag and the keyword
@@ -40,7 +41,7 @@ import sys
 from collections.abc import Iterator
 
 from .collapse import CollapseWitness, collapse_witness, verify_witness
-from .decide import equal_graphs, equal_in_cart, equal_via_normal_forms, synth_from_graph
+from .decide import equal_graphs, equal_in_cart, equal_via_normal_forms, normal_form_text
 from .errors import AlreadyEqual, FreecartError, InternalError
 from .graphs import graph_to_json_dict
 from .rewrite import ReductionTrace, normalize
@@ -224,8 +225,13 @@ def run_cli(argv) -> int:
     except FreecartError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # Never exit 1 below: for `equal` that would read as "not equal".
+    except RecursionError:
+        # Its message names the operation that crossed the limit, which
+        # depends on the input's shape, so one line stands for all.
+        print("internal error: RecursionError: maximum recursion depth exceeded", file=sys.stderr)
+        return 3
     except Exception as exc:
-        # Never exit 1 here: for `equal` that would read as "not equal".
         message = " ".join(str(exc).split())
         print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 3
@@ -247,7 +253,7 @@ def _dispatch(args, mode: Mode) -> int:
 
     if args.command == "normalize" and not args.trace:
         arrow = _load_arrow(args.term_file, mode, parse_graph)
-        print(print_arrow(synth_from_graph(arrow.domain, arrow.codomain, arrow.map, mode)))
+        print(normal_form_text(arrow.domain, arrow.codomain, arrow.map, mode))
         return 0
 
     if args.command == "normalize":
@@ -295,8 +301,7 @@ def _dispatch(args, mode: Mode) -> int:
     # By exact type: a JSON boolean loads as a bool, which is an int to Python.
     if type(positions) is not list or any(type(v) is not int for v in positions):
         raise FreecartError("map must be a JSON list of integers")
-    term = synth_from_graph(dom, cod, positions, mode)
-    print(print_arrow(term))
+    print(normal_form_text(dom, cod, positions, mode))
     return 0
 
 

@@ -178,6 +178,9 @@ def test_synth(tmp_path, capsys):
     assert capsys.readouterr().out == "p2{p,q}\n"
     assert run_cli(["synth", "p", "p*p", "[1,1]"]) == 0
     assert capsys.readouterr().out == "<id{p}, id{p}>\n"
+    # The entries are taken in the codomain's leaf order.
+    assert run_cli(["synth", "p*q", "q*(p*p)", "[2,1,1]"]) == 0
+    assert capsys.readouterr().out == "<p2{p,q}, <p1{p,q}, p1{p,q}>>\n"
     assert run_cli(["synth", "p*q", "T", "[]"]) == 0
     assert capsys.readouterr().out == "bang{p*q}\n"
 
@@ -297,6 +300,26 @@ def test_unexpected_exception_exits_3(tmp_path, capsys):
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("internal error: RecursionError")
     assert "Traceback" not in captured.err
+
+
+def test_every_recursion_error_is_reported_as_one_line(tmp_path):
+    # In a fresh process a pairing 978 deep crosses the recursion limit
+    # in a call, and one 3,000 deep elsewhere; Python's own message names
+    # the operation ("while calling a Python object", "in comparison").
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    reports = set()
+    for depth in (978, 3000):
+        text = "<" * depth + "id{p}" + ", id{p}>" * depth + "\n"
+        f = write(tmp_path, "f.term", text)
+        g = write(tmp_path, "g.term", text)
+        for argv in (["check", f], ["equal", "--method", "graph", f, g], ["equal", f, g]):
+            done = subprocess.run(
+                [sys.executable, "-m", "freecart.cli", *argv], capture_output=True, env=env
+            )
+            assert (done.returncode, done.stdout) == (3, b""), (depth, argv)
+            reports.add(done.stderr)
+    assert reports == {b"internal error: RecursionError: maximum recursion depth exceeded\n"}
 
 
 # Every subcommand and option, valid and bogus choices, abbreviations,

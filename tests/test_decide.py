@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freecart import (
@@ -23,8 +23,11 @@ from freecart import (
     equal_via_normal_forms,
     graph_of,
     is_normal_form,
+    letters_of,
     normal_form,
+    normal_form_text,
     normalize,
+    print_arrow,
     synth_from_graph,
     typecheck,
 )
@@ -192,3 +195,101 @@ def test_normal_form_typechecks_its_input():
     with pytest.raises(ModeViolation):
         normal_form(Bang(p), Mode.BINARY_PRODUCTS)
     assert normal_form(Identity(Product(p, T))) == Pair(Proj1(p, T), Bang(Product(p, T)))
+
+
+# ---------------------------------------------------------------------------
+# The text of a normal form, written without building the term
+
+_drawn_objects = st.recursive(
+    st.sampled_from([p, q, T]), lambda inner: st.builds(Product, inner, inner), max_leaves=6
+)
+# What a spoiled entry or a spoiled map may be instead.
+_NOT_ENTRIES = (True, False, 1.0, "1", None, 2**70)
+_NOT_MAPS = (None, "1", {1}, range(1, 2), {1: 1})
+
+
+@st.composite
+def graph_cases(draw):
+    """(dom, cod, map): a map joining equal letters where it can, often spoiled one way.
+
+    The ways: an entry that names a leaf of another letter, one entry too
+    many or too few, an entry out of range, an entry that is not an int,
+    and a map that is neither a list nor a tuple.  T may occur in either
+    object, which binary-products mode rejects.
+    """
+    dom, cod = draw(_drawn_objects), draw(_drawn_objects)
+    sources = letters_of(dom)
+    entries = []
+    for letter in letters_of(cod):
+        same = [i + 1 for i, s in enumerate(sources) if s is letter]
+        entries.append(draw(st.sampled_from(same)) if same else draw(st.integers(0, len(sources) + 1)))
+    spoil = draw(st.sampled_from(("none", "none", "joined", "length", "range", "entry", "map")))
+    at = draw(st.integers(0, max(0, len(entries) - 1)))
+    if spoil == "joined" and entries and 1 <= entries[at] <= len(sources):
+        other = [i + 1 for i, s in enumerate(sources) if s is not sources[entries[at] - 1]]
+        if other:
+            entries[at] = draw(st.sampled_from(other))
+    elif spoil == "length":
+        entries = entries[:-1] if entries and draw(st.booleans()) else entries + [1]
+    elif spoil == "range" and entries:
+        entries[at] = draw(st.sampled_from((0, -1, len(sources) + 1)))
+    elif spoil == "entry" and entries:
+        entries[at] = draw(st.sampled_from(_NOT_ENTRIES))
+    elif spoil == "map":
+        return dom, cod, draw(st.sampled_from(_NOT_MAPS))
+    return dom, cod, draw(st.sampled_from((list, tuple)))(entries)
+
+
+def _outcome(write, dom, cod, map, mode):
+    """The text, or the class and message of what is raised."""
+    try:
+        return write(dom, cod, map, mode)
+    except Exception as exc:  # noqa: BLE001  (the two writers must raise alike)
+        return type(exc), str(exc)
+
+
+def _printed_synthesis(dom, cod, map, mode):
+    return print_arrow(synth_from_graph(dom, cod, map, mode))
+
+
+# Every check, and the order of two failing checks.
+@example((Product(Product(p, q), p), Product(q, Product(p, p)), [2, 3, 1]), Mode.CARTESIAN)
+@example((Product(p, q), p, (2,)), Mode.CARTESIAN)
+@example((Product(p, q), p, [1, 1]), Mode.CARTESIAN)
+@example((Product(p, q), p, [3]), Mode.CARTESIAN)
+@example((Product(p, q), p, [True]), Mode.CARTESIAN)
+@example((Product(p, q), p, "1"), Mode.CARTESIAN)
+@example((p, Product(T, q), [1]), Mode.BINARY_PRODUCTS)
+@example((Product(p, T), T, []), Mode.BINARY_PRODUCTS)
+@example((Product(p, T), p, [1]), Mode.BINARY_PRODUCTS)
+@example((Product(p, T), Product(p, T), [1]), Mode.CARTESIAN)
+@example((p, "p", [1]), Mode.CARTESIAN)
+@example((p, p, [1]), "cartesian")
+@example((p, q, [1]), "cartesian")
+@given(graph_cases(), st.sampled_from(list(Mode)))
+@settings(max_examples=500, deadline=None, derandomize=True)
+def test_normal_form_text_is_the_printed_synthesis(case, mode):
+    written = _outcome(normal_form_text, *case, mode)
+    assert written == _outcome(_printed_synthesis, *case, mode), case
+
+
+def test_graph_cases_reach_every_outcome():
+    outcomes = set()
+
+    @given(graph_cases(), st.sampled_from(list(Mode)))
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    def collect(case, mode):
+        written = _outcome(normal_form_text, *case, mode)
+        # A text, or the class raised and the first two words of its message.
+        outcomes.add("text" if type(written) is str else (written[0], *written[1].split()[:2]))
+
+    collect()
+    assert outcomes == {
+        "text",
+        (IncompatibleGraph, "graph", "connects"),
+        (IncompatibleGraph, "map", "has"),
+        (IncompatibleGraph, "map", "entry"),
+        (IncompatibleGraph, "map", "must"),
+        (Unrealizable, "terminal", "codomain"),
+        (ModeViolation, "terminal", "object"),
+    }

@@ -1,16 +1,21 @@
-"""The commands that answer from a term's type and graph, against the Set model.
+"""The command line against the Set model.
 
-`check`, `graph`, `equal --method graph` and `normalize` run through
-run_cli in process, in both modes, on texts that bench/gen.py draws and
-bench/oracle.py prints, on the same texts mutated one token at a time,
-and on two drawn texts joined, which mostly do not fit.  Every answer is
-judged by bench/oracle.py, which imports nothing from the package:
+`check`, `graph`, `normalize` with and without `--trace`, and `equal`
+with each `--method` run through run_cli in process, in both modes, on
+texts that bench/gen.py draws and bench/oracle.py prints, on the same
+texts mutated one token at a time, and on two drawn texts joined, which
+mostly do not fit.  Every answer is judged by bench/oracle.py, which
+imports nothing from the package:
 - the exit code is 0, 1 or 2, and stderr never reports an internal error;
 - `check` prints the oracle's type exactly when the oracle accepts the text;
 - `graph` prints the map that the oracle's denotation gives;
-- `equal --method graph` gives the oracle's verdict;
+- `equal` gives the oracle's verdict with every method;
 - `normalize` prints a text that the oracle reads as a normal form with
-  the input's denotation.
+  the input's denotation;
+- `normalize --trace` prints numbered steps whose degrees decrease, and
+  ends with the line that plain `normalize` prints.  The two come from
+  independent routes: rewriting, and the text written from the type and
+  the graph.
 
 Hypothesis runs derandomized, so that the examples are the same on every
 run.  The generator's depths are the benchmark's; a text nested past the
@@ -34,11 +39,14 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
 import gen  # noqa: E402
 import oracle  # noqa: E402
+from checks import REDEX_KINDS  # noqa: E402
 
 MODES = (oracle.CARTESIAN, oracle.BINARY)
 DEPTHS = (1, 2, 3, 4, 5)
 FUZZ = settings(max_examples=600, deadline=None, derandomize=True)
 
+# A line of a trace: the step's number, kind, path and degrees.
+_STEP = re.compile(r"step (\d+): ([a-z0-9-]+) at \[([\d, ]*)\] degree \((\d+),(\d+),(\d+)\) -> \((\d+),(\d+),(\d+)\)")
 # A token of a printed term, or the space between two.
 _PIECE = re.compile(r"[a-z][a-z0-9_]*|\s+|.")
 # Characters that no token holds.
@@ -155,6 +163,28 @@ def test_check_graph_and_normalize_answer_as_the_set_model(tmp_path_factory, tex
         assert oracle.denotation(normal, mode) == oracle.denotation(t, mode), (text, out)
 
 
+@given(texts())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_traced_normalize_ends_where_plain_normalize_does(tmp_path_factory, text_mode):
+    text, mode = text_mode
+    tmp_path = tmp_path_factory.mktemp("fuzz")
+    traced = cli(tmp_path, mode, ["normalize", "--trace"], text)
+    plain = cli(tmp_path, mode, ["normalize"], text)
+    if oracle_reading(text, mode) is None:
+        assert traced[:2] == (2, "") and traced == plain, text
+        return
+    assert (traced[0], traced[2], plain[0]) == (0, "", 0), text
+    *steps, last = traced[1].splitlines()
+    assert last + "\n" == plain[1], text
+    degree = None
+    for number, line in enumerate(steps, start=1):
+        m = _STEP.fullmatch(line)
+        assert m and int(m[1]) == number and m[2] in REDEX_KINDS, (text, line)
+        before, after = tuple(map(int, m.groups()[3:6])), tuple(map(int, m.groups()[6:9]))
+        assert degree in (None, before) and after < before, (text, line)
+        degree = after
+
+
 @st.composite
 def pairs(draw):
     """(lhs, rhs, mode): a drawn pair equal or unequal by construction, or a drawn text against another."""
@@ -172,18 +202,27 @@ def pairs(draw):
     return lhs, rhs, draw(st.sampled_from(MODES))
 
 
-@given(pairs())
-@FUZZ
-def test_equal_by_graph_gives_the_set_models_verdict(tmp_path_factory, lhs_rhs_mode):
-    lhs, rhs, mode = lhs_rhs_mode
+def _check_verdict(tmp_path, method: str, lhs: str, rhs: str, mode: str) -> None:
     left, right = oracle_reading(lhs, mode), oracle_reading(rhs, mode)
-    code, out, _ = cli(tmp_path_factory.mktemp("fuzz"), mode, ["equal", "--method", "graph"], lhs, rhs)
+    code, out, _ = cli(tmp_path, mode, ["equal", "--method", method], lhs, rhs)
     if left is None or right is None or left[1] != right[1]:
         # Rejected, or two arrows of different types.
         assert (code, out) == (2, ""), (lhs, rhs)
     else:
         verdict = left[2] == right[2]
         assert (code, out) == ((0, "equal\n") if verdict else (1, "not equal\n")), (lhs, rhs)
+
+
+@given(pairs())
+@FUZZ
+def test_equal_by_graph_gives_the_set_models_verdict(tmp_path_factory, lhs_rhs_mode):
+    _check_verdict(tmp_path_factory.mktemp("fuzz"), "graph", *lhs_rhs_mode)
+
+
+@given(pairs(), st.sampled_from(("normalize", "both")))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_equal_by_rewriting_gives_the_set_models_verdict(tmp_path_factory, lhs_rhs_mode, method):
+    _check_verdict(tmp_path_factory.mktemp("fuzz"), method, *lhs_rhs_mode)
 
 
 def test_the_mutations_reach_each_kind():

@@ -15,12 +15,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freecart import Compose, Mode, Pair, ParseError, TypedGraph, parse_arrow, parse_graph, print_arrow, run_cli
+from freecart import (
+    Bang,
+    Compose,
+    Identity,
+    Mode,
+    Pair,
+    ParseError,
+    Proj1,
+    Proj2,
+    TypedGraph,
+    parse_arrow,
+    parse_graph,
+    parse_object,
+    print_arrow,
+    run_cli,
+    synth_from_graph,
+)
 from termgen import random_arrow
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
-from cli_transcript import malformed_texts  # noqa: E402  (it puts bench/ on the path)
+from cli_transcript import malformed_texts, synth_commands  # noqa: E402  (it puts bench/ on the path)
 from workloads import WORKLOADS, build  # noqa: E402
 
 SEEDS = (1, 2)
@@ -107,15 +123,17 @@ def test_the_readers_agree_on_joined_leaves(text, mode):
 
 
 # ---------------------------------------------------------------------------
-# The commands that answer from parse_graph build no term
+# The commands that answer from parse_graph build no term, and `normalize`
+# and `synth` write their normal form without building it
 
 
 _DERIVED_NAMES = ("assoc_r", "assoc_l", "swap", "dup", "sigma", "delta")
+_ARROW_CLASSES = (Identity, Proj1, Proj2, Bang, Pair, Compose)
 
 
-def _count_constructions(monkeypatch):
-    """A dict that counts the Pair and Compose nodes built from now on."""
-    counts = {Pair: 0, Compose: 0}
+def _count_constructions(monkeypatch, classes=(Pair, Compose)):
+    """A dict that counts the nodes of `classes` built from now on."""
+    counts = dict.fromkeys(classes, 0)
     for cls in counts:
         build = cls.__init__
 
@@ -137,7 +155,7 @@ def test_graph_commands_build_no_pairing_and_no_composition(tmp_path, monkeypatc
     assert len(queries) > 200
     assert any("prod(" in text for q in queries for text in q.texts)
     counts = _count_constructions(monkeypatch)
-    answered = 0
+    answered = normalized = 0
     for i, q in enumerate(queries):
         files = []
         for k, text in enumerate(q.texts):
@@ -146,11 +164,23 @@ def test_graph_commands_build_no_pairing_and_no_composition(tmp_path, monkeypatc
             files.append(str(path))
         head = ["--mode", q.mode]
         for argv in (head + ["check", files[0]], head + ["graph", files[1]],
-                     head + ["equal", "--method", "graph", *files]):
+                     head + ["equal", "--method", "graph", *files], head + ["normalize", files[0]]):
             answered += run_cli(argv) in (0, 1)
-    capsys.readouterr()
-    assert answered == 3 * len(queries)
+        normalized += "<" in capsys.readouterr().out.splitlines()[-1]
+    assert answered == 4 * len(queries)
+    # Most normal forms are pairings, and none was built.
+    assert normalized > len(queries) // 2
     assert counts == {Pair: 0, Compose: 0}
+
+
+def test_synth_builds_no_arrow(monkeypatch, capsys):
+    commands = synth_commands(SEEDS[0])[::10]
+    counts = _count_constructions(monkeypatch, _ARROW_CLASSES)
+    codes = [run_cli(argv) for argv in commands]
+    out = capsys.readouterr().out
+    assert set(codes) == {0, 2} and codes.count(0) > 200
+    assert "<" in out and " . " in out and "bang{" in out
+    assert counts == dict.fromkeys(_ARROW_CLASSES, 0)
 
 
 def test_the_counter_sees_the_term_route(tmp_path, monkeypatch, capsys):
@@ -162,6 +192,13 @@ def test_the_counter_sees_the_term_route(tmp_path, monkeypatch, capsys):
     assert run_cli(["normalize", "--trace", str(path)]) == 0
     assert counts[Pair] >= 1 and counts[Compose] >= 1
     assert capsys.readouterr().out.splitlines()[0] == "p -> p"
+
+
+def test_the_counter_sees_synthesis(monkeypatch):
+    dom, cod = parse_object("(p*T)*q"), parse_object("(q*p)*T")
+    counts = _count_constructions(monkeypatch, _ARROW_CLASSES)
+    synth_from_graph(dom, cod, (2, 1))
+    assert counts == {Identity: 0, Proj1: 2, Proj2: 1, Bang: 1, Pair: 2, Compose: 1}
 
 
 def test_a_joined_text_reads_as_a_typed_graph():

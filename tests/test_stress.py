@@ -39,6 +39,10 @@ def test_stress_answers_every_cell_at_small_sizes():
     for c in cells:
         assert (c["exit"], c["stderr"]) == (0, "")
         assert c["peak_rss_mb"] > 0 and c["stdout_bytes"] > 0
+        # `equal` reads its text twice, from two files.
+        files = 2 if c["command"].startswith("equal") else 1
+        text = _stress().FAMILIES[c["family"]](c["size"]) + "\n"
+        assert c["input_bytes"] == files * len(text.encode("utf-8"))
 
 
 def test_a_cell_is_capped_in_the_child_only_and_killed_on_timeout(tmp_path, monkeypatch):
@@ -63,7 +67,8 @@ def test_growth_is_fitted_on_answered_series_of_three_sizes_or_more():
     assert abs(stress.growth_exponent([100, 300, 900], [5.0, 5.0, 5.0])) < 1e-9
 
     def cell(family, command, size, wall, exit=0):
-        return {"family": family, "command": command, "size": size, "wall_s": wall, "exit": exit}
+        return {"family": family, "command": command, "size": size, "wall_s": wall, "exit": exit,
+                "input_bytes": 10 * size, "stdout_bytes": 6}
 
     cells = [
         cell("id-chain", "equal", 100, 0.1),
@@ -80,3 +85,22 @@ def test_growth_is_fitted_on_answered_series_of_three_sizes_or_more():
     (fit,) = stress.growth(cells)
     assert (fit["family"], fit["command"], fit["sizes"]) == ("id-chain", "equal", [100, 200, 400])
     assert fit["exponent"] == 1.0
+
+
+def test_growth_is_also_fitted_on_the_bytes_read_and_written():
+    stress = _stress()
+    sizes = [10, 20, 40, 80]
+
+    def cell(size, out, wall):
+        return {"family": "id-nested", "command": "normalize", "size": size, "wall_s": wall, "exit": 0,
+                "input_bytes": 4 * size, "stdout_bytes": out}
+
+    # Cubic output, written in time proportional to it: cubic in n, linear in bytes.
+    (fit,) = stress.growth([cell(n, n**3, 1e-6 * (4 * n + n**3)) for n in sizes])
+    assert fit["bytes"] == [4 * n + n**3 for n in sizes]
+    assert fit["bytes_exponent"] == 1.0
+    assert 2.9 < fit["exponent"] < 3
+    # Six bytes out in quadratic time: quadratic in bytes too, as the input grows.
+    (fit,) = stress.growth([cell(n, 6, 1e-6 * n**2) for n in sizes])
+    assert fit["exponent"] == 2.0
+    assert 1.9 < fit["bytes_exponent"] < 2.2

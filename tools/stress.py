@@ -20,12 +20,16 @@ address space of CAP_MB (RLIMIT_AS); on timeout it is killed and
 reaped.  Per cell one line gives the exit code ("timeout" when killed),
 the wall time, the child's own peak RSS (from os.wait4, not the running
 maximum over all children), and the first line of stderr; stdout is
-kept as its length and SHA-256.  The last line is one JSON object with
-every cell and, for each family and command answered (exit 0 or 1) at 3
-sizes or more, the growth exponent of its wall time: the least-squares
-slope of log wall time on log size.  A cell killed at its limit says
-only that its time exceeds the limit, so it is left out of the fit.  The
-script imports nothing from SRC.
+kept as its length and SHA-256, and the cell records `input_bytes`, the
+bytes of the term files that its command reads.  The last line is one
+JSON object with every cell and, for each family and command answered
+(exit 0 or 1) at 3 sizes or more, the growth exponent of its wall time:
+the least-squares slope of log wall time on log size, and
+`bytes_exponent`, the slope on log(input_bytes + stdout_bytes).  A
+command that costs about what it reads and writes has a bytes exponent
+near 1, whatever the size of its output.  A cell killed at its limit
+says only that its time exceeds the limit, so it is left out of the fit.
+The script imports nothing from SRC.
 """
 
 from __future__ import annotations
@@ -124,23 +128,25 @@ def growth_exponent(sizes: list[int], seconds: list[float]) -> float:
 
 
 def growth(cells: list[dict]) -> list[dict]:
-    """A growth exponent per family and command answered at 3 sizes or more."""
+    """Growth exponents, on size and on bytes, per family and command answered at 3 sizes or more."""
     series: dict[tuple[str, str], list[dict]] = {}
     for c in cells:
         if c["exit"] in (0, 1):
             series.setdefault((c["family"], c["command"]), []).append(c)
-    return [
-        {
-            "family": family,
-            "command": command,
-            "sizes": [c["size"] for c in answered],
-            "exponent": round(
-                growth_exponent([c["size"] for c in answered], [c["wall_s"] for c in answered]), 3
-            ),
-        }
-        for (family, command), answered in series.items()
-        if len({c["size"] for c in answered}) >= 3
-    ]
+    fits = []
+    for (family, command), answered in series.items():
+        if len({c["size"] for c in answered}) >= 3:
+            seconds = [c["wall_s"] for c in answered]
+            moved = [c["input_bytes"] + c["stdout_bytes"] for c in answered]
+            fits.append({
+                "family": family,
+                "command": command,
+                "sizes": [c["size"] for c in answered],
+                "exponent": round(growth_exponent([c["size"] for c in answered], seconds), 3),
+                "bytes": moved,
+                "bytes_exponent": round(growth_exponent(moved, seconds), 3),
+            })
+    return fits
 
 
 def main(argv=None) -> int:
@@ -156,12 +162,15 @@ def main(argv=None) -> int:
         work = Path(tmp)
         for family in args.family or list(FAMILIES):
             for n in args.sizes:
-                text = FAMILIES[family](n) + "\n"
+                text = (FAMILIES[family](n) + "\n").encode("utf-8")
                 for name in ("a.term", "b.term"):
-                    (work / name).write_text(text, encoding="utf-8")
+                    (work / name).write_bytes(text)
                 for command in args.command or list(COMMANDS):
-                    cli = [sys.executable, "-m", "freecart.cli", *COMMANDS[command]]
-                    cell = {"family": family, "size": n, "command": command, **run_cell(cli, work, env)}
+                    argv = COMMANDS[command]
+                    cli = [sys.executable, "-m", "freecart.cli", *argv]
+                    read = len(text) * sum(a.endswith(".term") for a in argv)
+                    cell = {"family": family, "size": n, "command": command, "input_bytes": read,
+                            **run_cell(cli, work, env)}
                     cells.append(cell)
                     print(
                         f"{family:>9} {n:>6} {command:<20} exit {cell['exit']!s:>7} "
