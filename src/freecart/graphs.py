@@ -11,7 +11,8 @@ of codomain letter i.  Each node's constructor sets its map from its
 children's (terms.ArrowTerm), so a term's graph is read off its root,
 and its letter counts are its type's, which typed construction makes it
 fit.  A map that comes in from a caller or from the command line is
-checked where it is used, by decide.synth_from_graph.
+checked where it is used, by decide._check_map, which synth_from_graph
+and normal_form_text call.
 
 An arrow is fixed by its type and its graph, so a reader that needs no
 more builds no term: a TypedGraph carries what every arrow node carries
@@ -19,7 +20,8 @@ beside its measure (`domain`, `codomain`, `map`, `terminal_free`), and
 pair_graph, compose_graph and product_graph set it by the rules of Pair,
 Compose and product_of_arrows, from parts that are terms or
 TypedGraphs.  What they raise is never reported: syntax.parse_graph
-then reads the text as a term, and reports that reading's error.
+then reads the text token by token, as a term, and only that reading
+reports.
 """
 
 from __future__ import annotations

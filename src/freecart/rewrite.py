@@ -61,8 +61,8 @@ the degree and recorded as its rule, place and degrees, the certificate
 that `normalize --trace` prints; only the current term is kept.  It
 serves `normalize --trace`, `equal --method normalize|both` and
 verify_witness.  Where no trace is wanted (`normalize` without
-`--trace`), the same normal form is read back from the arrow's type and
-graph instead (decide.synth_from_graph).
+`--trace`), the same normal form is written from the arrow's type and
+graph instead (decide.normal_form_text), with no term built.
 """
 
 from __future__ import annotations

@@ -50,13 +50,10 @@ items it reads into pairings, compositions and prod(f, g): parse_arrow
 builds terms with the constructors themselves (_TERMS), and parse_graph
 builds graphs.TypedGraphs (_GRAPHS), a type and a map by the same rules,
 since an arrow is fixed by its type and its graph.  Leaves are terms in
-both.  A grouped reading builds no diagnostic: on a syntax error the
-text is read again with _TOKEN, one token per name or symbol, as a term,
-and that reading's diagnostic is reported.  A graph reading that meets
-parts that do not fit, or an arrow that is not terminal-free in
-binary-products mode, hands the text to the grouped term reading.  So
-every error reported is a term reading's, and a text is read at most
-twice; type and mode errors arise at the same point of every reading.
+both.  A text is read at most twice.  The grouped reading answers or
+hands the text over, and builds no diagnostic; the token-level reading
+(_TOKEN, one token per name or symbol, as a term) alone reports.  Type
+and mode errors arise at the same point of both readings.
 """
 
 from __future__ import annotations
@@ -139,18 +136,18 @@ def _clean(text: str) -> str:
     return text
 
 
-def _tokens(text: str, token: re.Pattern = _TOKEN, reports: bool = True) -> list[str]:
+def _tokens(text: str, token: re.Pattern = _TOKEN) -> list[str]:
     """The token texts of a text, "" standing for its end.
 
     The first unexpected character is raised before anything else, and
-    only placed if the reading `reports`.
+    placed only by the token-level reading, which reports.
     """
     text = _clean(text)
     tokens = token.findall(text)
     # Tokens are disjoint parts of the text, so they hold all of its
     # characters that are not space exactly when they hold as many.
     if len("".join(text.split())) != len("".join("".join(tokens).split())):
-        if not reports:
+        if token is not _TOKEN:
             raise ParseError(_UNREPORTED)
         i = _VALID.match(text).end()
         raise ParseError(Diagnostic((i, i + 1), f"unexpected character {text[i]!r}"))
@@ -180,18 +177,17 @@ class _Parser:
     The tokens are kept reversed, so the next one is last and reading it
     is a pop.  A diagnostic finds its token's span by counting: token k
     of _tokens is match k of _spans, since both scan the same cleaned
-    text.  A parser made with `reports` false raises
-    ParseError(_UNREPORTED) instead, and builds no span.
-
-    With `token` _GROUPED, a leaf name{...} is one token and an arrow
-    from the memo _braced.  `build` holds the reading's builders.
+    text.  Only the token-level reading reports: a parser made with
+    `token` _GROUPED raises ParseError(_UNREPORTED) instead, and builds
+    no span.  There a leaf name{...} is one token and an arrow from the
+    memo _braced.  `build` holds the reading's builders.
     """
 
-    def __init__(self, text: str, token: re.Pattern = _TOKEN, build: tuple = _TERMS, reports: bool = True):
+    def __init__(self, text: str, token: re.Pattern = _TOKEN, build: tuple = _TERMS):
         self.text = text
+        self.token = token
         self.build = build
-        self.reports = reports
-        tokens = _tokens(text, token, reports)
+        tokens = _tokens(text, token)
         self.count = len(tokens)
         self.rest = tokens[::-1]
         self.next = self.rest.pop
@@ -203,7 +199,7 @@ class _Parser:
 
     def fail(self, message: str, back: int = 0):
         """Raise at the next token, or at the one read `back` tokens ago."""
-        if not self.reports:
+        if self.token is not _TOKEN:
             raise ParseError(_UNREPORTED)
         span = _spans(self.text)[self.count - len(self.rest) - back]
         raise ParseError(Diagnostic(span, message))
@@ -310,9 +306,10 @@ class _Parser:
 def _braced(leaf: str) -> ArrowTerm:
     """The arrow of a leaf token name{...}, read token by token.
 
-    It is part of a grouped reading, so it does not report.
+    A leaf that does not read raises its diagnostic, which the grouped
+    reading that met it throws away.
     """
-    return _Parser(leaf, reports=False).arrow()
+    return _Parser(leaf).arrow()
 
 
 def parse_object(text: str) -> ObjectExpr:
@@ -328,7 +325,7 @@ def parse_arrow(text: str, mode: Mode = Mode.CARTESIAN) -> ArrowTerm:
 
 
 def parse_graph(text: str, mode: Mode = Mode.CARTESIAN) -> ArrowTerm | TypedGraph:
-    """The type and graph of what parse_arrow reads: a TypedGraph, or a leaf's term.
+    """The type and graph of what parse_arrow reads: a TypedGraph, or a term.
 
     A text that does not read raises what parse_arrow raises.
     """
@@ -336,35 +333,32 @@ def parse_graph(text: str, mode: Mode = Mode.CARTESIAN) -> ArrowTerm | TypedGrap
 
 
 def _parse(text: str, mode: Mode, build: tuple):
-    """A whole text read with `build`, from its grouped tokens.
+    """A whole text read with `build` from its grouped tokens, or else reported.
 
-    A syntax error moves to the token-level term reading, which reports
-    it; a graph reading's type or mode failure moves to the grouped term
-    reading; a term reading's type or mode error is reported, spanning
-    the whole text.  Every reading starts in this one frame, so no path
-    to the parser's recursion is deeper than another.
+    The grouped reading returns its arrow if it has read the whole text
+    and the mode allows it (in binary-products mode, if it is
+    terminal-free: a term is typed when built).  Otherwise the token-level
+    term reading reports a syntax error where it finds it, and a type or
+    mode error spanning the whole text.  Both readings start in this
+    frame, so no path to the parser's recursion is deeper than another.
     """
-    token = _GROUPED
-    while True:
-        try:
-            parser = _Parser(text, token, build, reports=token is _TOKEN)
-            arrow = parser.arrow()
-            if parser.rest[-1]:
-                parser.fail("unexpected trailing input")
-            if build is _TERMS:
-                typecheck(arrow, mode)
-                return arrow
-            if not _binary_products(mode) or arrow.terminal_free:
-                return arrow
-            build = _TERMS
-        except ParseError:
-            if token is _TOKEN:
-                raise
-            token, build = _TOKEN, _TERMS
-        except (TypeMismatch, ModeViolation) as exc:
-            if build is _TERMS:
-                raise ParseError(Diagnostic((0, len(text)), str(exc))) from exc
-            build = _TERMS
+    binary = _binary_products(mode)
+    try:
+        parser = _Parser(text, _GROUPED, build)
+        arrow = parser.arrow()
+        if not parser.rest[-1] and (not binary or arrow.terminal_free):
+            return arrow
+    except (ParseError, TypeMismatch):
+        pass
+    try:
+        parser = _Parser(text)
+        arrow = parser.arrow()
+        if parser.rest[-1]:
+            parser.fail("unexpected trailing input")
+        typecheck(arrow, mode)
+    except (TypeMismatch, ModeViolation) as exc:
+        raise ParseError(Diagnostic((0, len(text)), str(exc))) from exc
+    return arrow
 
 
 def print_object(a: ObjectExpr, spaced: bool = False) -> str:

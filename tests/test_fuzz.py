@@ -1,12 +1,14 @@
 """The command line against the Set model.
 
-`check`, `graph`, `normalize` with and without `--trace`, and `equal`
-with each `--method` run through run_cli in process, in both modes, on
-texts that bench/gen.py draws and bench/oracle.py prints, on the same
-texts mutated one token at a time, and on two drawn texts joined, which
-mostly do not fit.  Every answer is judged by bench/oracle.py, which
+`check`, `graph`, `normalize` with and without `--trace`, `equal` with
+each `--method` and `collapse` run through run_cli in process, in both
+modes, on texts that bench/gen.py draws and bench/oracle.py prints, on
+the same texts mutated one token at a time, on two drawn texts joined,
+which mostly do not fit, and on strings over the token alphabet, which
+mostly do not read.  Every answer is judged by bench/oracle.py, which
 imports nothing from the package:
 - the exit code is 0, 1 or 2, and stderr never reports an internal error;
+- a text is rejected (exit 2) exactly when the oracle rejects it;
 - `check` prints the oracle's type exactly when the oracle accepts the text;
 - `graph` prints the map that the oracle's denotation gives;
 - `equal` gives the oracle's verdict with every method;
@@ -15,15 +17,20 @@ imports nothing from the package:
 - `normalize --trace` prints numbered steps whose degrees decrease, and
   ends with the line that plain `normalize` prints.  The two come from
   independent routes: rewriting, and the text written from the type and
-  the graph.
+  the graph;
+- `collapse` exits 1 exactly when the two denotations agree, and
+  otherwise prints a witness whose composites h . f_subst . j and
+  h . g_subst . j the oracle evaluates to the first and the second
+  projection of p * p.
 
 Hypothesis runs derandomized, so that the examples are the same on every
-run.  The generator's depths are the benchmark's; a text nested past the
-parser's recursion limit is the one strict xfail below.
+run.  The generator's depths are the benchmark's and one more; a text
+nested past the parser's recursion limit is the one strict xfail below.
 """
 
 import contextlib
 import io
+import json
 import random
 import re
 import sys
@@ -42,13 +49,16 @@ import oracle  # noqa: E402
 from checks import REDEX_KINDS  # noqa: E402
 
 MODES = (oracle.CARTESIAN, oracle.BINARY)
-DEPTHS = (1, 2, 3, 4, 5)
+# The benchmark's depths, and one level deeper.
+DEPTHS = (1, 2, 3, 4, 5, 6)
 FUZZ = settings(max_examples=600, deadline=None, derandomize=True)
 
 # A line of a trace: the step's number, kind, path and degrees.
 _STEP = re.compile(r"step (\d+): ([a-z0-9-]+) at \[([\d, ]*)\] degree \((\d+),(\d+),(\d+)\) -> \((\d+),(\d+),(\d+)\)")
 # A token of a printed term, or the space between two.
 _PIECE = re.compile(r"[a-z][a-z0-9_]*|\s+|.")
+# A diagnostic, one line on stderr.
+_DIAGNOSTIC = re.compile(r"<input>:(\d+)-(\d+): error: .*\n")
 # Characters that no token holds.
 UNEXPECTED = "$!A\u200b"
 
@@ -126,16 +136,17 @@ def cli(tmp_path, mode: str, command: list[str], *texts: str) -> tuple[int, str,
     return code, out.getvalue(), err.getvalue()
 
 
-@given(texts())
-@FUZZ
-def test_check_graph_and_normalize_answer_as_the_set_model(tmp_path_factory, text_mode):
-    text, mode = text_mode
-    tmp_path = tmp_path_factory.mktemp("fuzz")
+def _check_answers(tmp_path, text: str, mode: str) -> None:
+    """`check`, `graph` and plain `normalize` on one text, against the oracle's reading."""
     reading = oracle_reading(text, mode)
 
     code, out, err = cli(tmp_path, mode, ["check"], text)
     if reading is None:
         assert (code, out) == (2, ""), text
+        # The error is placed: at a token, at the end of the text, or across all of it.
+        m = _DIAGNOSTIC.fullmatch(err)
+        assert m and int(m[1]) <= int(m[2]) <= len(text), (text, err)
+        assert int(m[1]) < int(m[2]) or int(m[1]) == len(text), (text, err)
     else:
         _, (dom, cod), _ = reading
         assert (code, out, err) == (0, type_text(dom, cod) + "\n", ""), text
@@ -163,11 +174,8 @@ def test_check_graph_and_normalize_answer_as_the_set_model(tmp_path_factory, tex
         assert oracle.denotation(normal, mode) == oracle.denotation(t, mode), (text, out)
 
 
-@given(texts())
-@settings(max_examples=200, deadline=None, derandomize=True)
-def test_traced_normalize_ends_where_plain_normalize_does(tmp_path_factory, text_mode):
-    text, mode = text_mode
-    tmp_path = tmp_path_factory.mktemp("fuzz")
+def _check_trace(tmp_path, text: str, mode: str) -> None:
+    """`normalize --trace` on one text: steps whose degrees decrease, ending where plain `normalize` does."""
     traced = cli(tmp_path, mode, ["normalize", "--trace"], text)
     plain = cli(tmp_path, mode, ["normalize"], text)
     if oracle_reading(text, mode) is None:
@@ -183,6 +191,40 @@ def test_traced_normalize_ends_where_plain_normalize_does(tmp_path_factory, text
         before, after = tuple(map(int, m.groups()[3:6])), tuple(map(int, m.groups()[6:9]))
         assert degree in (None, before) and after < before, (text, line)
         degree = after
+
+
+@given(texts())
+@FUZZ
+def test_check_graph_and_normalize_answer_as_the_set_model(tmp_path_factory, text_mode):
+    _check_answers(tmp_path_factory.mktemp("fuzz"), *text_mode)
+
+
+@given(texts())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_traced_normalize_ends_where_plain_normalize_does(tmp_path_factory, text_mode):
+    _check_trace(tmp_path_factory.mktemp("fuzz"), *text_mode)
+
+
+# Pieces of a text over the token alphabet: names, of arrow forms and of
+# letters, each symbol, the product sign, space, a comment, and whole
+# leaves, so that a drawn string is now and then an arrow.
+_TOKEN_PIECES = (
+    "p", "q", "id", "p1", "p2", "bang", "prod", "swap", "dup", "sigma", "assoc_r", "x_1",
+    *"{}()<>,.*T", "×", " ", "# c\n",
+    "id{p}", "id{p*q}", "id {q}", "p1{p,q}", "p2{p×q,T}", "bang{p}", "swap{p,q}", "dup{q}", "id{T}",
+)
+
+
+@given(st.lists(st.sampled_from(_TOKEN_PIECES), max_size=16).map("".join), st.sampled_from(MODES))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_strings_over_the_token_alphabet_are_rejected_exactly_where_the_set_model_rejects_them(
+    tmp_path_factory, text, mode
+):
+    tmp_path = tmp_path_factory.mktemp("fuzz")
+    _check_answers(tmp_path, text, mode)
+    _check_trace(tmp_path, text, mode)
+    code, out, _ = cli(tmp_path, mode, ["equal", "--method", "graph"], text, text)
+    assert (code, out) == ((2, "") if oracle_reading(text, mode) is None else (0, "equal\n")), text
 
 
 @st.composite
@@ -223,6 +265,28 @@ def test_equal_by_graph_gives_the_set_models_verdict(tmp_path_factory, lhs_rhs_m
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_equal_by_rewriting_gives_the_set_models_verdict(tmp_path_factory, lhs_rhs_mode, method):
     _check_verdict(tmp_path_factory.mktemp("fuzz"), method, *lhs_rhs_mode)
+
+
+@given(pairs())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_collapse_sends_the_two_sides_to_the_two_projections(tmp_path_factory, lhs_rhs_mode):
+    lhs, rhs, mode = lhs_rhs_mode
+    left, right = oracle_reading(lhs, mode), oracle_reading(rhs, mode)
+    code, out, _ = cli(tmp_path_factory.mktemp("fuzz"), mode, ["collapse"], lhs, rhs)
+    if left is None or right is None or left[1] != right[1]:
+        assert (code, out) == (2, ""), (lhs, rhs)
+        return
+    if oracle.denotation(left[0], mode) == oracle.denotation(right[0], mode):
+        assert (code, out) == (1, ""), (lhs, rhs)
+        return
+    assert code == 0, (lhs, rhs)
+    witness = json.loads(out)
+    letter = witness["letter"]
+    h, f_subst, g_subst, j = (oracle.parse_arrow(witness[k]) for k in ("h", "f_subst", "g_subst", "j"))
+    # h applies first and j last: the composites h . f_subst . j and h . g_subst . j.
+    for middle, projection in ((f_subst, "p1"), (g_subst, "p2")):
+        composite = oracle.comp(h, middle, j)
+        assert oracle.denotation(composite, mode) == oracle.denotation((projection, letter, letter), mode), (lhs, rhs)
 
 
 def test_the_mutations_reach_each_kind():

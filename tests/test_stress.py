@@ -28,7 +28,9 @@ def test_stress_answers_every_cell_at_small_sizes():
     )
     assert (done.returncode, done.stderr) == (0, "")
     lines = done.stdout.splitlines()
-    cells = json.loads(lines[-1])["cells"]
+    record = json.loads(lines[-1])
+    cells = record["cells"]
+    assert record["startup_s"] > 0
     assert len(lines) == len(cells) + 1
     assert [(c["family"], c["size"], c["command"]) for c in cells] == [
         (family, n, command)
@@ -82,7 +84,7 @@ def test_growth_is_fitted_on_answered_series_of_three_sizes_or_more():
         cell("pairing", "graph", 10, 0.02),
         cell("pairing", "graph", 20, 0.04, exit=3),
     ]
-    (fit,) = stress.growth(cells)
+    (fit,) = stress.growth(cells, 0)
     assert (fit["family"], fit["command"], fit["sizes"]) == ("id-chain", "equal", [100, 200, 400])
     assert fit["exponent"] == 1.0
 
@@ -96,11 +98,34 @@ def test_growth_is_also_fitted_on_the_bytes_read_and_written():
                 "input_bytes": 4 * size, "stdout_bytes": out}
 
     # Cubic output, written in time proportional to it: cubic in n, linear in bytes.
-    (fit,) = stress.growth([cell(n, n**3, 1e-6 * (4 * n + n**3)) for n in sizes])
+    (fit,) = stress.growth([cell(n, n**3, 1e-6 * (4 * n + n**3)) for n in sizes], 0)
     assert fit["bytes"] == [4 * n + n**3 for n in sizes]
     assert fit["bytes_exponent"] == 1.0
     assert 2.9 < fit["exponent"] < 3
     # Six bytes out in quadratic time: quadratic in bytes too, as the input grows.
-    (fit,) = stress.growth([cell(n, 6, 1e-6 * n**2) for n in sizes])
+    (fit,) = stress.growth([cell(n, 6, 1e-6 * n**2) for n in sizes], 0)
     assert fit["exponent"] == 2.0
     assert 1.9 < fit["bytes_exponent"] < 2.2
+
+
+def test_growth_is_fitted_past_start_up_on_cells_well_above_it():
+    stress = _stress()
+    startup = 0.07
+    sizes = [10, 20, 40, 80, 160]
+
+    def cell(size, work, command="normalize"):
+        return {"family": "id-nested", "command": command, "size": size, "wall_s": startup + work, "exit": 0,
+                "input_bytes": 4 * size, "stdout_bytes": size**2 - 4 * size}
+
+    # Quadratic work past start-up: the two smallest cells take less than
+    # twice start-up and are left out, and so is a series with only two
+    # cells above it.
+    cells = [cell(n, 1e-4 * n**2) for n in sizes] + [cell(n, 2e-5 * n**2, "check") for n in sizes]
+    (fit,) = stress.growth(cells, startup)
+    assert fit["sizes"] == [40, 80, 160]
+    assert fit["bytes"] == [40**2, 80**2, 160**2]
+    assert fit["exponent"] == 2.0
+    assert fit["bytes_exponent"] == 1.0
+    # Fitted on the whole wall time, start-up flattens the same series.
+    (whole,) = stress.growth(cells[:5], 0)
+    assert whole["sizes"] == sizes and whole["exponent"] < 1.5

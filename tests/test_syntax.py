@@ -390,7 +390,8 @@ def test_shared_objects_normalize_and_round_trip(text, mode):
 def _reading(text, token, mode):
     """The term that one reading of a text gives, or what it raises."""
     try:
-        # Both readings report here, so that either one's diagnostic can be compared.
+        # Only the token-level reading places a syntax error; the grouped
+        # one raises the unplaced _UNREPORTED.
         parser = syntax._Parser(text, token)
         term = parser.arrow()
         if parser.rest[-1]:
@@ -444,10 +445,13 @@ def test_grouped_reading_agrees_on_malformed_texts():
 # its group, names that name no leaf, groups that hold a brace or an
 # unexpected character, a leaf where an object is due, and characters
 # after a leaf that are space (no-break space, file separator) or not
-# (zero-width space).
+# (zero-width space).  The last two fail in the grouped reading at a
+# whole leaf ("expected ',', found 'id{q}'", "expected an object"), which
+# the token-level reading reports at a name or a brace.
 LEAF_EDGE_CASES = [
     "id {p}", "id\n{p}", "id # c\n{p}", "xid{p}", "prod{p}", "id{p{q}}", "id{id{p}}", "id{p$}", "id{p} $",
     "p1{p×q,q}", "id{p}\u00a0", "id{p}\u200b", "id{p}\x1c", "id{p} . id {p}", "<p1 # c\n{p,q}, p2\n{p,q}>",
+    "<id{p} id{q}>", "id{ id{p} }",
 ]
 
 

@@ -21,10 +21,16 @@ reaped.  Per cell one line gives the exit code ("timeout" when killed),
 the wall time, the child's own peak RSS (from os.wait4, not the running
 maximum over all children), and the first line of stderr; stdout is
 kept as its length and SHA-256, and the cell records `input_bytes`, the
-bytes of the term files that its command reads.  The last line is one
-JSON object with every cell and, for each family and command answered
-(exit 0 or 1) at 3 sizes or more, the growth exponent of its wall time:
-the least-squares slope of log wall time on log size, and
+bytes of the term files that its command reads.
+
+Every cell's wall time includes the start-up of the interpreter and the
+import of the command line, which is most of it where the work is small.
+So each run first times `python -c "import freecart.cli"` with the same
+PYTHONPATH, the median of 3 (`startup_s`), and fits only what lies past
+it.  The last line is one JSON object with `startup_s`, every cell and,
+for each family and command answered (exit 0 or 1) in more than twice
+`startup_s` at 3 sizes or more, the growth exponent of its wall time
+less `startup_s`: the least-squares slope of its log on log size, and
 `bytes_exponent`, the slope on log(input_bytes + stdout_bytes).  A
 command that costs about what it reads and writes has a bytes exponent
 near 1, whatever the size of its output.  A cell killed at its limit
@@ -41,6 +47,7 @@ import math
 import os
 import platform
 import resource
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -80,6 +87,8 @@ COMMANDS = {
     "equal --method graph": ["equal", "--method", "graph", "a.term", "b.term"],
     "normalize": ["normalize", "a.term"],
 }
+# What every cell pays before its command runs: the interpreter and the import.
+STARTUP = [sys.executable, "-c", "import freecart.cli"]
 
 
 def _cap_address_space() -> None:
@@ -119,6 +128,11 @@ def run_cell(argv: list[str], work: Path, env: dict) -> dict:
     }
 
 
+def startup_s(work: Path, env: dict) -> float:
+    """The median wall time of 3 runs that only start and import the command line."""
+    return statistics.median(run_cell(STARTUP, work, env)["wall_s"] for _ in range(3))
+
+
 def growth_exponent(sizes: list[int], seconds: list[float]) -> float:
     """The least-squares slope of log(seconds) on log(size)."""
     xs = [math.log(n) for n in sizes]
@@ -127,16 +141,20 @@ def growth_exponent(sizes: list[int], seconds: list[float]) -> float:
     return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
 
 
-def growth(cells: list[dict]) -> list[dict]:
-    """Growth exponents, on size and on bytes, per family and command answered at 3 sizes or more."""
+def growth(cells: list[dict], startup: float) -> list[dict]:
+    """Growth exponents of the time past `startup`, on size and on bytes.
+
+    Per family and command, the cells answered in more than twice
+    `startup` are fitted, if they span 3 sizes or more.
+    """
     series: dict[tuple[str, str], list[dict]] = {}
     for c in cells:
-        if c["exit"] in (0, 1):
+        if c["exit"] in (0, 1) and c["wall_s"] > 2 * startup:
             series.setdefault((c["family"], c["command"]), []).append(c)
     fits = []
     for (family, command), answered in series.items():
         if len({c["size"] for c in answered}) >= 3:
-            seconds = [c["wall_s"] for c in answered]
+            seconds = [c["wall_s"] - startup for c in answered]
             moved = [c["input_bytes"] + c["stdout_bytes"] for c in answered]
             fits.append({
                 "family": family,
@@ -160,6 +178,7 @@ def main(argv=None) -> int:
     cells = []
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
+        startup = startup_s(work, env)
         for family in args.family or list(FAMILIES):
             for n in args.sizes:
                 text = (FAMILIES[family](n) + "\n").encode("utf-8")
@@ -181,9 +200,10 @@ def main(argv=None) -> int:
         "src": str(args.src),
         "wall_limit_s": WALL_S,
         "address_space_cap_mb": CAP_MB,
+        "startup_s": startup,
         "environment": {"python": platform.python_version(), "cpu_count": os.cpu_count(), "platform": platform.platform()},
         "cells": cells,
-        "growth": growth(cells),
+        "growth": growth(cells, startup),
     }
     print(json.dumps(record, sort_keys=True))
     return 0
