@@ -17,6 +17,15 @@ commands that rewrite or substitute still build terms, with parse_arrow:
 `normalize --trace`, which rewrites step by step and prints each step,
 `equal --method normalize|both` and `collapse`.
 
+How a term file is read (_read_text): with os.open and os.read, and
+decoded as UTF-8 once.  A text stream builds four objects for that one
+read, and took about a fifth of a median `equal --method graph` query;
+the system calls take under a third of its time.  Text mode's newline
+translation is kept, CR LF and a lone CR reading as LF, so that spans
+and comments end where they did.  A file that cannot be opened, read or
+decoded, and a path that holds a NUL, is an error of exit code 2 that
+says "cannot read".
+
 How argv is read: the grammar is stated once, in _MODE and _COMMANDS,
 in argparse's own terms.  An option is its flag and the keyword
 arguments of its add_argument call; a command is its help, its operands
@@ -37,6 +46,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import sys
 from collections.abc import Iterator
 
@@ -49,12 +59,44 @@ from .syntax import ParseError, parse_arrow, parse_graph, parse_object, print_ar
 from .terms import ArrowType, Mode
 
 
-def _load_arrow(path: str, mode: Mode, parse=parse_arrow):
-    """The arrow in a file, read by `parse`: parse_arrow, or parse_graph for its type and graph alone."""
+_READ_SIZE = 1 << 16
+
+
+def _read_text(path: str) -> str:
+    """The text of a file, as `open(path, encoding="utf-8").read()` gives it, or raises.
+
+    It is read with os.open and os.read until a read returns b"", and
+    decoded once; a text stream would build a FileIO, a buffer, a
+    TextIOWrapper and a decoder for that one read.  Text mode's newline
+    translation is kept, so that every span and every comment's end is
+    where it was: CR LF and a lone CR read as LF.  os.open succeeds
+    on a directory, and os.read then fails without naming the file, so a
+    read error is raised again with the path.
+    """
+    fd = os.open(path, os.O_RDONLY)
+    chunks = []
     try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
+        while chunk := os.read(fd, _READ_SIZE):
+            chunks.append(chunk)
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, path) from exc
+    finally:
+        os.close(fd)
+    text = b"".join(chunks).decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+def _load_arrow(path: str, mode: Mode, parse=parse_arrow):
+    """The arrow in a file, read by `parse`: parse_arrow, or parse_graph for its type and graph alone.
+
+    A file that cannot be opened, read or decoded is a FreecartError; so
+    is a path that holds a NUL, on which os.open raises ValueError.
+    """
+    try:
+        text = _read_text(path)
+    except (OSError, ValueError) as exc:
         raise FreecartError(f"cannot read {path}: {exc}") from exc
     try:
         return parse(text, mode)

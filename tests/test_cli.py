@@ -1,3 +1,4 @@
+import codecs
 import contextlib
 import io
 import json
@@ -22,7 +23,7 @@ from freecart import (
     print_arrow,
     run_cli,
 )
-from freecart.cli import _build_parser, _plain_args, _render_trace
+from freecart.cli import _build_parser, _plain_args, _read_text, _render_trace
 from termgen import random_arrow
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -258,14 +259,70 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+def _read_by_text_stream(path: str) -> str:
+    with open(path, encoding="utf-8") as handle:
+        return handle.read()
+
+
+def _outcome(read, path: str):
+    """What `read` returns on `path`, or the type and message of what it raises."""
+    try:
+        return read(path)
+    except (OSError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
 def test_missing_file(tmp_path, capsys):
-    assert run_cli(["check", str(tmp_path / "absent.term")]) == 2
-    assert "cannot read" in capsys.readouterr().err
-    # A file that is not UTF-8 cannot be read either.
-    path = tmp_path / "latin1.term"
-    path.write_bytes(b"\xff\n")
-    assert run_cli(["check", str(path)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
+    # A missing file, a directory and a file that is not UTF-8.  The
+    # message is built from what a text stream raises on the same path,
+    # so the platform's wording does not matter.
+    latin1 = tmp_path / "latin1.term"
+    latin1.write_bytes(b"\xff\n")
+    for path in (str(tmp_path / "absent.term"), str(tmp_path), str(latin1)):
+        assert run_cli(["check", path]) == 2
+        _, message = _outcome(_read_by_text_stream, path)
+        assert capsys.readouterr() == ("", f"error: cannot read {path}: {message}\n")
+
+
+def test_a_path_that_holds_a_nul_cannot_be_read(capsys):
+    assert run_cli(["check", "a\x00b"]) == 2
+    assert capsys.readouterr() == ("", "error: cannot read a\x00b: embedded null byte\n")
+
+
+def test_the_file_reader_fails_as_a_text_stream_fails(tmp_path):
+    for path in (str(tmp_path / "absent.term"), "", str(tmp_path), "a\x00b"):
+        assert _outcome(_read_text, path) == _outcome(_read_by_text_stream, path), path
+
+
+# What a term file is drawn from: newlines of each kind, a comment sign,
+# a character of two bytes, a byte order mark, bytes that are not UTF-8
+# or that start or end a character of two bytes, and token characters.
+READER_PIECES = (
+    b"\r", b"\n", b"\r\n", b"#", "×".encode(), codecs.BOM_UTF8, b"\xff", b"\xc3", b"\xa9",
+    *(c.encode() for c in "id{p*q}(<T,1>). "),
+)
+# A run of one piece is short, or long enough to carry the file past
+# 8 KiB or past the reader's 64 KiB read size, to either side of each.
+READER_RUNS = st.one_of(st.integers(1, 3), st.sampled_from((8191, 8192, 8193, 65535, 65536, 65537)))
+
+
+@pytest.fixture(scope="module")
+def reader_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("reader") / "drawn.term"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@example(b"")
+@example(b"#\r" + b"p" * 65533 + b"\r\n")
+@given(
+    st.lists(st.tuples(st.sampled_from(READER_PIECES), READER_RUNS), max_size=8).map(
+        lambda runs: b"".join(piece * count for piece, count in runs)
+    )
+)
+def test_the_file_reader_reads_as_a_text_stream_reads(reader_file, data):
+    reader_file.write_bytes(data)
+    path = str(reader_file)
+    assert _outcome(_read_text, path) == _outcome(_read_by_text_stream, path)
 
 
 def test_parse_error_has_location(tmp_path, capsys):

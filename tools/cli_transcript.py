@@ -7,8 +7,9 @@ bench/workloads.py), the other subcommands on the same term files (see
 corpus_commands), MALFORMED_COMMANDS seeded `check` commands per mode on
 corpus terms with a few characters deleted, inserted or cut off (see
 malformed_texts), SYNTH_COMMANDS seeded `synth` commands per mode,
-and the fixed command lines of ARGV_VARIANTS on two corpus term files
-(see argv_commands) are run in process against the package in the
+commands on files that test how a term file is read (see
+file_commands), and the fixed command lines of ARGV_VARIANTS on two
+corpus term files (see argv_commands) are run in process against the package in the
 directory SRC.  One line is printed per command: the argv as JSON, the
 exit code, and the sha256 of stdout and of stderr, separated by tabs.
 Term files are written to a temporary directory, which is the working
@@ -27,6 +28,7 @@ with stdout redirected as above.
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import hashlib
 import io
@@ -202,6 +204,46 @@ def malformed_commands(seed: int) -> list[list[str]]:
     return commands
 
 
+def file_commands(seed: int) -> list[list[str]]:
+    """`check` on files that test how a term file is read, and two pairs of them through `equal` and `collapse`.
+
+    The files are written as bytes.  The pairs are the two terms of the
+    seed's first `decide` query with CRLF line ends, and after a comment
+    that a lone CR ends.  The single files are its first term after a
+    byte order mark, and followed by a byte that is not UTF-8; a valid
+    chain of `id{p}` longer than 64 KiB, alone and followed by such a
+    byte; and an empty file.  The working directory itself and a path
+    that holds a NUL are operands too.  corpus_commands writes the
+    query's files, so it runs first.
+    """
+    texts = [Path(f"s{seed}-decide-q0-{k}.term").read_text(encoding="utf-8").strip() for k in (0, 1)]
+    chain = " . ".join(["id{p}"] * 9000)
+    pairs = {
+        "crlf": [b"# line ends\r\n" + t.replace(" ", "\r\n").encode() + b"\r\n" for t in texts],
+        "cr-comment": [b"# ended by a lone CR\r" + t.encode() + b"\r" for t in texts],
+    }
+    singles = {
+        "bom": codecs.BOM_UTF8 + texts[0].encode() + b"\n",
+        "latin1": texts[0].encode() + b" \xff\n",
+        "latin1-long": chain.encode() + b" \xff\n",
+        "empty": b"",
+        "chain": chain.encode() + b"\n",
+    }
+    head = ["--mode", "cartesian"]
+    commands = []
+    for variant, blobs in pairs.items():
+        files = [f"s{seed}-file-{variant}-{k}.term" for k in (0, 1)]
+        for name, blob in zip(files, blobs):
+            Path(name).write_bytes(blob)
+            commands.append(head + ["check", name])
+        commands += [head + ["equal", "--method", "graph", *files], head + ["collapse", *files]]
+    for variant, blob in singles.items():
+        name = f"s{seed}-file-{variant}.term"
+        Path(name).write_bytes(blob)
+        commands.append(head + ["check", name])
+    return commands + [head + ["check", "."], head + ["check", "a\x00b"]]
+
+
 def argv_commands(seed: int) -> list[list[str]]:
     """ARGV_VARIANTS on the two term files of the seed's first `decide` query.
 
@@ -247,6 +289,7 @@ def main(argv: list[str]) -> int:
                     corpus_commands(seed)
                     + malformed_commands(seed)
                     + synth_commands(seed)
+                    + file_commands(seed)
                     + argv_commands(seed)
                 )
                 for command in commands:
