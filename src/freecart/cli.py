@@ -18,13 +18,13 @@ commands that rewrite or substitute still build terms, with parse_arrow:
 `equal --method normalize|both` and `collapse`.
 
 How a term file is read (_read_text): with os.open and os.read, and
-decoded as UTF-8 once.  A text stream builds four objects for that one
-read, and took about a fifth of a median `equal --method graph` query;
-the system calls take under a third of its time.  Text mode's newline
-translation is kept, CR LF and a lone CR reading as LF, so that spans
-and comments end where they did.  A file that cannot be opened, read or
-decoded, and a path that holds a NUL, is an error of exit code 2 that
-says "cannot read".
+decoded once as UTF-8, a leading byte order mark skipped.  A text
+stream builds four objects for that one read, and took about a fifth of
+a median `equal --method graph` query; the system calls take under a
+third of its time.  Text mode's newline translation is kept, CR LF and
+a lone CR reading as LF, so that spans and comments end where they did.
+A file that cannot be opened, read or decoded, and a path that holds a
+NUL, is an error of exit code 2 that says "cannot read".
 
 How argv is read: the grammar is stated once, in _MODE and _COMMANDS,
 in argparse's own terms.  An option is its flag and the keyword
@@ -63,7 +63,7 @@ _READ_SIZE = 1 << 16
 
 
 def _read_text(path: str) -> str:
-    """The text of a file, as `open(path, encoding="utf-8").read()` gives it, or raises.
+    """The text of a file, as `open(path, encoding="utf-8-sig").read()` gives it, or raises.
 
     It is read with os.open and os.read until a read returns b"", and
     decoded once; a text stream would build a FileIO, a buffer, a
@@ -71,7 +71,9 @@ def _read_text(path: str) -> str:
     translation is kept, so that every span and every comment's end is
     where it was: CR LF and a lone CR read as LF.  os.open succeeds
     on a directory, and os.read then fails without naming the file, so a
-    read error is raised again with the path.
+    read error is raised again with the path.  (A file of one or two
+    bytes of a byte order mark alone, which a stream reads as "", is not
+    UTF-8 here.)
     """
     fd = os.open(path, os.O_RDONLY)
     chunks = []
@@ -82,7 +84,7 @@ def _read_text(path: str) -> str:
         raise type(exc)(exc.errno, exc.strerror, path) from exc
     finally:
         os.close(fd)
-    text = b"".join(chunks).decode("utf-8")
+    text = b"".join(chunks).decode("utf-8-sig")
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text
@@ -337,8 +339,9 @@ def _dispatch(args, mode: Mode) -> int:
     cod = parse_object(args.cod)
     try:
         positions = json.loads(args.map)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        # Nesting too deep for the decoder is malformed input too.
+    except (ValueError, RecursionError) as exc:
+        # Not only JSONDecodeError: an int past Python's digit limit raises
+        # a plain ValueError, and too deep a nesting RecursionError.
         raise FreecartError(f"map is not valid JSON: {exc}") from exc
     # By exact type: a JSON boolean loads as a bool, which is an int to Python.
     if type(positions) is not list or any(type(v) is not int for v in positions):

@@ -2,24 +2,17 @@
 
 An arrow is determined by its type and its graph, so equality of two
 same-typed arrows is a comparison of their maps, and the alternative
-route normalizes both sides and compares syntax.  Synthesis goes the
-other way: given a domain, a codomain and a map, it produces the unique
-normal form with that type and that graph.  It is the one place where a
-map from outside is checked (_check_map): a list or a tuple of ints, one
-per letter of the codomain, each naming a letter of the domain; the one
-walk of the codomain also checks, in each descent, that the map joins
-only equal letters.
-
-So is the normal form's text fixed by the type and the graph:
-normal_form_text writes what print_arrow would write of
-synth_from_graph's term, with the same checks in the same order, and
-builds no arrow node.  The command line answers plain `normalize` and
-`synth` with it, from what syntax.parse_graph reads (a type and a map,
-no term) and from the operands.  synth_from_graph stays for the callers
-that need the term: normal_form, which reads a term's normal form back
-from its graph with no rewriting (normalization by evaluation), and
-collapse's h and j.  equal_graphs decides `equal --method graph` from
-what parse_graph reads.  The rewriting system in rewrite.py stays the
+route normalizes both sides and compares syntax.  Read-back goes the
+other way: one walk of the codomain (_read_back) writes the unique
+normal form with a given type and map.  It is the one place where a map
+from outside is checked: a list or a tuple of ints, one per letter of
+the codomain, each naming a letter of the domain, and each descent
+joining only equal letters.  It has two writers: synth_from_graph
+builds the term, for normal_form (normalization by evaluation) and
+collapse's h and j, and normal_form_text writes print_arrow's text of
+it, building no arrow node, for plain `normalize` and `synth`.
+equal_graphs decides `equal --method graph` from what
+syntax.parse_graph reads.  The rewriting system in rewrite.py stays the
 certifying route, for `normalize --trace`, `equal --method
 normalize|both` and verify_witness.
 """
@@ -41,7 +34,6 @@ from .terms import (
     Product,
     Proj1,
     Proj2,
-    Terminal,
     Bang,
     _binary_products,
     _objects,
@@ -90,10 +82,20 @@ def synth_from_graph(
     root of dom to the mapped leaf, which must hold the same letter.
     The binary-products checks come after that walk.
     """
-    _check_map(dom, cod, map)
-    term = _synth(dom, cod, map)
-    _check_realizable(dom, cod, mode)
-    return term
+    # Each ">" pairs the last two terms built.  Building is not linear: a
+    # Pair concatenates its parts' maps and a Compose chases them
+    # (read-back of id{A} is cubic in the depth of A, ROADMAP item 10).
+    built: list[ArrowTerm] = []
+
+    def write(piece) -> None:
+        if type(piece) is not str:
+            built.append(piece)
+        elif piece == ">":
+            second = built.pop()
+            built[-1] = Pair(built[-1], second)
+
+    _read_back(dom, cod, map, mode, _projection_chain, Bang, write)
+    return built[0]
 
 
 def normal_form_text(
@@ -101,43 +103,22 @@ def normal_form_text(
 ) -> str:
     """print_arrow(synth_from_graph(dom, cod, map, mode)), written without building it.
 
-    The same checks raise the same errors in the same order.  The
-    codomain is walked in preorder from a stack of objects and strings
-    to write, the next last, as print_arrow walks a term: a pairing
-    writes "<", ", " and ">" around its parts, and a letter its
-    projection chain, last factor first.
+    The same walk (_read_back) raises the same errors in the same order.
     """
-    _check_map(dom, cod, map)
-    sources = iter(map)
     out: list[str] = []
-    todo: list[ObjectExpr | str] = [cod]
-    append, push, pop = out.append, todo.extend, todo.pop
-    while todo:
-        node = pop()
-        if type(node) is str:
-            append(node)
-        elif isinstance(node, Product):
-            append("<")
-            push((">", node.right, ", ", node.left))
-        elif isinstance(node, LetterObj):
-            steps = _descent(dom, next(sources), node)
-            if steps:
-                append(" . ".join([
-                    f"{_PROJ_NAMES[proj]}{{{_object_text(p.left)},{_object_text(p.right)}}}"
-                    for proj, p in reversed(steps)
-                ]))
-            else:
-                append(f"id{{{_object_text(dom)}}}")
-        elif isinstance(node, Terminal):
-            append(f"bang{{{_object_text(dom)}}}")
-        else:
-            raise TypeError(f"not an object: {node!r}")
-    _check_realizable(dom, cod, mode)
+    _read_back(dom, cod, map, mode, _chain_text, _bang_text, out.append)
     return "".join(out)
 
 
-def _check_map(dom: ObjectExpr, cod: ObjectExpr, map: Map | list[int]) -> None:
-    """Raise unless map has one int per letter of cod, each naming a letter of dom."""
+def _read_back(dom: ObjectExpr, cod: ObjectExpr, map: Map | list[int], mode: Mode, chain, bang, write) -> None:
+    """Check map, write the normal form dom -> cod of graph map, then check the mode.
+
+    The codomain is walked in preorder from a stack of objects and
+    strings, the next last, as print_arrow walks a term: a product
+    writes "<", ", " and ">" around its parts, a letter chain(dom,
+    descent) and T bang(dom).  Letters are met in leaf order, so they
+    take the map's entries in turn.
+    """
     _objects(dom, cod)
     if type(map) not in (list, tuple):
         raise IncompatibleGraph(f"map must be a list or a tuple: {map!r}")
@@ -148,10 +129,20 @@ def _check_map(dom: ObjectExpr, cod: ObjectExpr, map: Map | list[int]) -> None:
         # By exact type, so that a bool, which is an int to Python, is no entry.
         if type(v) is not int or not 1 <= v <= n:
             raise IncompatibleGraph(f"map entry {v!r} not in 1..{n}")
-
-
-def _check_realizable(dom: ObjectExpr, cod: ObjectExpr, mode: Mode) -> None:
-    """The binary-products checks, which come after the walk of the codomain."""
+    sources = iter(map)
+    todo: list[ObjectExpr | str] = [cod]
+    push, pop = todo.extend, todo.pop
+    while todo:
+        node = pop()
+        if type(node) is str:
+            write(node)
+        elif isinstance(node, Product):
+            write("<")
+            push((">", node.right, ", ", node.left))
+        elif isinstance(node, LetterObj):
+            write(chain(dom, _descent(dom, next(sources), node)))
+        else:  # T: _objects made every node of cod an object
+            write(bang(dom))
     if _binary_products(mode):
         if cod.has_terminal:
             raise Unrealizable("terminal codomain cannot be realized in binary-products mode")
@@ -169,38 +160,24 @@ def normal_form(t: ArrowTerm, mode: Mode = Mode.CARTESIAN) -> ArrowTerm:
     return synth_from_graph(arrow_type.domain, arrow_type.codomain, graph_of(t), mode)
 
 
-def _synth(dom: ObjectExpr, cod: ObjectExpr, map: Map | list[int]) -> ArrowTerm:
-    # The letters of cod are met in leaf order, so they take the entries
-    # of the map in turn, and every object carries its letter count: the
-    # walk visits each node of the result once, but building is not
-    # linear, since a Pair concatenates its parts' maps and a Compose
-    # chases them (read-back of id{A} is cubic in the depth of A, ROADMAP
-    # item 10).  None on the walk's own stack stands for "pair the last
-    # two terms built", so no depth of cod reaches the recursion limit.
-    sources = iter(map)
-    built: list[ArrowTerm] = []
-    todo: list[ObjectExpr | None] = [cod]
-    while todo:
-        node = todo.pop()
-        if node is None:
-            second = built.pop()
-            built[-1] = Pair(built[-1], second)
-        elif isinstance(node, Product):
-            todo += (None, node.right, node.left)
-        elif isinstance(node, LetterObj):
-            built.append(_projection_chain(dom, next(sources), node))
-        elif isinstance(node, Terminal):
-            built.append(Bang(dom))
-        else:
-            raise TypeError(f"not an object: {node!r}")
-    return built[0]
-
-
-def _projection_chain(dom: ObjectExpr, position: int, target: LetterObj) -> ArrowTerm:
-    steps = _descent(dom, position, target)
+def _projection_chain(dom: ObjectExpr, steps: list[tuple[type, Product]]) -> ArrowTerm:
     if not steps:
         return Identity(dom)
     return compose(*[proj(p.left, p.right) for proj, p in steps])
+
+
+def _chain_text(dom: ObjectExpr, steps: list[tuple[type, Product]]) -> str:
+    """print_arrow(_projection_chain(dom, steps)): the last factor first."""
+    if not steps:
+        return f"id{{{_object_text(dom)}}}"
+    return " . ".join([
+        f"{_PROJ_NAMES[proj]}{{{_object_text(p.left)},{_object_text(p.right)}}}"
+        for proj, p in reversed(steps)
+    ])
+
+
+def _bang_text(dom: ObjectExpr) -> str:
+    return f"bang{{{_object_text(dom)}}}"
 
 
 _PROJ_NAMES = {Proj1: "p1", Proj2: "p2"}

@@ -11,7 +11,7 @@ of codomain letter i.  Each node's constructor sets its map from its
 children's (terms.ArrowTerm), so a term's graph is read off its root,
 and its letter counts are its type's, which typed construction makes it
 fit.  A map that comes in from a caller or from the command line is
-checked where it is used, by decide._check_map, which synth_from_graph
+checked where it is used, by decide._read_back, which synth_from_graph
 and normal_form_text call.
 
 An arrow is fixed by its type and its graph, so a reader that needs no

@@ -197,6 +197,13 @@ def test_synth_rejects_bad_graphs(tmp_path, capsys):
     # internal error.
     assert run_cli(["synth", "p", "p", "[" * 20000 + "]" * 20000]) == 2
     assert capsys.readouterr().err.startswith("error: map is not valid JSON: ")
+    # Nor is an int past Python's digit limit, on which the decoder
+    # raises a plain ValueError, worded as int() words it.
+    digits = "1" * 5000
+    with pytest.raises(ValueError) as limit:
+        int(digits)
+    assert run_cli(["synth", "p", "p", f"[{digits}]"]) == 2
+    assert capsys.readouterr() == ("", f"error: map is not valid JSON: {limit.value}\n")
     assert run_cli(["synth", "p", "p", "[true]"]) == 2
     assert "map must be a JSON list of integers" in capsys.readouterr().err
     # The check that graphs coming in as JSON get, with the same bytes.
@@ -260,7 +267,7 @@ def test_usage_errors_exit_2(capsys):
 
 
 def _read_by_text_stream(path: str) -> str:
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         return handle.read()
 
 
@@ -270,6 +277,25 @@ def _outcome(read, path: str):
         return read(path)
     except (OSError, ValueError) as exc:
         return type(exc), str(exc)
+
+
+def test_a_term_file_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    plain = write(tmp_path, "plain.term", "id{p*q}\n")
+    assert run_cli(["check", plain]) == 0
+    expected = capsys.readouterr()
+    bom = tmp_path / "bom.term"
+    bom.write_bytes(codecs.BOM_UTF8 + b"id{p*q}\n")
+    assert run_cli(["check", str(bom)]) == 0
+    assert capsys.readouterr() == expected
+    # Anywhere else a byte order mark is a character of the text.
+    later = tmp_path / "later.term"
+    later.write_bytes(b"id{p*q}" + codecs.BOM_UTF8 + b"\n")
+    assert run_cli(["check", str(later)]) == 2
+    assert "unexpected character '\\ufeff'" in capsys.readouterr().err
+    twice = tmp_path / "twice.term"
+    twice.write_bytes(codecs.BOM_UTF8 * 2 + b"id{p*q}\n")
+    assert run_cli(["check", str(twice)]) == 2
+    assert "unexpected character '\\ufeff'" in capsys.readouterr().err
 
 
 def test_missing_file(tmp_path, capsys):

@@ -42,6 +42,7 @@ from freecart import (
     is_normal_form,
     letters_of,
     normal_form,
+    normal_form_text,
     parse_arrow,
     parse_object,
     print_arrow,
@@ -132,6 +133,9 @@ def test_printing_an_object_nested_deeper_than_the_recursion_limit(deep_object):
 def test_reading_back_a_pairing_nested_deeper_than_the_recursion_limit(deep_pairing):
     nf = normal_form(deep_pairing)
     assert print_arrow(nf) == "<" * DEPTH + "bang{p*p}" + ", p1{p,p}>" * DEPTH
+    # The text writer walks the same codomain without building a term.
+    text = normal_form_text(pp, deep_pairing.codomain, graph_of(deep_pairing))
+    assert text == print_arrow(nf)
     # Walked from a loop rather than compared with a second such pairing.
     node = nf
     for _ in range(DEPTH):

@@ -92,6 +92,7 @@ ARGV_VARIANTS = (
     ["synth", "p", "p", "[1]", "[1]"],
     ["synth", "p", "p", "-1"],
     ["synth", "--", "-p", "p", "[1]"],
+    ["synth", "p", "p", "[" + "1" * 5000 + "]"],
 )
 
 
