@@ -3,14 +3,12 @@
 An arrow is determined by its type and its graph, so equality of two
 same-typed arrows is a comparison of their maps, and the alternative
 route normalizes both sides and compares syntax.  Read-back goes the
-other way: one walk of the codomain (_read_back) writes the unique
-normal form with a given type and map.  It is the one place where a map
-from outside is checked: a list or a tuple of ints, one per letter of
-the codomain, each naming a letter of the domain, and each descent
-joining only equal letters.  It has two writers: synth_from_graph
-builds the term, for normal_form (normalization by evaluation) and
-collapse's h and j, and normal_form_text writes print_arrow's text of
-it, building no arrow node, for plain `normalize` and `synth`.
+other way: one walk of the codomain (_read_back) writes the text of the
+unique normal form with a given type and map, and is the one place where
+a map from outside is checked, as synth_from_graph states.
+normal_form_text joins that text, for plain `normalize` and `synth`;
+synth_from_graph reads it piece by piece, for normal_form
+(normalization by evaluation) and collapse's h and j.
 equal_graphs decides `equal --method graph` from what
 syntax.parse_graph reads.  The rewriting system in rewrite.py stays the
 certifying route, for `normalize --trace`, `equal --method
@@ -22,23 +20,18 @@ from __future__ import annotations
 from .errors import IncompatibleGraph, ModeViolation, Unrealizable
 from .graphs import graph_of
 from .rewrite import normalize
-from .syntax import _object_text
+from .syntax import _object_text, parse_arrow
 from .terms import (
     ArrowTerm,
-    Identity,
     LetterObj,
     Map,
     Mode,
     ObjectExpr,
     Pair,
     Product,
-    Proj1,
-    Proj2,
-    Bang,
     _binary_products,
     _objects,
     common_type,
-    compose,
     same_type,
     typecheck,
 )
@@ -72,29 +65,22 @@ def equal_via_normal_forms(
 def synth_from_graph(
     dom: ObjectExpr, cod: ObjectExpr, map: Map | list[int], mode: Mode = Mode.CARTESIAN
 ) -> ArrowTerm:
-    """The normal form dom -> cod whose graph is map.
+    """The normal form dom -> cod whose graph is map, read from what _read_back writes.
 
-    The map must be a list or a tuple with one entry per letter of cod,
-    each an int that names a letter of dom; any other map raises
-    IncompatibleGraph.  The codomain is taken apart: terminal targets
-    become terminal arrows, product targets become pairings, and letter
-    targets become either an identity or the projection chain from the
-    root of dom to the mapped leaf, which must hold the same letter.
-    The binary-products checks come after that walk.
+    map is a list or a tuple of ints, one per letter of cod, each naming
+    a letter of dom that holds the same letter, or IncompatibleGraph is
+    raised.  Each piece but "<", ", " and ">" is a flat arrow read in the
+    default mode, and each ">" pairs the last two read: no depth limit.
     """
-    # Each ">" pairs the last two terms built.  Building is not linear: a
-    # Pair concatenates its parts' maps and a Compose chases them
-    # (read-back of id{A} is cubic in the depth of A, ROADMAP item 10).
     built: list[ArrowTerm] = []
 
-    def write(piece) -> None:
-        if type(piece) is not str:
-            built.append(piece)
-        elif piece == ">":
-            second = built.pop()
-            built[-1] = Pair(built[-1], second)
+    def write(piece: str) -> None:
+        if piece == ">":
+            built[-2:] = [Pair(*built[-2:])]
+        elif piece != "<" and piece != ", ":
+            built.append(parse_arrow(piece))
 
-    _read_back(dom, cod, map, mode, _projection_chain, Bang, write)
+    _read_back(dom, cod, map, mode, write)
     return built[0]
 
 
@@ -106,18 +92,18 @@ def normal_form_text(
     The same walk (_read_back) raises the same errors in the same order.
     """
     out: list[str] = []
-    _read_back(dom, cod, map, mode, _chain_text, _bang_text, out.append)
+    _read_back(dom, cod, map, mode, out.append)
     return "".join(out)
 
 
-def _read_back(dom: ObjectExpr, cod: ObjectExpr, map: Map | list[int], mode: Mode, chain, bang, write) -> None:
-    """Check map, write the normal form dom -> cod of graph map, then check the mode.
+def _read_back(dom: ObjectExpr, cod: ObjectExpr, map: Map | list[int], mode: Mode, write) -> None:
+    """Check map, write the text of the normal form dom -> cod of graph map, then check the mode.
 
     The codomain is walked in preorder from a stack of objects and
     strings, the next last, as print_arrow walks a term: a product
-    writes "<", ", " and ">" around its parts, a letter chain(dom,
-    descent) and T bang(dom).  Letters are met in leaf order, so they
-    take the map's entries in turn.
+    writes "<", ", " and ">" around its parts, a letter the text of its
+    projection chain (_chain_text) and T that of bang{dom}.  Letters
+    are met in leaf order, so they take the map's entries in turn.
     """
     _objects(dom, cod)
     if type(map) not in (list, tuple):
@@ -140,9 +126,9 @@ def _read_back(dom: ObjectExpr, cod: ObjectExpr, map: Map | list[int], mode: Mod
             write("<")
             push((">", node.right, ", ", node.left))
         elif isinstance(node, LetterObj):
-            write(chain(dom, _descent(dom, next(sources), node)))
+            write(_chain_text(dom, next(sources), node))
         else:  # T: _objects made every node of cod an object
-            write(bang(dom))
+            write(f"bang{{{_object_text(dom)}}}")
     if _binary_products(mode):
         if cod.has_terminal:
             raise Unrealizable("terminal codomain cannot be realized in binary-products mode")
@@ -160,47 +146,20 @@ def normal_form(t: ArrowTerm, mode: Mode = Mode.CARTESIAN) -> ArrowTerm:
     return synth_from_graph(arrow_type.domain, arrow_type.codomain, graph_of(t), mode)
 
 
-def _projection_chain(dom: ObjectExpr, steps: list[tuple[type, Product]]) -> ArrowTerm:
-    if not steps:
-        return Identity(dom)
-    return compose(*[proj(p.left, p.right) for proj, p in steps])
+def _chain_text(dom: ObjectExpr, position: int, target: LetterObj) -> str:
+    """The text of the projection chain from the root of dom to the letter at position.
 
-
-def _chain_text(dom: ObjectExpr, steps: list[tuple[type, Product]]) -> str:
-    """print_arrow(_projection_chain(dom, steps)): the last factor first."""
-    if not steps:
-        return f"id{{{_object_text(dom)}}}"
-    return " . ".join([
-        f"{_PROJ_NAMES[proj]}{{{_object_text(p.left)},{_object_text(p.right)}}}"
-        for proj, p in reversed(steps)
-    ])
-
-
-def _bang_text(dom: ObjectExpr) -> str:
-    return f"bang{{{_object_text(dom)}}}"
-
-
-_PROJ_NAMES = {Proj1: "p1", Proj2: "p2"}
-
-
-def _descent(dom: ObjectExpr, position: int, target: LetterObj) -> list[tuple[type, Product]]:
-    """The projections from the root of dom down to the letter at position, in application order.
-
-    Each is its class and the product it leaves.  The map was checked
-    against dom, so the descent ends at a letter, which must be target.
+    It is id{dom} at a letter, else the projections on the way down, the
+    last first.  The descent ends at a letter, which must be target.
     """
-    steps = []
-    node = dom
-    j = position
+    factors, node, j = [], dom, position
     while isinstance(node, Product):
-        nl = node.left.letters
-        if j <= nl:
-            steps.append((Proj1, node))
-            node = node.left
+        left, right = node.left, node.right
+        if j <= left.letters:
+            name, node = "p1", left
         else:
-            steps.append((Proj2, node))
-            j -= nl
-            node = node.right
+            name, node, j = "p2", right, j - left.letters
+        factors.append(f"{name}{{{_object_text(left)},{_object_text(right)}}}")
     if node is not target:
         raise IncompatibleGraph("graph connects distinct letters")
-    return steps
+    return " . ".join(reversed(factors)) if factors else f"id{{{_object_text(dom)}}}"

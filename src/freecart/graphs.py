@@ -11,8 +11,8 @@ of codomain letter i.  Each node's constructor sets its map from its
 children's (terms.ArrowTerm), so a term's graph is read off its root,
 and its letter counts are its type's, which typed construction makes it
 fit.  A map that comes in from a caller or from the command line is
-checked where it is used, by decide._read_back, which synth_from_graph
-and normal_form_text call.
+checked where it is used, by decide._read_back, whose one writer takes
+the normal form's text for normal_form_text and synth_from_graph.
 
 An arrow is fixed by its type and its graph, so a reader that needs no
 more builds no term: a TypedGraph carries what every arrow node carries

@@ -40,10 +40,10 @@ most recently.
 parse_arrow and parse_graph first read a text with _GROUPED, under
 which a whole leaf name{...}, such as "p1{p*q,T}", is one token, and so
 is a braced group that follows no name.  Objects are interned, so a
-leaf's text fixes its arrow: a memo (_braced) keeps the _GROUPS_KEPT
-arrows read most recently in the process, and a repeat costs one
-lookup.  Terms are immutable and the mode is checked on the whole
-arrow, so a shared leaf changes no verdict.
+leaf's text fixes its arrow: a memo (_braced) keeps the arrows, or
+None, of the _GROUPS_KEPT leaves read most recently in the process.
+Terms are immutable and the mode is checked on the whole arrow, so a
+shared leaf changes no verdict.
 
 One parser loop (_Parser.arrow) serves two builders, which join the
 items it reads into pairings, compositions and prod(f, g): parse_arrow
@@ -112,13 +112,14 @@ _COMMENT = re.compile(r"#[^\n]*")
 # its first unexpected character.  \s is exactly str.isspace() on str
 # patterns, at which str.split() splits.
 _VALID = re.compile(rf"(?:{_TOKEN.pattern}|\s+)*")
-# A braced group of names, T, "*", parentheses, commas and space is one
-# token, together with the name before it if there is one: a leaf
-# name{...}.  A "{" that starts no such group is a token of its own, as
-# in _TOKEN.  The possessive quantifiers never backtrack, so a scan stays
-# linear.
-_GROUPED = re.compile(rf"(?:[a-z][a-z0-9_]*+\s*+)?+\{{(?:[a-z][a-z0-9_]*+|[T*(),]|\s)*+\}}|{_TOKEN.pattern}")
-# How many arrows _braced keeps, and how many texts _object_text keeps.
+# A braced group of name characters, T, "*", parentheses, commas and
+# space is one token, with the name before it if there is one: a leaf
+# name{...}.  One class suffices: a group that is no leaf, such as
+# "id{1}", fails in _braced, and the token-level reading reports it.  A
+# "{" that starts no group is a token of its own, as in _TOKEN.
+# Possessive quantifiers never backtrack, so a scan stays linear.
+_GROUPED = re.compile(rf"(?:[a-z][a-z0-9_]*+\s*+)?+\{{[a-z0-9_T*(),\s]*+\}}|{_TOKEN.pattern}")
+# How many leaves _braced keeps, and how many texts _object and _object_text keep.
 _GROUPS_KEPT = 4096
 
 
@@ -280,8 +281,10 @@ class _Parser:
                 item = pair(first, second)
             elif "a" <= tok < "{":
                 if tok[-1] == "}":
-                    item = _braced(tok)
+                    if (item := _braced(tok)) is None:
+                        raise ParseError(_UNREPORTED)
                 elif tok in _BRACED:
+                    # _braced mirrors this branch on a whole leaf token.
                     build, arity = _BRACED[tok]
                     item = build(*self.braced_objects(arity))
                 elif tok == "prod":
@@ -303,13 +306,19 @@ class _Parser:
 
 
 @lru_cache(maxsize=_GROUPS_KEPT)
-def _braced(leaf: str) -> ArrowTerm:
-    """The arrow of a leaf token name{...}, read token by token.
+def _braced(leaf: str) -> ArrowTerm | None:
+    """The arrow of a leaf token name{...}, or None if it does not read.
 
-    A leaf that does not read raises its diagnostic, which the grouped
-    reading that met it throws away.
+    Its braces hold no brace, and an object holds no comma, so its
+    objects are the texts between commas, each read through a memo.
     """
-    return _Parser(leaf).arrow()
+    name, _, group = leaf.partition("{")
+    build, arity = _BRACED.get(name.rstrip(), (None, 0))
+    try:
+        objects = [_object(text) for text in group[:-1].split(",")]
+    except ParseError:
+        return None
+    return build(*objects) if len(objects) == arity else None
 
 
 def parse_object(text: str) -> ObjectExpr:
@@ -318,6 +327,10 @@ def parse_object(text: str) -> ObjectExpr:
     if parser.rest[-1]:
         parser.fail("unexpected trailing input")
     return obj
+
+
+# parse_object, kept for the _GROUPS_KEPT object texts read in leaves most recently.
+_object = lru_cache(maxsize=_GROUPS_KEPT)(parse_object)
 
 
 def parse_arrow(text: str, mode: Mode = Mode.CARTESIAN) -> ArrowTerm:

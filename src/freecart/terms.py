@@ -368,6 +368,10 @@ class Compose(ArrowTerm):
         _arrows(*factors)
         flat: list[ArrowTerm] = []
         terminal_free, gamma, pairing, beta = True, 1, False, 0
+        # Chase from the first factor (each step as long as the next map) or from
+        # the last (each as long as the result, less where codomains shrink).
+        k = len(factors)
+        backward = k > 2 and (k - 2) * len(factors[-1].map) < sum([len(f.map) for f in factors[1:-1]])
         codomain = None
         for f in factors:
             if codomain is None:
@@ -375,10 +379,9 @@ class Compose(ArrowTerm):
             elif codomain is not f.domain:
                 i = len(flat)
                 raise TypeMismatch(
-                    f"composition factor {i} expects domain {codomain} but has {f.domain}",
-                    (i,),
+                    f"composition factor {i} expects domain {codomain} but has {f.domain}", (i,)
                 )
-            else:
+            elif not backward:
                 chased = _chase(chased, f.map)
             codomain = f.codomain
             if isinstance(f, Compose):
@@ -394,6 +397,10 @@ class Compose(ArrowTerm):
                 pairing, beta = True, beta + b
         if len(flat) < 2:
             raise ValueError("composition needs at least two factors")
+        if backward:
+            chased = factors[-1].map
+            for f in factors[-2::-1]:
+                chased = _chase(f.map, chased)
         d = self.__dict__
         d["factors"] = d["parts"] = tuple(flat)
         d["domain"] = flat[0].domain

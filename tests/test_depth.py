@@ -33,8 +33,10 @@ from freecart import (
     Pair,
     Product,
     Proj1,
+    Proj2,
     RedexKind,
     Terminal,
+    collapse_witness,
     degree,
     equal_in_cart,
     find_redex,
@@ -146,6 +148,38 @@ def test_reading_back_a_pairing_nested_deeper_than_the_recursion_limit(deep_pair
     assert not is_normal_form(nf, Mode.BINARY_PRODUCTS)
     # Under the pairings lies the composition id{p*p} . bang{p*p}.
     assert not is_normal_form(deep_pairing)
+
+
+def test_a_collapse_witness_reads_back_a_pairing_deeper_than_the_recursion_limit():
+    # f = id{A} and g of the same type, whose graph reads A's first
+    # letter at its last position: h then pairs every letter of A, nested
+    # as deep as A, and a text that deep is more than the parser reads
+    # whole.
+    depth = 1_200
+    assert depth > sys.getrecursionlimit()
+    a = p
+    for _ in range(depth):
+        a = Product(a, p)
+    # The projections down to A's first letter, in application order.
+    chain, node = [], a
+    while isinstance(node, Product):
+        chain.append(Proj1(node.left, node.right))
+        node = node.left
+    f = Identity(a)
+    g = Pair(Proj1(a.left, p), Compose(tuple(chain)))
+    assert g.codomain is a and graph_of(g) == tuple(range(1, depth + 1)) + (1,)
+    w = collapse_witness(f, g)
+    assert w.position == depth + 1
+    node = w.h
+    for _ in range(depth):
+        assert isinstance(node, Pair)
+        node = node.first
+    # g reads A's first letter at the last position, so h sends it to
+    # the second component of p*p, and every other letter to the first.
+    assert node == Proj2(p, p)
+    assert graph_of(w.h) == (2,) + (1,) * depth
+    assert print_arrow(w.h) == normal_form_text(w.h.domain, w.h.codomain, graph_of(w.h))
+    assert print_arrow(w.j) == f"p2{{{print_object(a.left)},p}}"
 
 
 def test_the_letters_of_an_object_nested_deeper_than_the_recursion_limit(

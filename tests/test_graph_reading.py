@@ -31,6 +31,7 @@ from freecart import (
     print_arrow,
     run_cli,
     synth_from_graph,
+    syntax,
 )
 from termgen import random_arrow
 
@@ -196,6 +197,8 @@ def test_the_counter_sees_the_term_route(tmp_path, monkeypatch, capsys):
 
 def test_the_counter_sees_synthesis(monkeypatch):
     dom, cod = parse_object("(p*T)*q"), parse_object("(q*p)*T")
+    # Synthesis reads each leaf through the memo, so empty it first.
+    syntax._braced.cache_clear()
     counts = _count_constructions(monkeypatch, _ARROW_CLASSES)
     synth_from_graph(dom, cod, (2, 1))
     assert counts == {Identity: 0, Proj1: 2, Proj2: 1, Bang: 1, Pair: 2, Compose: 1}

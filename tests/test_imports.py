@@ -8,6 +8,7 @@ that callers outside the package use.
 """
 
 import ast
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -124,3 +125,12 @@ def test_package_reads_every_public_name():
     assert [n for n in unread if n not in ENTRY_POINTS] == []
     defined = {n for source in SOURCES for s in ast.parse(source).body for n in _defined_names(s)}
     assert set(ENTRY_POINTS) <= defined
+
+
+def test_the_python_floor_is_the_one_the_scanner_needs():
+    # syntax._GROUPED uses possessive quantifiers ("*+", "?+"), which re
+    # compiles only from Python 3.11 on: below that, `import freecart`
+    # raises re.error.
+    pyproject = tomllib.loads((PACKAGE.parent.parent / "pyproject.toml").read_text(encoding="utf-8"))
+    assert pyproject["project"]["requires-python"] == ">=3.11"
+    assert "*+" in (PACKAGE / "syntax.py").read_text(encoding="utf-8")
