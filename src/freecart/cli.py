@@ -94,7 +94,9 @@ def _load_arrow(path: str, mode: Mode, parse=parse_arrow):
     """The arrow in a file, read by `parse`: parse_arrow, or parse_graph for its type and graph alone.
 
     A file that cannot be opened, read or decoded is a FreecartError; so
-    is a path that holds a NUL, on which os.open raises ValueError.
+    is a path that holds a NUL, on which os.open raises ValueError.  A
+    diagnostic names the path as its origin, its span offsets into the
+    text as read.
     """
     try:
         text = _read_text(path)
@@ -103,8 +105,7 @@ def _load_arrow(path: str, mode: Mode, parse=parse_arrow):
     try:
         return parse(text, mode)
     except ParseError as exc:
-        message = f"{path}: {exc.diagnostic.message}"
-        raise ParseError(dataclasses.replace(exc.diagnostic, message=message)) from exc
+        raise ParseError(dataclasses.replace(exc.diagnostic, origin=path)) from exc
 
 
 def _emit_json(payload: dict, summary: str) -> None:

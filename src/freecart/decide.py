@@ -20,7 +20,7 @@ from __future__ import annotations
 from .errors import IncompatibleGraph, ModeViolation, Unrealizable
 from .graphs import graph_of
 from .rewrite import normalize
-from .syntax import _object_text, parse_arrow
+from .syntax import _braced, _object_text
 from .terms import (
     ArrowTerm,
     LetterObj,
@@ -32,6 +32,7 @@ from .terms import (
     _binary_products,
     _objects,
     common_type,
+    compose,
     same_type,
     typecheck,
 )
@@ -69,8 +70,10 @@ def synth_from_graph(
 
     map is a list or a tuple of ints, one per letter of cod, each naming
     a letter of dom that holds the same letter, or IncompatibleGraph is
-    raised.  Each piece but "<", ", " and ">" is a flat arrow read in the
-    default mode, and each ">" pairs the last two read: no depth limit.
+    raised.  Each piece but "<", ", " and ">" is a chain of leaves joined
+    by " . ", each read from the leaf memo (syntax._braced) and composed,
+    the rightmost applied first; each ">" pairs the last two arrows
+    built: no depth limit.
     """
     built: list[ArrowTerm] = []
 
@@ -78,7 +81,7 @@ def synth_from_graph(
         if piece == ">":
             built[-2:] = [Pair(*built[-2:])]
         elif piece != "<" and piece != ", ":
-            built.append(parse_arrow(piece))
+            built.append(compose(*[_braced(leaf) for leaf in reversed(piece.split(" . "))]))
 
     _read_back(dom, cod, map, mode, write)
     return built[0]

@@ -86,12 +86,15 @@ from .terms import (
 
 @dataclass(frozen=True)
 class Diagnostic:
+    """An error at offsets `span` of the text read from `origin`, a file's path or "<input>"."""
+
     span: tuple[int, int]
     message: str
+    origin: str = "<input>"
 
     def render(self) -> str:
         lo, hi = self.span
-        return f"<input>:{lo}-{hi}: error: {self.message}"
+        return f"{self.origin}:{lo}-{hi}: error: {self.message}"
 
 
 class ParseError(FreecartError):
@@ -311,6 +314,7 @@ def _braced(leaf: str) -> ArrowTerm | None:
 
     Its braces hold no brace, and an object holds no comma, so its
     objects are the texts between commas, each read through a memo.
+    decide.synth_from_graph reads the leaves of read-back's chains here.
     """
     name, _, group = leaf.partition("{")
     build, arity = _BRACED.get(name.rstrip(), (None, 0))

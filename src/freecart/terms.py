@@ -24,6 +24,13 @@ the termination `measure` that rewrite.degree reads.  They are plain
 attributes, not dataclass fields, and nodes are immutable, so they
 never go stale, and reading one never walks the term.
 
+substitute_all_letters is the one place that copies attributes
+instead: a renamed node is its original's instance dict with new
+objects and parts.  Renaming every letter to one letter keeps each
+letter's position, each object's symbol count and every T, so the
+copied map, measure and terminal-freeness are what the constructor
+would set, and a seam that met before renaming still meets.
+
 Each node class is a frozen dataclass with a hand-written constructor,
 which checks its arguments and writes the fields and the attributes
 into the instance dict in one step; repr, match patterns, keyword
@@ -161,8 +168,11 @@ class ArrowTerm:
 
     Every node carries `domain`, `codomain`, `terminal_free`, `map` and
     `measure`, which its constructor writes into the instance dict
-    together with the fields.  They are plain attributes, not dataclass
-    fields, so repr and match patterns see only the fields.  So are the
+    together with the fields.  Only substitute_all_letters copies the
+    last three from another node, the one whose letters it renames,
+    since renaming every letter to one letter changes none of them.
+    They are plain attributes, not dataclass fields, so repr and match
+    patterns see only the fields.  So are the
     `parts`, which a leaf reads from this class: it has none.
 
     Two arrows are equal when they have the same class and equal fields,
@@ -571,9 +581,17 @@ def replace_subterm(t: ArrowTerm, path: Path, new: ArrowTerm) -> ArrowTerm:
 def substitute_all_letters(t: ArrowTerm, letter: LetterObj) -> ArrowTerm:
     """Replace every letter occurring in the term's objects by `letter`.
 
+    This is the one place where a node is made without its constructor:
+    each new node is a copy of its original's instance dict with its
+    objects and its parts replaced.  That is sound because renaming
+    every letter to one letter keeps each letter's position, each
+    object's symbol count and every T.  So every `map`, `measure` and
+    `terminal_free` stays what the constructor would compute, and every
+    seam that met before still meets, so no type check could fail.
+
     Both walks keep their own stacks, as read-back does, so no depth
     reaches the recursion limit.  Each distinct object is rebuilt once
-    per call.
+    per call, and each distinct leaf copied once.
     """
     _arrows(t)
     if not isinstance(letter, LetterObj):
@@ -596,24 +614,52 @@ def substitute_all_letters(t: ArrowTerm, letter: LetterObj) -> ArrowTerm:
                 todo += (node.right, node.left)
         return done[a]
 
-    # The stack holds terms to rebuild and, wrapped in a 1-tuple, a
-    # pairing or composition whose parts are the last ones built.
+    new = object.__new__
+    # The leaves copied so far, by id: t keeps each original alive, so no
+    # id is reused during the call.
+    leaves: dict[int, ArrowTerm] = {}
+    # The stack holds terms to copy and, wrapped in a 1-tuple, a pairing
+    # or composition whose parts are the last ones copied.
     built: list[ArrowTerm] = []
     todo: list[ArrowTerm | tuple[ArrowTerm]] = [t]
     while todo:
         node = todo.pop()
-        if isinstance(node, tuple):
+        cls = type(node)
+        if cls is tuple:
             (node,) = node
-            parts = tuple(built[-len(node.parts) :])
-            del built[-len(node.parts) :]
-            built.append(Pair(*parts) if isinstance(node, Pair) else Compose(parts))
-        elif node.parts:
+            cls = type(node)
+            copy = new(cls)
+            d = copy.__dict__
+            d.update(node.__dict__)
+            if cls is Pair:
+                d["first"], d["second"] = d["parts"] = parts = (built[-2], built[-1])
+                del built[-2:]
+                d["codomain"] = done.get(node.codomain) or obj(node.codomain)
+            else:
+                k = len(node.parts)
+                d["factors"] = d["parts"] = parts = tuple(built[-k:])
+                del built[-k:]
+                d["codomain"] = parts[-1].codomain
+            d["domain"] = parts[0].domain
+            built.append(copy)
+        elif cls is Pair or cls is Compose:
             todo.append((node,))
             todo += reversed(node.parts)
-        elif isinstance(node, (Identity, Bang)):
-            built.append(type(node)(obj(node.obj)))
+        elif (copy := leaves.get(id(node))) is not None:
+            built.append(copy)
         else:
-            built.append(type(node)(obj(node.left), obj(node.right)))
+            copy = leaves[id(node)] = new(cls)
+            d = copy.__dict__
+            d.update(node.__dict__)
+            d["domain"] = domain = done.get(node.domain) or obj(node.domain)
+            if cls is Identity:
+                d["obj"] = d["codomain"] = domain
+            elif cls is Bang:
+                d["obj"] = domain
+            else:
+                d["left"], d["right"] = domain.left, domain.right
+                d["codomain"] = domain.left if cls is Proj1 else domain.right
+            built.append(copy)
     return built[0]
 
 

@@ -337,6 +337,56 @@ def random_normal_form(
 
 
 # ---------------------------------------------------------------------------
+# Substitution, node by node through the constructors
+
+def reference_substitute(t: ArrowTerm, letter: LetterObj) -> ArrowTerm:
+    """substitute_all_letters(t, letter), every node rebuilt by its constructor.
+
+    Each node's attributes are recomputed and each seam checked again,
+    where substitute_all_letters copies them: the slow path it must agree
+    with, node by node.  Both walks keep their own stacks, so no depth
+    reaches the recursion limit.
+    """
+    done: dict[ObjectExpr, ObjectExpr] = {Terminal(): Terminal()}
+
+    def obj(a: ObjectExpr) -> ObjectExpr:
+        # A product is rebuilt once both its parts are: it stays on the
+        # stack, under them, until then.
+        todo = [a]
+        while todo:
+            node = todo[-1]
+            if node in done:
+                todo.pop()
+            elif isinstance(node, LetterObj):
+                done[node] = letter
+            elif node.left in done and node.right in done:
+                done[node] = Product(done[node.left], done[node.right])
+            else:
+                todo += (node.right, node.left)
+        return done[a]
+
+    # The stack holds terms to rebuild and, wrapped in a 1-tuple, a
+    # pairing or composition whose parts are the last ones built.
+    built: list[ArrowTerm] = []
+    todo: list[ArrowTerm | tuple[ArrowTerm]] = [t]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, tuple):
+            (node,) = node
+            parts = tuple(built[-len(node.parts) :])
+            del built[-len(node.parts) :]
+            built.append(Pair(*parts) if isinstance(node, Pair) else Compose(parts))
+        elif node.parts:
+            todo.append((node,))
+            todo += reversed(node.parts)
+        elif isinstance(node, (Identity, Bang)):
+            built.append(type(node)(obj(node.obj)))
+        else:
+            built.append(type(node)(obj(node.left), obj(node.right)))
+    return built[0]
+
+
+# ---------------------------------------------------------------------------
 # Replaying a reduction
 
 def reference_normalize(t: ArrowTerm, mode: Mode = Mode.CARTESIAN) -> ReductionTrace:

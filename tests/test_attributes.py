@@ -8,6 +8,8 @@ the node's fields and never reads any of them.
 
 import dataclasses
 import math
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -31,16 +33,22 @@ from freecart import (
     TypeMismatch,
     compose,
     degree,
+    dup,
     graph_of,
     iter_subterms,
     letters_of,
+    parse_arrow,
+    product_of_arrows,
     replace_subterm,
     step,
     substitute_all_letters,
     subterm_at,
     typecheck,
 )
-from termgen import LETTERS, mutate_preserving, random_arrow, trace_states
+from termgen import LETTERS, mutate_preserving, random_arrow, reference_substitute, trace_states
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+from workloads import WORKLOADS, build  # noqa: E402
 
 T = Terminal()
 
@@ -490,3 +498,70 @@ def test_a_composition_needs_two_factors():
         with pytest.raises(ValueError) as exc:
             Compose(factors)
         assert str(exc.value) == "composition needs at least two factors"
+
+
+# ---------------------------------------------------------------------------
+# Substitution copies each node's dict: node by node, what the
+# constructors would build
+
+_CHILDREN = {"first", "second", "parts", "factors"}
+
+
+def check_substitution(t, letter=p):
+    """substitute_all_letters(t, letter) against reference_substitute, node by node.
+
+    Every node must have its reference's class and hash, and every field
+    and attribute of the reference; children are compared as the walk
+    reaches them, and must be the node's own parts.  Returns the copy.
+    """
+    fast, ref = substitute_all_letters(t, letter), reference_substitute(t, letter)
+    assert fast == ref
+    todo = [(fast, ref)]
+    while todo:
+        a, b = todo.pop()
+        assert type(a) is type(b) and hash(a) == hash(b)
+        stored_a, stored_b = _stored(a), _stored(b)
+        assert {k: v for k, v in stored_a.items() if k not in _CHILDREN} == {
+            k: v for k, v in stored_b.items() if k not in _CHILDREN
+        }
+        if isinstance(a, Pair):
+            assert a.first is a.parts[0] and a.second is a.parts[1]
+        elif isinstance(a, Compose):
+            assert a.factors is a.parts
+        todo += zip(a.parts, b.parts)
+    return fast
+
+
+def test_substitution_matches_the_reference_on_the_corpora():
+    count = 0
+    for seed in (1, 2):
+        for workload in WORKLOADS:
+            for query in build(workload, seed):
+                if query.deep:
+                    continue
+                for text in query.texts:
+                    check_substitution(parse_arrow(text, Mode(query.mode)))
+                    count += 1
+    assert count > 4000
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_substitution_matches_the_reference_on_drawn_terms(mode, rng):
+    t = mutate_preserving(rng, random_arrow(rng, mode=mode), mode=mode)
+    check_substitution(t, LetterObj(rng.choice(("p", "z"))))
+
+
+def _leaf_ids(t):
+    return {id(sub) for _, sub in iter_subterms(t) if not sub.parts}
+
+
+def test_substitution_of_shared_subterms_matches_the_reference():
+    # The parser hands out one arrow per leaf text, so both id{p*q} are one node.
+    shared = parse_arrow("p2{p*q,p*q} . <id{p*q}, id{p*q}> . p1{p*q,r} . <p1{p*q,r}, p2{p*q,r}>")
+    f = compose(Proj1(pq, r), Pair(Proj2(p, q), Proj1(p, q)))
+    for t in (shared, dup(pq), Pair(f, f), product_of_arrows(f, f), product_of_arrows(shared, dup(r))):
+        copy = check_substitution(t, q)
+        # Each distinct leaf is copied once.
+        assert len(_leaf_ids(copy)) == len(_leaf_ids(t))

@@ -358,6 +358,25 @@ def test_parse_error_has_location(tmp_path, capsys):
     assert "f.term" in err and "error" in err
 
 
+@pytest.mark.parametrize(
+    ("text", "span", "message"),
+    [
+        ("p1{p\n", "5-5", "expected ',', found end of input"),
+        ("# c\nid{p} $\n", "10-11", "unexpected character '$'"),
+        ("p1{p,q} . id{p}\n", "0-16", "composition factor 1 expects domain p but has p*q"),
+        ("", "0-0", "expected an arrow"),
+    ],
+)
+def test_a_file_diagnostic_names_the_file_as_its_origin(tmp_path, capsys, text, span, message):
+    # The span offsets into the text as read, the message is the parser's own,
+    # and the origin is the file that does not read, not the one before it.
+    f = write(tmp_path, "a.txt", text)
+    good = write(tmp_path, "good.term", "id{p}\n")
+    for command in (["check", f], ["normalize", "--trace", f], ["equal", good, f], ["collapse", f, good]):
+        assert run_cli(command) == 2
+        assert capsys.readouterr() == ("", f"{f}:{span}: error: {message}\n")
+
+
 def test_normalize_matches_last_line_of_trace(tmp_path, capsys):
     rng = random.Random(303)
     chain = " . ".join(["id{p*q}"] * 60)

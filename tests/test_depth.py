@@ -52,6 +52,7 @@ from freecart import (
     substitute_all_letters,
     typecheck,
 )
+from test_attributes import check_substitution
 
 p = LetterObj("p")
 q = LetterObj("q")
@@ -257,6 +258,10 @@ def test_substituting_letters_deeper_than_the_recursion_limit(deep_object, deep_
     s = substitute_all_letters(deep_pairing, LetterObj("q"))
     assert graph_of(s) == graph_of(deep_pairing)
     assert set(_LETTER.findall(print_arrow(s))) == {"q"}
+
+
+def test_substitution_matches_the_reference_deeper_than_the_recursion_limit(deep_pairing):
+    check_substitution(deep_pairing, q)
 
 
 NESTED_TEXTS = {

@@ -57,8 +57,8 @@ FUZZ = settings(max_examples=600, deadline=None, derandomize=True)
 _STEP = re.compile(r"step (\d+): ([a-z0-9-]+) at \[([\d, ]*)\] degree \((\d+),(\d+),(\d+)\) -> \((\d+),(\d+),(\d+)\)")
 # A token of a printed term, or the space between two.
 _PIECE = re.compile(r"[a-z][a-z0-9_]*|\s+|.")
-# A diagnostic, one line on stderr.
-_DIAGNOSTIC = re.compile(r"<input>:(\d+)-(\d+): error: .*\n")
+# A diagnostic, one line on stderr: its origin, the file read, and its span.
+_DIAGNOSTIC = re.compile(r"(.*?):(\d+)-(\d+): error: .*\n")
 # Characters that no token holds.
 UNEXPECTED = "$!A\u200b"
 
@@ -145,8 +145,9 @@ def _check_answers(tmp_path, text: str, mode: str) -> None:
         assert (code, out) == (2, ""), text
         # The error is placed: at a token, at the end of the text, or across all of it.
         m = _DIAGNOSTIC.fullmatch(err)
-        assert m and int(m[1]) <= int(m[2]) <= len(text), (text, err)
-        assert int(m[1]) < int(m[2]) or int(m[1]) == len(text), (text, err)
+        assert m and m[1] == str(tmp_path / "0.term"), (text, err)
+        assert int(m[2]) <= int(m[3]) <= len(text), (text, err)
+        assert int(m[2]) < int(m[3]) or int(m[2]) == len(text), (text, err)
     else:
         _, (dom, cod), _ = reading
         assert (code, out, err) == (0, type_text(dom, cod) + "\n", ""), text
